@@ -6,10 +6,10 @@
      main.exe --timings       run only the Bechamel timing suites
      main.exe --json FILE     with --timings/--perf-smoke: write per-kernel
                               medians as JSON (the BENCH_*.json trajectory)
-     main.exe --perf-smoke    small-scale connectivity kernel trio only;
-                              exits non-zero unless the projected engine
-                              beats the legacy path AND the MS-BFS engine
-                              beats the scalar projected one
+     main.exe --perf-smoke    small-scale connectivity and re-convergence
+                              kernel pairs only; exits non-zero unless
+                              the MS-BFS engine beats the legacy path AND
+                              the incremental tracker beats a rebuild
      main.exe --timings --fullscale
                               additionally hand-time the connectivity pair
                               at REPRO_SCALE (Table 1 / Fig 2a shape)
@@ -23,7 +23,7 @@
    The JSON trajectory follows schema brokerset-bench/2: per kernel the
    median ns/run plus median GC allocation per run (minor_words /
    major_words), a "counters" object with the deterministic
-   Broker_obs.Metrics fingerprint of one projected-connectivity pass,
+   Broker_obs.Metrics fingerprint of one MS-BFS connectivity pass,
    and the derived speedups.
 
    Environment: REPRO_SCALE (default 1.0), REPRO_SOURCES (default 192),
@@ -51,7 +51,7 @@ let experiment_tests () =
              ignore (e.E.All.report ctx))))
     E.All.experiments
 
-(* The legacy/projected/msbfs trio must time the exact same evaluation
+(* The legacy/msbfs pair must time the exact same evaluation
    (same brokers, same sources, same l_max): broker selection and source
    sampling are hoisted out of the staged thunks. 192 sources = three
    full MS-BFS batches plus a ragged tail, and the sampled-evaluator
@@ -76,11 +76,6 @@ let connectivity_pair ctx =
       (Staged.stage (fun () ->
            ignore
              (Broker_core.Connectivity.eval_sources_reference ~l_max:10 g
-                ~is_broker srcs)));
-    Test.make ~name:"connectivity/projected"
-      (Staged.stage (fun () ->
-           ignore
-             (Broker_core.Connectivity.eval_sources_scalar ~l_max:10 g
                 ~is_broker srcs)));
     Test.make ~name:"connectivity/msbfs"
       (Staged.stage (fun () ->
@@ -415,38 +410,29 @@ let find_stat stats suffix =
       ls >= lx && String.sub s.name (ls - lx) lx = suffix)
     stats
 
-(* legacy-over-projected median ratio of a connectivity kernel pair —
-   the headline numbers of this perf trajectory. *)
-let pair_speedup stats ~legacy ~projected =
-  match (find_stat stats legacy, find_stat stats projected) with
+(* slow-over-fast median ratio of a kernel pair — the headline numbers
+   of this perf trajectory. *)
+let pair_speedup stats ~slow ~fast =
+  match (find_stat stats slow, find_stat stats fast) with
   | Some l, Some p when p.median_ns > 0.0 -> Some (l.median_ns /. p.median_ns)
   | _ -> None
 
-let connectivity_speedup stats =
-  pair_speedup stats ~legacy:"connectivity/legacy"
-    ~projected:"connectivity/projected"
-
 let msbfs_speedup stats =
-  pair_speedup stats ~legacy:"connectivity/projected"
-    ~projected:"connectivity/msbfs"
+  pair_speedup stats ~slow:"connectivity/legacy" ~fast:"connectivity/msbfs"
 
 let fullscale_speedup stats =
-  pair_speedup stats ~legacy:"connectivity_fullscale/legacy"
-    ~projected:"connectivity_fullscale/projected"
-
-let fullscale_msbfs_speedup stats =
-  pair_speedup stats ~legacy:"connectivity_fullscale/projected"
-    ~projected:"connectivity_fullscale/msbfs"
+  pair_speedup stats ~slow:"connectivity_fullscale/legacy"
+    ~fast:"connectivity_fullscale/msbfs"
 
 let reconverge_speedup stats =
-  pair_speedup stats ~legacy:"reconverge/rebuild"
-    ~projected:"reconverge/incremental"
+  pair_speedup stats ~slow:"reconverge/rebuild" ~fast:"reconverge/incremental"
 
-let write_json ~path ?(counters = []) suites =
+(* [quota] is the per-kernel Bechamel time budget the suites ran with. *)
+let write_json ~path ~quota ?(counters = []) suites =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
   Buffer.add_string buf "  \"schema\": \"brokerset-bench/2\",\n";
-  Printf.bprintf buf "  \"quota_s\": 2.0,\n";
+  Printf.bprintf buf "  \"quota_s\": %.1f,\n" quota;
   Buffer.add_string buf "  \"suites\": {\n";
   let n_suites = List.length suites in
   List.iteri
@@ -456,7 +442,7 @@ let write_json ~path ?(counters = []) suites =
       List.iteri
         (fun j s ->
           Printf.bprintf buf
-            "      {\"name\": %S, \"median_ns\": %.1f, \"samples\": %d,              \"minor_words\": %.1f, \"major_words\": %.1f}%s\n"
+            "      {\"name\": %S, \"median_ns\": %.1f, \"samples\": %d, \"minor_words\": %.1f, \"major_words\": %.1f}%s\n"
             s.name s.median_ns s.samples s.minor_words s.major_words
             (if j = n - 1 then "" else ","))
         stats;
@@ -476,10 +462,8 @@ let write_json ~path ?(counters = []) suites =
     List.filter_map
       (fun (key, v) -> Option.map (fun s -> (key, s)) v)
       [
-        ("connectivity_speedup", connectivity_speedup all_stats);
-        ("msbfs_vs_projected", msbfs_speedup all_stats);
-        ("connectivity_fullscale_speedup", fullscale_speedup all_stats);
-        ("msbfs_vs_projected_fullscale", fullscale_msbfs_speedup all_stats);
+        ("msbfs_vs_legacy", msbfs_speedup all_stats);
+        ("msbfs_vs_legacy_fullscale", fullscale_speedup all_stats);
         ("incremental_vs_rebuild", reconverge_speedup all_stats);
       ]
   in
@@ -543,10 +527,6 @@ let fullscale_pair () =
         ignore
           (Broker_core.Connectivity.eval_sources_reference ~l_max:10 g
              ~is_broker srcs));
-    timed "connectivity_fullscale/projected" (fun () ->
-        ignore
-          (Broker_core.Connectivity.eval_sources_scalar ~l_max:10 g ~is_broker
-             srcs));
     timed "connectivity_fullscale/msbfs" (fun () ->
         ignore
           (Broker_core.Connectivity.eval_sources ~l_max:10 g ~is_broker srcs));
@@ -587,84 +567,69 @@ let counter_snapshot () =
    1%. *)
 let obs_overhead ~json () =
   let ctx = E.Ctx.create ~scale:0.02 ~sources:32 ~seed:11 () in
-  let stats = run_suite ~quota:2.0 "kernels" (connectivity_pair ctx) in
+  let quota = 2.0 in
+  let stats = run_suite ~quota "kernels" (connectivity_pair ctx) in
   let label =
     if Obs.Control.available then "kernels (obs compiled in, disabled)"
     else "kernels (obs absent)"
   in
   print_suite label stats;
   match json with
-  | Some path -> write_json ~path [ ("kernels", stats) ]
+  | Some path -> write_json ~path ~quota [ ("kernels", stats) ]
   | None -> ()
 
 let run_timings ~json ~fullscale () =
+  let quota = 2.0 in
   let suites =
     [
-      ("tables_and_figures", run_suite ~quota:2.0 "tables_and_figures" (experiment_tests ()));
-      ("kernels", run_suite ~quota:2.0 "kernels" (kernel_tests ()));
-      ("chaos", run_suite ~quota:2.0 "chaos" (chaos_tests ()));
-      ("cache", run_suite ~quota:2.0 "cache" (cache_tests ()));
+      ("tables_and_figures", run_suite ~quota "tables_and_figures" (experiment_tests ()));
+      ("kernels", run_suite ~quota "kernels" (kernel_tests ()));
+      ("chaos", run_suite ~quota "chaos" (chaos_tests ()));
+      ("cache", run_suite ~quota "cache" (cache_tests ()));
     ]
     @ (if fullscale then [ ("connectivity_fullscale", fullscale_pair ()) ] else [])
   in
   List.iter (fun (name, stats) -> print_suite name stats) suites;
   let all_stats = List.concat_map snd suites in
-  (match connectivity_speedup all_stats with
-  | Some s -> Printf.printf "\nconnectivity projected vs legacy: %.2fx\n" s
-  | None -> ());
   (match msbfs_speedup all_stats with
-  | Some s -> Printf.printf "connectivity msbfs vs projected: %.2fx\n" s
+  | Some s -> Printf.printf "\nconnectivity msbfs vs legacy: %.2fx\n" s
   | None -> ());
   (match fullscale_speedup all_stats with
-  | Some s ->
-      Printf.printf "connectivity full-scale projected vs legacy: %.2fx\n" s
-  | None -> ());
-  (match fullscale_msbfs_speedup all_stats with
-  | Some s ->
-      Printf.printf "connectivity full-scale msbfs vs projected: %.2fx\n" s
+  | Some s -> Printf.printf "connectivity full-scale msbfs vs legacy: %.2fx\n" s
   | None -> ());
   (match reconverge_speedup all_stats with
   | Some s -> Printf.printf "reconverge incremental vs rebuild: %.2fx\n" s
   | None -> ());
   match json with
-  | Some path -> write_json ~path ~counters:(counter_snapshot ()) suites
+  | Some path -> write_json ~path ~quota ~counters:(counter_snapshot ()) suites
   | None -> ()
 
-(* CI perf gate: time the connectivity kernel trio and the dynamic
-   re-convergence pair at small scale and fail unless (a) the projected
-   engine beats the legacy path, (b) the bit-parallel MS-BFS engine beats
-   the scalar projected one, and (c) the incremental tracker beats a full
-   compact-and-re-evaluate rebuild for a small (~1% of edges) burst. *)
+(* CI perf gate: time the connectivity and dynamic re-convergence kernel
+   pairs at small scale and fail unless (a) the bit-parallel MS-BFS engine
+   beats the legacy filtered-BFS reference and (b) the incremental
+   tracker beats a full compact-and-re-evaluate rebuild for a small (~1%
+   of edges) burst. *)
 let perf_smoke ~json () =
   let ctx = E.Ctx.create ~scale:0.02 ~sources:32 ~seed:11 () in
+  let quota = 1.0 in
   let stats =
-    run_suite ~quota:1.0 "kernels"
+    run_suite ~quota "kernels"
       (connectivity_pair ctx @ dynamic_pair ctx @ brokerstat_tests ())
   in
   print_suite "kernels (perf smoke)" stats;
   (match json with
   | Some path ->
-      write_json ~path ~counters:(counter_snapshot ()) [ ("kernels", stats) ]
+      write_json ~path ~quota ~counters:(counter_snapshot ()) [ ("kernels", stats) ]
   | None -> ());
-  (match connectivity_speedup stats with
+  (match msbfs_speedup stats with
   | Some s when s > 1.0 ->
-      Printf.printf "perf-smoke OK: projected engine is %.2fx faster\n" s
+      Printf.printf "perf-smoke OK: msbfs engine is %.2fx faster than legacy\n" s
   | Some s ->
-      Printf.printf "perf-smoke FAIL: projected engine is not faster (%.2fx)\n" s;
+      Printf.printf
+        "perf-smoke FAIL: msbfs engine is not faster than legacy (%.2fx)\n" s;
       exit 1
   | None ->
       prerr_endline "perf-smoke FAIL: connectivity kernels missing";
-      exit 1);
-  (match msbfs_speedup stats with
-  | Some s when s > 1.0 ->
-      Printf.printf "perf-smoke OK: msbfs engine is %.2fx faster than projected\n"
-        s
-  | Some s ->
-      Printf.printf
-        "perf-smoke FAIL: msbfs engine is not faster than projected (%.2fx)\n" s;
-      exit 1
-  | None ->
-      prerr_endline "perf-smoke FAIL: msbfs connectivity kernel missing";
       exit 1);
   match reconverge_speedup stats with
   | Some s when s > 1.0 ->

@@ -179,16 +179,19 @@ let export_dot_cmd =
 let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
     mttr scenario no_failover retries cache_strategy vnodes topo_updates
     topo_propagation topo_delay topo_per_hop topo_at stats_window timeline =
-  if stats_window < 0.0 then begin
-    prerr_endline "brokerctl simulate: --stats-window must be positive";
+  let usage_error msg =
+    prerr_endline ("brokerctl simulate: " ^ msg);
     exit 2
-  end;
+  in
+  (* The library checks its inputs (fault rates, retry budget, session
+     count, ...) with Invalid_argument: report those as usage errors. *)
+  let guard f = try f () with Invalid_argument msg -> usage_error msg in
+  (* [not (w >= 0)] also rejects NaN. *)
+  if not (stats_window >= 0.0) then usage_error "--stats-window must be positive";
   let cache =
     match Broker_sim.Shard_cache.strategy_of_string ~vnodes cache_strategy with
     | Ok s -> s
-    | Error msg ->
-        prerr_endline ("brokerctl simulate: " ^ msg);
-        exit 2
+    | Error msg -> usage_error msg
   in
   match load path with
   | Error msg ->
@@ -200,8 +203,9 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
       let rng = Broker_util.Xrandom.create seed in
       let model = Broker_core.Traffic.gravity ~rng g in
       let sessions =
-        Broker_sim.Workload.generate ~rng model ~n_sessions
-          Broker_sim.Workload.default_params
+        guard (fun () ->
+            Broker_sim.Workload.generate ~rng model ~n_sessions
+              Broker_sim.Workload.default_params)
       in
       let config = Broker_sim.Simulator.degree_capacity g ~factor:capacity_factor in
       let chaos =
@@ -220,9 +224,10 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
             | _ -> assert false
           in
           let faults =
-            Broker_sim.Faults.generate
-              ~rng:(Broker_util.Xrandom.create (seed + 1))
-              topo ~brokers ~horizon scen
+            guard (fun () ->
+                Broker_sim.Faults.generate
+                  ~rng:(Broker_util.Xrandom.create (seed + 1))
+                  topo ~brokers ~horizon scen)
           in
           Some
             {
@@ -241,9 +246,10 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
             else sessions.(Array.length sessions - 1).Broker_sim.Workload.arrival
           in
           let ops =
-            Broker_sim.Topo_stream.burst
-              ~rng:(Broker_util.Xrandom.create (seed + 2))
-              g ~size:topo_updates
+            guard (fun () ->
+                Broker_sim.Topo_stream.burst
+                  ~rng:(Broker_util.Xrandom.create (seed + 2))
+                  g ~size:topo_updates)
           in
           let time = topo_at *. horizon in
           let propagation =
@@ -278,8 +284,9 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
         else None
       in
       let s =
-        Broker_sim.Simulator.run ?chaos ?topo:topo_churn ~cache ?stats_window
-          topo ~brokers ~sessions config
+        guard (fun () ->
+            Broker_sim.Simulator.run ?chaos ?topo:topo_churn ~cache ?stats_window
+              topo ~brokers ~sessions config)
       in
       Printf.printf "offered             %d\n" s.Broker_sim.Simulator.offered;
       Printf.printf "admitted            %d (%.2f%%)\n" s.Broker_sim.Simulator.admitted

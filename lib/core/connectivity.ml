@@ -31,7 +31,7 @@ let merge_acc x y =
   x
 
 (* The one place integer tallies become a curve: every evaluator —
-   generic, scalar, MS-BFS and the incremental tracker — must funnel
+   generic, MS-BFS and the incremental tracker — must funnel
    through this exact float arithmetic so their curves can be compared
    bitwise. *)
 let curve_of_counts ~l_max ~hist ~reached ~total =
@@ -80,54 +80,16 @@ let eval_generic ~l_max g ~is_broker sources =
     curve_of_acc ~l_max a
   end
 
-(* Scalar engine path (PR 3): materialize the dominated subgraph once per
-   broker set, then run closure-free direction-optimizing BFS per source
-   on a per-domain reusable workspace. Per-hop counts come straight from
-   the BFS level sizes — no per-source distance array, no O(n) scan.
-   Sources are strided across domains because per-source BFS cost is
-   wildly uneven (a source outside the dominated component finishes
-   immediately). Superseded as the default by the batched MS-BFS path
-   below; kept callable as [eval_sources_scalar] — the bench comparison
-   point ([connectivity/projected]) and a second equivalence oracle. *)
-let eval_scalar ~l_max g ~is_broker sources =
-  let n = G.n g in
-  if n < 2 then { l_max; per_hop = Array.make (l_max + 1) 0.0; saturated = 0.0 }
-  else begin
-    let proj = Broker_graph.Projected.project g ~is_broker in
-    let pg = Broker_graph.Projected.graph proj in
-    let nsrc = Array.length sources in
-    let worker ~start ~step =
-      let ws = Bfs.workspace () in
-      let a = empty_acc l_max in
-      let i = ref start in
-      while !i < nsrc do
-        Bfs.run ws pg sources.(!i);
-        for d = 1 to Bfs.max_level ws do
-          let c = Bfs.level_count ws d in
-          a.reached <- a.reached + c;
-          if d <= l_max then a.hist.(d) <- a.hist.(d) + c
-        done;
-        a.total <- a.total + (n - 1);
-        i := !i + step
-      done;
-      a
-    in
-    let a =
-      Broker_util.Parallel.strided ~n:nsrc ~worker ~merge:merge_acc
-        (empty_acc l_max)
-    in
-    curve_of_acc ~l_max a
-  end
-
-(* Batched MS-BFS path: same projection, but sources are packed
-   [Msbfs.lanes] per machine word and each batch is settled by a handful
-   of word-parallel sweeps ([Msbfs.run]). Per-hop counts come from the
-   batch's per-level pair popcounts, which equal the sum of the scalar
-   per-source level counts bit for bit. Batches (not sources) are strided
-   across domains; batch composition is fixed by the source order alone,
-   and every accumulated quantity is an integer count, so the merged
-   totals are independent of REPRO_DOMAINS and bitwise identical to the
-   scalar and generic reference paths. *)
+(* Batched MS-BFS path: materialize the dominated subgraph once per
+   broker set, pack sources [Msbfs.lanes] per machine word, and settle
+   each batch with a handful of word-parallel sweeps ([Msbfs.run]) on a
+   per-domain reusable workspace. Per-hop counts come from the batch's
+   per-level pair popcounts, which equal the sum of per-source BFS level
+   counts bit for bit. Batches (not sources) are strided across domains;
+   batch composition is fixed by the source order alone, and every
+   accumulated quantity is an integer count, so the merged totals are
+   independent of REPRO_DOMAINS and bitwise identical to the generic
+   reference path. *)
 let eval ~l_max g ~is_broker sources =
   let n = G.n g in
   if n < 2 then { l_max; per_hop = Array.make (l_max + 1) 0.0; saturated = 0.0 }
@@ -163,9 +125,6 @@ let eval ~l_max g ~is_broker sources =
   end
 
 let eval_sources ?(l_max = 10) g ~is_broker sources = eval ~l_max g ~is_broker sources
-
-let eval_sources_scalar ?(l_max = 10) g ~is_broker sources =
-  eval_scalar ~l_max g ~is_broker sources
 
 let eval_sources_reference ?(l_max = 10) g ~is_broker sources =
   eval_generic ~l_max g ~is_broker sources

@@ -71,19 +71,7 @@ val eval_sources :
     Batch composition depends only on the source order and every
     accumulated quantity is an integer count, so results are
     deterministic and bit-identical to a sequential run (and to
-    {!eval_sources_scalar} and {!eval_sources_reference}) for any
-    [REPRO_DOMAINS]. *)
-
-val eval_sources_scalar :
-  ?l_max:int ->
-  Broker_graph.Graph.t ->
-  is_broker:(int -> bool) ->
-  int array ->
-  curve
-(** The scalar projected engine (one direction-optimizing
-    {!Broker_graph.Bfs.run} per source over the projected subgraph) —
-    the pre-MS-BFS default. Kept as the [connectivity/projected] bench
-    kernel and a second equivalence oracle for the batched path. *)
+    {!eval_sources_reference}) for any [REPRO_DOMAINS]. *)
 
 val eval_sources_reference :
   ?l_max:int ->

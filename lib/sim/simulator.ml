@@ -35,17 +35,8 @@ let ts_failover = Obs.Timeseries.series "sim.ts.latency.failover"
 let ts_e2e = Obs.Timeseries.series "sim.ts.latency.e2e"
 
 let timeline_series =
-  [
-    ts_admitted;
-    ts_delivered;
-    ts_rejected;
-    ts_lookups;
-    ts_recomputes;
-    ts_queue_wait;
-    ts_admission;
-    ts_failover;
-    ts_e2e;
-  ]
+  [ ts_admitted; ts_delivered; ts_rejected; ts_lookups; ts_recomputes;
+    ts_queue_wait; ts_admission; ts_failover; ts_e2e ]
 
 let timeline_names = List.map Obs.Timeseries.name timeline_series
 
@@ -122,13 +113,8 @@ type stats = {
    failover; [active] flips off at departure or mid-flight drop so a stale
    departure event is a no-op. *)
 type live = {
-  id : int;
-  src : int;
-  dst : int;
-  demand : float;
-  arrived : float;  (* intended (open-loop) arrival, for e2e latency *)
-  admitted_at : float;  (* admission instant, for time-to-failover *)
-  depart : float;
+  s : Workload.session;
+  admitted_at : float;  (* admission instant; departs [duration] later *)
   rev_rate : float;  (* net revenue per unit time, for drop refunds *)
   mutable path_brokers : int array;
   mutable active : bool;
@@ -142,148 +128,133 @@ type ev =
 
 type block_reason = No_path | Capacity | Shed
 
-let validate ~n ~brokers config =
-  if Float.is_nan config.price || config.price < 0.0 then
-    invalid_arg "Simulator.run: price must be >= 0";
-  if Float.is_nan config.employee_cost || config.employee_cost < 0.0 then
-    invalid_arg "Simulator.run: employee_cost must be >= 0";
+(* What an absent [?chaos] / [?topo] means, literally: no faults, no
+   retries, no breaker, chaos seed 0 (so the cache and jitter seeds are
+   [0x5A4D lxor 0] / [0x5EED lxor 0]), and an empty update stream. There
+   is no separate plain-simulator path. *)
+let no_chaos =
+  { faults = [||]; failover = false; retry = no_retry; breaker = None; chaos_seed = 0 }
+
+let no_churn =
+  { updates = [||]; propagation = Topo_stream.Centralized { delay = 0.0 } }
+
+(* [not (x >= 0.0)] also catches NaN. *)
+let check_nonneg what x =
+  if not (x >= 0.0) then invalid_arg ("Simulator.run: " ^ what ^ " must be >= 0")
+
+let validate ~n ~brokers ~sessions ~chaos ~churn ~stats_window config =
+  check_nonneg "price" config.price;
+  check_nonneg "employee_cost" config.employee_cost;
   Array.iter
     (fun b ->
       if b < 0 || b >= n then invalid_arg "Simulator.run: broker id out of range";
-      if not (config.capacity_of b >= 0.0) then
-        invalid_arg "Simulator.run: capacity_of must be >= 0")
-    brokers
+      check_nonneg "capacity_of" (config.capacity_of b))
+    brokers;
+  Option.iter
+    (fun w -> if not (w > 0.0) then invalid_arg "Simulator.run: stats_window must be > 0")
+    stats_window;
+  (* A negative delay would schedule a retry before the block that caused
+     it, running the utilization integral backwards. *)
+  let r = chaos.retry in
+  if r.max_attempts < 0 then
+    invalid_arg "Simulator.run: retry max_attempts must be >= 0";
+  check_nonneg "retry base_delay" r.base_delay;
+  check_nonneg "retry multiplier" r.multiplier;
+  check_nonneg "retry jitter" r.jitter;
+  Option.iter
+    (fun bp ->
+      check_nonneg "breaker high_water" bp.high_water;
+      check_nonneg "breaker trip_after" bp.trip_after;
+      check_nonneg "breaker cooldown" bp.cooldown)
+    chaos.breaker;
+  (* A NaN-stamped event would never come due. *)
+  Array.iter
+    (fun (e : Faults.event) ->
+      if Float.is_nan e.Faults.time then invalid_arg "Simulator.run: fault time is NaN")
+    chaos.faults;
+  Array.iter
+    (fun (e : Topo_stream.event) ->
+      let u, v = Topo_stream.op_endpoints e.Topo_stream.op in
+      if u < 0 || u >= n || v < 0 || v >= n then
+        invalid_arg "Simulator.run: topo update endpoint out of range";
+      if Float.is_nan e.Topo_stream.time then
+        invalid_arg "Simulator.run: topo update time is NaN")
+    churn.updates;
+  for i = 1 to Array.length sessions - 1 do
+    if not (sessions.(i).Workload.arrival >= sessions.(i - 1).Workload.arrival) then
+      invalid_arg "Simulator.run: sessions not sorted by arrival"
+  done
 
-let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
-    ~brokers ~sessions config =
-  let tr0 = Obs.Trace.enter () in
-  let g = topo.Broker_topo.Topology.graph in
-  let n = G.n g in
-  validate ~n ~brokers config;
-  (* Timeline collection is strictly opt-in: with [?stats_window] absent
-     not a single series is touched, so the default path stays
-     byte-identical (the timelines never feed back into admission). *)
-  let tl_on =
-    match stats_window with
-    | None -> false
-    | Some w ->
-        if Float.is_nan w || w <= 0.0 then
-          invalid_arg "Simulator.run: stats_window must be > 0";
-        List.iter (fun s -> Obs.Timeseries.restart ~window:w s) timeline_series;
-        true
-  in
-  (match topo_churn with
-  | None -> ()
-  | Some tc ->
-      Array.iter
-        (fun (e : Topo_stream.event) ->
-          let u, v = Topo_stream.op_endpoints e.Topo_stream.op in
-          if u < 0 || u >= n || v < 0 || v >= n then
-            invalid_arg "Simulator.run: topo update endpoint out of range")
-        tc.updates);
-  let is_broker = Broker_core.Connectivity.of_brokers ~n brokers in
-  let has_chaos = Option.is_some chaos in
-  let failover_on, retry, breaker, fault_events, chaos_seed =
-    match chaos with
-    | None -> (false, no_retry, None, [||], 0)
-    | Some c -> (c.failover, c.retry, c.breaker, c.faults, c.chaos_seed)
-  in
-  let jitter_rng = X.create (0x5EED lxor chaos_seed) in
+(* Everything one run mutates. Handlers below take it explicitly; [run]
+   is validate → build the state → one event loop → finalize. *)
+type state = {
+  config : config;
+  chaos : chaos;
+  is_broker : int -> bool;
+  jitter_rng : X.t;
+  tl_on : bool;  (* [?stats_window] given: fill the timelines *)
   (* Broker liveness: a down-counter per vertex (correlated scenarios can
-     crash an already-down broker); a down broker stops being a broker — it
-     neither dominates edges nor carries reservations — but keeps forwarding
-     as a plain AS, mirroring Broker_core.Resilience. *)
-  let down = Array.make n 0 in
-  let down_since = Array.make n 0.0 in
-  let total_down = ref 0 in
-  let downtime = ref 0.0 in
-  let is_broker_live v = is_broker v && down.(v) = 0 in
+     crash an already-down broker); a down broker stops being a broker —
+     it neither dominates edges nor carries reservations — but keeps
+     forwarding as a plain AS, mirroring Broker_core.Resilience. *)
+  down : int array;
+  down_since : float array;
+  mutable total_down : int;
+  mutable downtime : float;
   (* Per-broker capacity accounting with lazy time-integrated usage. *)
-  let used = Hashtbl.create 1024 in
-  let area = Hashtbl.create 1024 in
-  let last_change = Hashtbl.create 1024 in
-  let get tbl b = Option.value ~default:0.0 (Hashtbl.find_opt tbl b) in
-  let touch b t =
-    let lu = get last_change b in
-    Hashtbl.replace area b (get area b +. (get used b *. (t -. lu)));
-    Hashtbl.replace last_change b t
-  in
-  (* Admission circuit breaker: track how long a broker's utilization has
-     been continuously at or above the high-water mark. *)
-  let above_since = Array.make (if Option.is_none breaker then 0 else n) nan in
-  let tripped_until =
-    Array.make (if Option.is_none breaker then 0 else n) neg_infinity
-  in
-  let update_water b t =
-    match breaker with
-    | None -> ()
-    | Some bp ->
-        let cap = config.capacity_of b in
-        if cap > 0.0 then
-          if get used b /. cap >= bp.high_water then begin
-            if Float.is_nan above_since.(b) then above_since.(b) <- t
-          end
-          else above_since.(b) <- nan
-  in
-  let adjust b t delta =
-    touch b t;
-    Hashtbl.replace used b (get used b +. delta);
-    update_water b t
-  in
-  let shedding b t =
-    match breaker with
-    | None -> false
-    | Some bp ->
-        if t < tripped_until.(b) then true
-        else if
-          (not (Float.is_nan above_since.(b)))
-          && t -. above_since.(b) >= bp.trip_after
-        then begin
-          Obs.Metrics.incr m_breaker_trips;
-          tripped_until.(b) <- t +. bp.cooldown;
-          (* A fresh sustained excursion is needed to re-trip after cooldown. *)
-          above_since.(b) <- nan;
-          true
-        end
-        else false
-  in
-  (* Hop-shortest dominated path per distinct pair, cached under the current
-     liveness. The cache policy — flush-on-crash reverse-index eviction
-     (the historical default) vs sharded assignment with graceful
-     degradation — lives in {!Shard_cache}; the simulator only reports
-     liveness transitions to it. *)
+  used : (int, float) Hashtbl.t;
+  area : (int, float) Hashtbl.t;
+  last_change : (int, float) Hashtbl.t;
+  (* Admission circuit breaker: how long a broker's utilization has been
+     continuously at or above the high-water mark. Empty without one. *)
+  above_since : float array;
+  tripped_until : float array;
+  (* Hop-shortest dominated path per distinct pair, cached under the
+     current liveness; the policy lives in {!Shard_cache}, the simulator
+     only reports liveness transitions to it. *)
+  pcache : Shard_cache.t;
+  (* The routed topology: a delta overlay over the base CSR, built at the
+     first delivered update. Until then [view] is the zero-copy base. *)
+  delta : Broker_graph.Delta.t Lazy.t;
+  mutable view : Broker_graph.View.t;
+  events : ev Event_queue.t;
+  in_flight_tbl : (int, live) Hashtbl.t;
+  mutable horizon : float;  (* latest arrival or event served, >= 0 *)
+  (* Tallies behind {!stats}. *)
+  mutable offered : int;
+  mutable admitted : int;
+  mutable retried_admitted : int;
+  mutable rejected_no_path : int;
+  mutable rejected_capacity : int;
+  mutable rejected_shed : int;
+  mutable hops_total : int;
+  mutable employee_hops_total : int;
+  mutable in_flight : int;
+  mutable peak_in_flight : int;
+  mutable revenue : float;
+  mutable revenue_lost : float;
+  mutable failed_over : int;
+  mutable dropped_midflight : int;
+  mutable topo_applied : int;
+  mutable topo_ignored : int;
+}
+
+let init ~(chaos : chaos) ~churn ~cache ~stats_window g ~brokers config =
+  let n = G.n g in
+  (* Timeline collection is strictly opt-in: with [?stats_window] absent
+     not a single series is touched. *)
+  Option.iter
+    (fun w -> List.iter (Obs.Timeseries.restart ~window:w) timeline_series)
+    stats_window;
+  let breaker_n = if Option.is_none chaos.breaker then 0 else n in
+  let is_broker = Broker_core.Connectivity.of_brokers ~n brokers in
   let pcache =
-    Shard_cache.create ~strategy:cache ~seed:(0x5A4D lxor chaos_seed) ~n
+    Shard_cache.create ~strategy:cache ~seed:(0x5A4D lxor chaos.chaos_seed) ~n
       ~shards:brokers ()
   in
-  (* The routed topology is a delta overlay over the base CSR: updates
-     mutate [tdelta] and refresh the immutable [tview] snapshot routing
-     reads. Without topology churn [tview] stays the zero-copy base view,
-     so the static path is untouched. *)
-  let tdelta =
-    match topo_churn with
-    | None -> None
-    | Some _ -> Some (Broker_graph.Delta.create g)
-  in
-  let tview = ref (Broker_graph.View.of_graph g) in
-  let topo_applied = ref 0 in
-  let topo_ignored = ref 0 in
-  let path_for t src dst =
-    if tl_on then Obs.Timeseries.add ts_lookups ~time:t 1;
-    Shard_cache.find pcache
-      ~compute:(fun () ->
-        if tl_on then Obs.Timeseries.add ts_recomputes ~time:t 1;
-        match
-          Broker_core.Dominating.find_dominated_path_view !tview
-            ~is_broker:is_broker_live src dst
-        with
-        | [] -> None
-        | path -> Some (Array.of_list path))
-      src dst
-  in
-  let events : ev Event_queue.t = Event_queue.create () in
-  (* Fault events enter the queue up front: at equal times they precede the
-     departures/retries scheduled later (FIFO tie-break), which is the
+  let events = Event_queue.create () in
+  (* Fault events enter the queue up front: at equal times they precede
+     the departures/retries scheduled later (FIFO tie-break), which is the
      pessimistic order — a failure beats a same-instant departure. Events
      for vertices outside the broker set are ignored. *)
   Array.iter
@@ -291,367 +262,393 @@ let run ?chaos ?topo:topo_churn ?(cache = Shard_cache.Flush) ?stats_window topo
       if is_broker e.Faults.broker then
         Event_queue.add events ~time:e.Faults.time
           (Fault (e.Faults.kind, e.Faults.broker)))
-    fault_events;
+    chaos.faults;
   (* Topology updates enter at their *delivery* time under the selected
      propagation model — centralized feed or hop-by-hop BGP-like crawl
      towards the nearest broker (hop counts on the pre-update graph).
      Enqueued after the faults, so at equal times a fault is served
      first (same pessimistic tie-break). *)
-  (match topo_churn with
-  | None -> ()
-  | Some tc ->
-      Array.iter
-        (fun (e : Topo_stream.event) ->
-          Event_queue.add events ~time:e.Topo_stream.time
-            (Topo_update e.Topo_stream.op))
-        (Topo_stream.schedule g ~brokers tc.propagation tc.updates));
-  let in_flight_tbl : (int, live) Hashtbl.t = Hashtbl.create 256 in
-  let offered = ref 0 in
-  let admitted = ref 0 in
-  let rejected_no_path = ref 0 in
-  let rejected_capacity = ref 0 in
-  let rejected_shed = ref 0 in
-  let hops_total = ref 0 in
-  let employee_hops_total = ref 0 in
-  let in_flight = ref 0 in
-  let peak_in_flight = ref 0 in
-  let revenue = ref 0.0 in
-  let failed_over = ref 0 in
-  let dropped_midflight = ref 0 in
-  let retried_admitted = ref 0 in
-  let revenue_lost = ref 0.0 in
-  let last_arrival = ref neg_infinity in
-  (* Single-pass broker filter over a path (no list round-trip). *)
-  let filter_live_brokers path =
-    let count = ref 0 in
-    Array.iter (fun v -> if is_broker_live v then incr count) path;
-    let out = Array.make !count 0 in
-    let j = ref 0 in
-    Array.iter
-      (fun v ->
-        if is_broker_live v then begin
-          out.(!j) <- v;
-          incr j
-        end)
-      path;
-    out
-  in
-  let fits path_brokers demand =
-    Array.for_all
-      (fun b -> get used b +. demand <= config.capacity_of b +. 1e-9)
-      path_brokers
-  in
-  let blocked (s : Workload.session) t ~attempt ~reason =
-    let retryable =
-      has_chaos
-      && attempt < retry.max_attempts
-      && (match reason with
-         (* A structural no-path can never be retried away; one caused by an
-            outage can. *)
-         | No_path -> !total_down > 0
-         | Capacity | Shed -> true)
-    in
-    if retryable then begin
-      Obs.Metrics.incr m_retries_scheduled;
-      let jitter = 1.0 +. (retry.jitter *. X.float jitter_rng 1.0) in
-      let delay =
-        retry.base_delay *. (retry.multiplier ** float_of_int attempt) *. jitter
-      in
-      Event_queue.add events ~time:(t +. delay) (Retry (s, attempt + 1))
-    end
-    else begin
-      (match reason with
-      | No_path -> incr rejected_no_path
-      | Capacity -> incr rejected_capacity
-      | Shed -> incr rejected_shed);
-      if tl_on then begin
-        Obs.Timeseries.add ts_rejected ~time:t 1;
-        (* Admission latency covers every finally-decided session —
-           open-loop discipline: measured from the intended arrival,
-           through however many backoff retries it took to conclude. *)
-        Obs.Timeseries.observe ts_admission ~time:t
-          (Obs.Timeseries.to_fp (t -. s.Workload.arrival))
-      end
-    end
-  in
-  let admit_session (s : Workload.session) t ~attempt =
-    match path_for t s.Workload.src s.Workload.dst with
-    | None -> blocked s t ~attempt ~reason:No_path
-    | Some path ->
-        let path_brokers = filter_live_brokers path in
-        if has_chaos && Array.exists (fun b -> shedding b t) path_brokers then
-          blocked s t ~attempt ~reason:Shed
-        else if not (fits path_brokers s.Workload.demand) then
-          blocked s t ~attempt ~reason:Capacity
-        else begin
-          incr admitted;
-          if attempt > 0 then incr retried_admitted;
-          incr in_flight;
-          if !in_flight > !peak_in_flight then peak_in_flight := !in_flight;
-          Array.iter (fun b -> adjust b t s.Workload.demand) path_brokers;
-          let hops = Array.length path - 1 in
-          hops_total := !hops_total + hops;
-          (* Employees: intermediate non-(live-)broker vertices. *)
-          let employees = ref 0 in
-          for i = 1 to Array.length path - 2 do
-            if not (is_broker_live path.(i)) then incr employees
-          done;
-          employee_hops_total := !employee_hops_total + (2 * !employees);
-          let dt = s.Workload.duration *. s.Workload.demand in
-          let net =
-            (2.0 *. config.price *. dt)
-            -. (config.employee_cost *. float_of_int (2 * !employees) *. dt)
-          in
-          revenue := !revenue +. net;
-          if tl_on then begin
-            Obs.Timeseries.add ts_admitted ~time:t 1;
-            let wait = Obs.Timeseries.to_fp (t -. s.Workload.arrival) in
-            Obs.Timeseries.observe ts_queue_wait ~time:t wait;
-            Obs.Timeseries.observe ts_admission ~time:t wait
-          end;
-          let l =
-            {
-              id = s.Workload.id;
-              src = s.Workload.src;
-              dst = s.Workload.dst;
-              demand = s.Workload.demand;
-              arrived = s.Workload.arrival;
-              admitted_at = t;
-              depart = t +. s.Workload.duration;
-              rev_rate =
-                (if s.Workload.duration > 0.0 then net /. s.Workload.duration
-                 else 0.0);
-              path_brokers;
-              active = true;
-            }
-          in
-          if has_chaos then Hashtbl.replace in_flight_tbl l.id l;
-          Event_queue.add events ~time:l.depart (Depart l)
-        end
-  in
-  let drop l t =
-    Obs.Metrics.incr m_drops;
-    l.active <- false;
-    Hashtbl.remove in_flight_tbl l.id;
-    decr in_flight;
-    incr dropped_midflight;
-    let lost = l.rev_rate *. (l.depart -. t) in
-    revenue := !revenue -. lost;
-    revenue_lost := !revenue_lost +. lost
-  in
-  let on_crash b t =
-    down.(b) <- down.(b) + 1;
-    if down.(b) = 1 then begin
-      incr total_down;
-      down_since.(b) <- t;
-      Shard_cache.crash pcache b;
-      (* In-flight sessions riding b, in session-id order (deterministic). *)
-      let affected =
-        Hashtbl.fold
-          (fun _ l acc ->
-            if l.active && Array.exists (fun pb -> pb = b) l.path_brokers then
-              l :: acc
-            else acc)
-          in_flight_tbl []
-      in
-      let affected = List.sort (fun a b -> Int.compare a.id b.id) affected in
-      List.iter
-        (fun l ->
-          (* Release the whole old reservation, then try an alternate
-             B-dominated path that avoids every down broker. *)
-          Array.iter (fun pb -> adjust pb t (-.l.demand)) l.path_brokers;
-          let rerouted =
-            failover_on
-            &&
-            match path_for t l.src l.dst with
-            | None -> false
-            | Some path ->
-                let pbs = filter_live_brokers path in
-                if fits pbs l.demand then begin
-                  Array.iter (fun pb -> adjust pb t l.demand) pbs;
-                  l.path_brokers <- pbs;
-                  true
-                end
-                else false
-          in
-          if rerouted then begin
-            incr failed_over;
-            Obs.Metrics.incr m_failovers;
-            (* Time-to-failover: how long the session had been in
-               flight when the crash forced it onto an alternate
-               path. *)
-            if tl_on then
-              Obs.Timeseries.observe ts_failover ~time:t
-                (Obs.Timeseries.to_fp (t -. l.admitted_at))
-          end
-          else drop l t)
-        affected
-    end
-  in
-  let on_recover b t =
-    if down.(b) > 0 then begin
-      down.(b) <- down.(b) - 1;
-      if down.(b) = 0 then begin
-        decr total_down;
-        downtime := !downtime +. (t -. down_since.(b));
-        Shard_cache.recover pcache b
-      end
-    end
-  in
-  let handle ev t =
-    match ev with
-    | Depart l ->
-        Obs.Metrics.incr m_ev_depart;
-        if l.active then begin
-          Array.iter (fun pb -> adjust pb t (-.l.demand)) l.path_brokers;
-          l.active <- false;
-          if has_chaos then Hashtbl.remove in_flight_tbl l.id;
-          decr in_flight;
-          if tl_on then begin
-            Obs.Timeseries.add ts_delivered ~time:t 1;
-            (* End-to-end completion from the intended arrival: queue
-               wait (retries) plus the session's service time. *)
-            Obs.Timeseries.observe ts_e2e ~time:t
-              (Obs.Timeseries.to_fp (t -. l.arrived))
-          end
-        end
-    | Fault (Faults.Crash, b) ->
-        Obs.Metrics.incr m_ev_fault;
-        on_crash b t
-    | Fault (Faults.Recover, b) ->
-        Obs.Metrics.incr m_ev_fault;
-        on_recover b t
-    | Retry (s, attempt) ->
-        Obs.Metrics.incr m_ev_retry;
-        admit_session s t ~attempt
-    | Topo_update op ->
-        Obs.Metrics.incr m_ev_topo;
-        let d =
-          match tdelta with
-          | Some d -> d
-          | None -> assert false (* only enqueued when topo_churn is set *)
-        in
-        let changed =
-          match op with
-          | Topo_stream.Announce (u, v) -> Broker_graph.Delta.add_edge d u v
-          | Topo_stream.Withdraw (u, v) -> Broker_graph.Delta.remove_edge d u v
-        in
-        if changed then begin
-          incr topo_applied;
-          Obs.Metrics.incr m_topo_applied;
-          tview := Broker_graph.Delta.view d;
-          (* Any cached path may now be wrong (or newly beatable):
-             everything goes. Subsequent lookups recompute against the
-             fresh view. *)
-          Shard_cache.invalidate_all pcache
-        end
-        else begin
-          incr topo_ignored;
-          Obs.Metrics.incr m_topo_ignored
-        end
-  in
-  let process_until t =
-    let continue = ref true in
-    while !continue do
-      match Event_queue.peek_time events with
-      | Some et when et <= t -> begin
-          match Event_queue.pop events with
-          | Some (et, ev) -> handle ev et
-          | None -> assert false
-        end
-      | Some _ | None -> continue := false
-    done
-  in
   Array.iter
-    (fun (s : Workload.session) ->
-      if s.Workload.arrival < !last_arrival then
-        invalid_arg "Simulator.run: sessions not sorted by arrival";
-      last_arrival := s.Workload.arrival;
-      incr offered;
-      process_until s.Workload.arrival;
-      admit_session s s.Workload.arrival ~attempt:0)
-    sessions;
-  (* Drain remaining events (departures, retries, faults) to close the
-     utilization and downtime integrals. *)
-  let horizon = ref (Float.max !last_arrival 0.0) in
-  let continue = ref true in
-  while !continue do
-    match Event_queue.pop events with
-    | Some (t, ev) ->
-        horizon := Float.max !horizon t;
-        handle ev t
-    | None -> continue := false
-  done;
-  Obs.Metrics.gauge_max g_queue_depth (Event_queue.max_length events);
-  Event_queue.clear events;
+    (fun (e : Topo_stream.event) ->
+      Event_queue.add events ~time:e.Topo_stream.time (Topo_update e.Topo_stream.op))
+    (Topo_stream.schedule g ~brokers churn.propagation churn.updates);
+  {
+    config;
+    chaos;
+    is_broker;
+    jitter_rng = X.create (0x5EED lxor chaos.chaos_seed);
+    tl_on = Option.is_some stats_window;
+    down = Array.make n 0;
+    down_since = Array.make n 0.0;
+    total_down = 0;
+    downtime = 0.0;
+    used = Hashtbl.create 1024;
+    area = Hashtbl.create 1024;
+    last_change = Hashtbl.create 1024;
+    above_since = Array.make breaker_n nan;
+    tripped_until = Array.make breaker_n neg_infinity;
+    pcache;
+    delta = lazy (Broker_graph.Delta.create g);
+    view = Broker_graph.View.of_graph g;
+    events;
+    in_flight_tbl = Hashtbl.create 256;
+    horizon = 0.0;
+    offered = 0; admitted = 0; rejected_no_path = 0; rejected_capacity = 0;
+    rejected_shed = 0; hops_total = 0; employee_hops_total = 0; in_flight = 0;
+    peak_in_flight = 0; revenue = 0.0; failed_over = 0; dropped_midflight = 0;
+    retried_admitted = 0; revenue_lost = 0.0; topo_applied = 0; topo_ignored = 0;
+  }
+
+(* Timeline probes, gated on [?stats_window]: a window tally, and a
+   latency sample of [t - since] in sim-time micro-units. *)
+let tl_add st ts t = if st.tl_on then Obs.Timeseries.add ts ~time:t 1
+
+let tl_latency st ts t ~since =
+  if st.tl_on then Obs.Timeseries.observe ts ~time:t (Obs.Timeseries.to_fp (t -. since))
+
+let get tbl b = Option.value ~default:0.0 (Hashtbl.find_opt tbl b)
+let is_broker_live st v = st.is_broker v && st.down.(v) = 0
+
+let touch st b t =
+  let lu = get st.last_change b in
+  Hashtbl.replace st.area b (get st.area b +. (get st.used b *. (t -. lu)));
+  Hashtbl.replace st.last_change b t
+
+let update_water st b t =
+  match st.chaos.breaker with
+  | None -> ()
+  | Some bp ->
+      let cap = st.config.capacity_of b in
+      if cap > 0.0 then
+        if not (get st.used b /. cap >= bp.high_water) then st.above_since.(b) <- nan
+        else if Float.is_nan st.above_since.(b) then st.above_since.(b) <- t
+
+let adjust st b t delta =
+  touch st b t;
+  Hashtbl.replace st.used b (get st.used b +. delta);
+  update_water st b t
+
+let shedding st b t =
+  match st.chaos.breaker with
+  | None -> false
+  | Some bp ->
+      if t < st.tripped_until.(b) then true
+      else if
+        (not (Float.is_nan st.above_since.(b)))
+        && t -. st.above_since.(b) >= bp.trip_after
+      then begin
+        Obs.Metrics.incr m_breaker_trips;
+        st.tripped_until.(b) <- t +. bp.cooldown;
+        (* A fresh sustained excursion is needed to re-trip after cooldown. *)
+        st.above_since.(b) <- nan;
+        true
+      end
+      else false
+
+let path_for st t src dst =
+  tl_add st ts_lookups t;
+  Shard_cache.find st.pcache
+    ~compute:(fun () ->
+      tl_add st ts_recomputes t;
+      match
+        Broker_core.Dominating.find_dominated_path_view st.view
+          ~is_broker:(is_broker_live st) src dst
+      with
+      | [] -> None
+      | path -> Some (Array.of_list path))
+    src dst
+
+(* Single-pass broker filter over a path (no list round-trip). *)
+let filter_live_brokers st path =
+  let out = Array.make (Array.length path) 0 and k = ref 0 in
+  Array.iter
+    (fun v -> if is_broker_live st v then (out.(!k) <- v; incr k))
+    path;
+  Array.sub out 0 !k
+
+(* The one way capacity is taken, for admission and failover alike:
+   dominated path under current liveness → its live brokers → breaker
+   (admission only) → capacity → book [demand] on each of them. *)
+let reserve st t (s : Workload.session) ~shed =
+  match path_for st t s.Workload.src s.Workload.dst with
+  | None -> Error No_path
+  | Some path ->
+      let pbs = filter_live_brokers st path in
+      let demand = s.Workload.demand in
+      let fits b = get st.used b +. demand <= st.config.capacity_of b +. 1e-9 in
+      if shed && Array.exists (fun b -> shedding st b t) pbs then Error Shed
+      else if not (Array.for_all fits pbs) then Error Capacity
+      else begin
+        Array.iter (fun b -> adjust st b t demand) pbs;
+        Ok (path, pbs)
+      end
+
+(* The one way capacity is given back. *)
+let release st l t =
+  Array.iter (fun b -> adjust st b t (-.l.s.Workload.demand)) l.path_brokers
+
+(* Take a session out of flight: its pending departure becomes a no-op. *)
+let retire st l =
+  l.active <- false;
+  Hashtbl.remove st.in_flight_tbl l.s.Workload.id;
+  st.in_flight <- st.in_flight - 1
+
+let blocked st (s : Workload.session) t ~attempt ~reason =
+  let retryable =
+    attempt < st.chaos.retry.max_attempts
+    && (match reason with
+       (* A structural no-path can never be retried away; one caused by an
+          outage can. *)
+       | No_path -> st.total_down > 0
+       | Capacity | Shed -> true)
+  in
+  if retryable then begin
+    Obs.Metrics.incr m_retries_scheduled;
+    let r = st.chaos.retry in
+    let jitter = 1.0 +. (r.jitter *. X.float st.jitter_rng 1.0) in
+    let delay = r.base_delay *. (r.multiplier ** float_of_int attempt) *. jitter in
+    Event_queue.add st.events ~time:(t +. delay) (Retry (s, attempt + 1))
+  end
+  else begin
+    (match reason with
+    | No_path -> st.rejected_no_path <- st.rejected_no_path + 1
+    | Capacity -> st.rejected_capacity <- st.rejected_capacity + 1
+    | Shed -> st.rejected_shed <- st.rejected_shed + 1);
+    tl_add st ts_rejected t;
+    (* Admission latency covers every finally-decided session — open-loop
+       discipline: measured from the intended arrival, through however
+       many backoff retries it took to conclude. *)
+    tl_latency st ts_admission t ~since:s.Workload.arrival
+  end
+
+let admit st (s : Workload.session) t ~attempt =
+  match reserve st t s ~shed:true with
+  | Error reason -> blocked st s t ~attempt ~reason
+  | Ok (path, path_brokers) ->
+      st.admitted <- st.admitted + 1;
+      if attempt > 0 then st.retried_admitted <- st.retried_admitted + 1;
+      st.in_flight <- st.in_flight + 1;
+      if st.in_flight > st.peak_in_flight then st.peak_in_flight <- st.in_flight;
+      st.hops_total <- st.hops_total + Array.length path - 1;
+      (* Employees: intermediate non-(live-)broker vertices. *)
+      let employees = ref 0 in
+      for i = 1 to Array.length path - 2 do
+        if not (is_broker_live st path.(i)) then incr employees
+      done;
+      st.employee_hops_total <- st.employee_hops_total + (2 * !employees);
+      let dt = s.Workload.duration *. s.Workload.demand in
+      let net =
+        (2.0 *. st.config.price *. dt)
+        -. (st.config.employee_cost *. float_of_int (2 * !employees) *. dt)
+      in
+      st.revenue <- st.revenue +. net;
+      tl_add st ts_admitted t;
+      tl_latency st ts_queue_wait t ~since:s.Workload.arrival;
+      tl_latency st ts_admission t ~since:s.Workload.arrival;
+      let l =
+        {
+          s;
+          admitted_at = t;
+          rev_rate =
+            (if s.Workload.duration > 0.0 then net /. s.Workload.duration
+             else 0.0);
+          path_brokers;
+          active = true;
+        }
+      in
+      Hashtbl.replace st.in_flight_tbl s.Workload.id l;
+      Event_queue.add st.events ~time:(t +. s.Workload.duration) (Depart l)
+
+(* One handler per event kind; [drain] dispatches on the kind. *)
+
+let on_arrive st (s : Workload.session) =
+  st.horizon <- Float.max st.horizon s.Workload.arrival;
+  st.offered <- st.offered + 1;
+  admit st s s.Workload.arrival ~attempt:0
+
+let on_retry st s t ~attempt =
+  Obs.Metrics.incr m_ev_retry;
+  admit st s t ~attempt
+
+let on_depart st l t =
+  Obs.Metrics.incr m_ev_depart;
+  if l.active then begin
+    release st l t;
+    retire st l;
+    tl_add st ts_delivered t;
+    (* End-to-end completion from the intended arrival: queue wait
+       (retries) plus the session's service time. *)
+    tl_latency st ts_e2e t ~since:l.s.Workload.arrival
+  end
+
+let on_crash st b t =
+  Obs.Metrics.incr m_ev_fault;
+  st.down.(b) <- st.down.(b) + 1;
+  if st.down.(b) = 1 then begin
+    st.total_down <- st.total_down + 1;
+    st.down_since.(b) <- t;
+    Shard_cache.crash st.pcache b;
+    (* In-flight sessions riding b, in session-id order (deterministic). *)
+    let rides l = Array.exists (fun pb -> pb = b) l.path_brokers in
+    let affected =
+      Hashtbl.to_seq_values st.in_flight_tbl |> Seq.filter rides |> List.of_seq
+      |> List.sort (fun a b -> Int.compare a.s.Workload.id b.s.Workload.id)
+    in
+    List.iter
+      (fun l ->
+        (* Release the whole old reservation, then try an alternate
+           B-dominated path that avoids every down broker. *)
+        release st l t;
+        match
+          if st.chaos.failover then reserve st t l.s ~shed:false
+          else Error No_path (* failover off: no alternate is sought *)
+        with
+        | Ok (_, pbs) ->
+            l.path_brokers <- pbs;
+            st.failed_over <- st.failed_over + 1;
+            Obs.Metrics.incr m_failovers;
+            (* Time-to-failover: how long the session had been in flight
+               when the crash forced it onto an alternate path. *)
+            tl_latency st ts_failover t ~since:l.admitted_at
+        | Error _ ->
+            (* Killed mid-flight: the unserved remainder of its revenue is
+               refunded. *)
+            Obs.Metrics.incr m_drops;
+            retire st l;
+            st.dropped_midflight <- st.dropped_midflight + 1;
+            let depart = l.admitted_at +. l.s.Workload.duration in
+            let lost = l.rev_rate *. (depart -. t) in
+            st.revenue <- st.revenue -. lost;
+            st.revenue_lost <- st.revenue_lost +. lost)
+      affected
+  end
+
+let on_recover st b t =
+  Obs.Metrics.incr m_ev_fault;
+  (* Only the last of overlapping outages brings the broker back. *)
+  if st.down.(b) = 1 then begin
+    st.total_down <- st.total_down - 1;
+    st.downtime <- st.downtime +. (t -. st.down_since.(b));
+    Shard_cache.recover st.pcache b
+  end;
+  st.down.(b) <- max 0 (st.down.(b) - 1)
+
+let on_topo_update st op =
+  Obs.Metrics.incr m_ev_topo;
+  let d = Lazy.force st.delta in
+  let changed =
+    match op with
+    | Topo_stream.Announce (u, v) -> Broker_graph.Delta.add_edge d u v
+    | Topo_stream.Withdraw (u, v) -> Broker_graph.Delta.remove_edge d u v
+  in
+  if changed then begin
+    st.topo_applied <- st.topo_applied + 1;
+    Obs.Metrics.incr m_topo_applied;
+    st.view <- Broker_graph.Delta.view d;
+    (* Any cached path may now be wrong (or newly beatable): everything
+       goes. Subsequent lookups recompute against the fresh view. *)
+    Shard_cache.invalidate_all st.pcache
+  end
+  else begin
+    st.topo_ignored <- st.topo_ignored + 1;
+    Obs.Metrics.incr m_topo_ignored
+  end
+
+(* The event loop: serve every queued event due at or before [until] in
+   time order (FIFO on ties), stretching the horizon to the last one. *)
+let rec drain st ~until =
+  match Event_queue.peek_time st.events with
+  | Some t when t <= until ->
+      let _, ev = Option.get (Event_queue.pop st.events) in
+      st.horizon <- Float.max st.horizon t;
+      (match ev with
+      | Depart l -> on_depart st l t
+      | Fault (Faults.Crash, b) -> on_crash st b t
+      | Fault (Faults.Recover, b) -> on_recover st b t
+      | Retry (s, attempt) -> on_retry st s t ~attempt
+      | Topo_update op -> on_topo_update st op);
+      drain st ~until
+  | Some _ | None -> ()
+
+(* Close the downtime and utilization integrals at the horizon. *)
+let finalize st ~brokers : stats =
+  Obs.Metrics.gauge_max g_queue_depth (Event_queue.max_length st.events);
+  Event_queue.clear st.events;
   (* Close the timelines: the trailing still-open windows become
      Perfetto counter samples when the trace ring is armed. *)
-  if tl_on then List.iter Obs.Timeseries.flush timeline_series;
-  let horizon = !horizon in
+  if st.tl_on then List.iter Obs.Timeseries.flush timeline_series;
+  let horizon = st.horizon in
   Array.iter
     (fun b ->
-      if down.(b) > 0 then begin
-        downtime := !downtime +. (horizon -. down_since.(b));
-        down.(b) <- 0
+      if st.down.(b) > 0 then begin
+        st.downtime <- st.downtime +. (horizon -. st.down_since.(b));
+        st.down.(b) <- 0
       end)
     brokers;
   let mean_utilization =
-    let touched = Hashtbl.fold (fun b _ acc -> b :: acc) last_change [] in
+    let touched = Hashtbl.fold (fun b _ acc -> b :: acc) st.last_change [] in
     let sum = ref 0.0 and count = ref 0 in
     List.iter
       (fun b ->
-        touch b horizon;
-        let cap = config.capacity_of b in
+        touch st b horizon;
+        let cap = st.config.capacity_of b in
         if cap > 0.0 && horizon > 0.0 then begin
-          sum := !sum +. (get area b /. (cap *. horizon));
+          sum := !sum +. (get st.area b /. (cap *. horizon));
           incr count
         end)
       touched;
     if !count = 0 then 0.0 else !sum /. float_of_int !count
   in
-  let n_brokers = Array.length brokers in
-  let availability =
-    if n_brokers = 0 || horizon <= 0.0 then 1.0
-    else
-      Float.max 0.0 (1.0 -. (!downtime /. (float_of_int n_brokers *. horizon)))
-  in
+  let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   {
-    offered = !offered;
-    admitted = !admitted;
-    rejected_no_path = !rejected_no_path;
-    rejected_capacity = !rejected_capacity;
-    rejected_shed = !rejected_shed;
-    admission_rate =
-      (if !offered = 0 then 0.0
-       else float_of_int !admitted /. float_of_int !offered);
-    mean_hops =
-      (if !admitted = 0 then 0.0
-       else float_of_int !hops_total /. float_of_int !admitted);
-    employee_hop_fraction =
-      (if !hops_total = 0 then 0.0
-       else float_of_int !employee_hops_total /. float_of_int !hops_total);
-    peak_in_flight = !peak_in_flight;
+    offered = st.offered;
+    admitted = st.admitted;
+    rejected_no_path = st.rejected_no_path;
+    rejected_capacity = st.rejected_capacity;
+    rejected_shed = st.rejected_shed;
+    admission_rate = ratio st.admitted st.offered;
+    mean_hops = ratio st.hops_total st.admitted;
+    employee_hop_fraction = ratio st.employee_hops_total st.hops_total;
+    peak_in_flight = st.peak_in_flight;
     mean_broker_utilization = mean_utilization;
-    revenue = !revenue;
-    failed_over = !failed_over;
-    dropped_midflight = !dropped_midflight;
-    retried_admitted = !retried_admitted;
-    broker_downtime = !downtime;
-    revenue_lost = !revenue_lost;
-    availability;
-    topo_applied = !topo_applied;
-    topo_ignored = !topo_ignored;
-    cache = Shard_cache.stats pcache;
+    revenue = st.revenue;
+    failed_over = st.failed_over;
+    dropped_midflight = st.dropped_midflight;
+    retried_admitted = st.retried_admitted;
+    broker_downtime = st.downtime;
+    revenue_lost = st.revenue_lost;
+    availability =
+      (let n_brokers = float_of_int (Array.length brokers) in
+       if n_brokers = 0.0 || horizon <= 0.0 then 1.0
+       else Float.max 0.0 (1.0 -. (st.downtime /. (n_brokers *. horizon))));
+    topo_applied = st.topo_applied;
+    topo_ignored = st.topo_ignored;
+    cache = Shard_cache.stats st.pcache;
   }
-  |> fun stats ->
+
+let run ?(chaos = no_chaos) ?topo:(churn = no_churn) ?(cache = Shard_cache.Flush)
+    ?stats_window topo ~brokers ~sessions config =
+  let tr0 = Obs.Trace.enter () in
+  let g = topo.Broker_topo.Topology.graph in
+  validate ~n:(G.n g) ~brokers ~sessions ~chaos ~churn ~stats_window config;
+  let st = init ~chaos ~churn ~cache ~stats_window g ~brokers config in
+  Array.iter
+    (fun (s : Workload.session) ->
+      drain st ~until:s.Workload.arrival;
+      on_arrive st s)
+    sessions;
+  (* Everything left (departures, retries, faults, updates) closes the
+     utilization and downtime integrals. *)
+  drain st ~until:infinity;
+  let stats = finalize st ~brokers in
   Obs.Trace.leave t_sim tr0;
   stats
 
-let delivered_rate s =
+let delivered_rate (s : stats) =
   if s.offered = 0 then 0.0
   else float_of_int (s.admitted - s.dropped_midflight) /. float_of_int s.offered
 
-let stats_equal a b =
+let stats_equal (a : stats) (b : stats) =
   a.offered = b.offered && a.admitted = b.admitted
   && a.rejected_no_path = b.rejected_no_path
   && a.rejected_capacity = b.rejected_capacity

@@ -17,19 +17,26 @@
     admitted session (both endpoints pay, as in Fig. 6) and pay
     [employee_cost] per non-broker transit hop used.
 
-    With {!chaos} supplied, the run becomes an event-driven loop — arrivals,
-    departures, failures, recoveries and retries merged through one
-    {!Event_queue} — that injects broker crash/recover events ({!Faults}),
-    fails live sessions over onto alternate dominated paths avoiding down
-    brokers, retries blocked arrivals with exponential backoff, and
-    optionally sheds load via a per-broker admission circuit breaker.
+    Every run is one event-driven loop — arrivals, departures, failures,
+    recoveries, retries and topology updates merged through one
+    {!Event_queue}. A {!chaos} value injects broker crash/recover events
+    ({!Faults}), fails live sessions over onto alternate dominated paths
+    avoiding down brokers, retries blocked arrivals with exponential
+    backoff, and optionally sheds load via a per-broker admission circuit
+    breaker.
 
     Determinism: given the same topology, broker set, session array and
     chaos value, [run] is bit-for-bit reproducible — the only randomness is
     the pre-generated fault stream and a jitter stream derived from
-    [chaos_seed]. With [?chaos] absent the loop degenerates to the plain
-    arrival/departure simulation, byte-identical to a chaos value with an
-    empty fault stream and [no_retry]. *)
+    [chaos_seed].
+
+    Absent options are empty values, by construction: [run] has a single
+    code path, and [?chaos] absent {e is} the chaos value with no faults,
+    {!no_retry}, no breaker, [failover = false] and [chaos_seed = 0];
+    [?topo] absent {e is} an empty update stream. So a run without
+    [?chaos] equals, field for field, one with an empty fault stream,
+    {!no_retry}, no breaker and seed 0 whatever its [failover] flag, and
+    a run without [?topo] equals one with an empty stream. *)
 
 type config = {
   capacity_of : int -> float;  (** per-broker capacity in demand units *)
@@ -97,8 +104,9 @@ type topo_churn = {
     overlay over the base CSR; every applied update refreshes the
     overlay view and invalidates the whole path cache (an edge change
     can reroute any pair). At equal times faults are served before
-    updates. With [?topo] absent — or an empty/no-op stream — the run is
-    byte-identical to the static simulator. *)
+    updates. The overlay is built at the first delivered update, so an
+    empty stream — what an absent [?topo] is — routes on the base graph
+    throughout. *)
 
 type stats = {
   offered : int;  (** sessions presented (retries not re-counted) *)
@@ -190,5 +198,8 @@ val run :
     option absent no series is touched at all.
     @raise Invalid_argument on out-of-order arrivals, negative [price],
     [employee_cost] or [capacity_of], an out-of-range broker or topology
-    update endpoint, an invalid cache strategy ([Ring] with
-    [vnodes < 1]), or a non-positive [stats_window]. *)
+    update endpoint, a NaN fault or update time, a negative
+    [max_attempts], a NaN or negative retry [base_delay]/[multiplier]/
+    [jitter] or breaker [high_water]/[trip_after]/[cooldown], an invalid
+    cache strategy ([Ring] with [vnodes < 1]), or a non-positive
+    [stats_window]. *)

@@ -298,23 +298,6 @@ let sim_scene () =
   in
   (topo, g, brokers, sessions)
 
-let test_sim_empty_topo_identical () =
-  let topo, g, brokers, sessions = sim_scene () in
-  let config = Sim.degree_capacity g ~factor:0.3 in
-  let base = Sim.run topo ~brokers ~sessions config in
-  let empty =
-    Sim.run
-      ~topo:
-        {
-          Sim.updates = [||];
-          propagation = Stream.Centralized { delay = 1.0 };
-        }
-      topo ~brokers ~sessions config
-  in
-  check_bool "empty stream = static run" true (Sim.stats_equal base empty);
-  check_int "nothing applied" 0 empty.Sim.topo_applied;
-  check_int "nothing ignored" 0 empty.Sim.topo_ignored
-
 let test_sim_applies_updates () =
   let topo, g, brokers, sessions = sim_scene () in
   let config = Sim.degree_capacity g ~factor:0.3 in
@@ -356,6 +339,16 @@ let test_sim_rejects_bad_update () =
                Sim.updates;
                propagation = Stream.Centralized { delay = 1.0 };
              }
+           topo ~brokers ~sessions config));
+  Alcotest.check_raises "NaN update time"
+    (Invalid_argument "Simulator.run: topo update time is NaN") (fun () ->
+      ignore
+        (Sim.run
+           ~topo:
+             {
+               Sim.updates = [| { Stream.time = Float.nan; op = Stream.Announce (0, 1) } |];
+               propagation = Stream.Centralized { delay = 1.0 };
+             }
            topo ~brokers ~sessions config))
 
 let suite =
@@ -381,8 +374,6 @@ let suite =
       ] );
     ( "delta.sim",
       [
-        Alcotest.test_case "empty topo stream is identity" `Quick
-          test_sim_empty_topo_identical;
         Alcotest.test_case "updates applied & deterministic" `Quick
           test_sim_applies_updates;
         Alcotest.test_case "rejects out-of-range endpoints" `Quick

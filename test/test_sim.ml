@@ -443,48 +443,32 @@ let test_sim_validates_config () =
            { base with Sim.capacity_of = (fun _ -> -2.0) }));
   Alcotest.check_raises "broker out of range"
     (Invalid_argument "Simulator.run: broker id out of range") (fun () ->
-      ignore (Sim.run topo ~brokers:[| 99 |] ~sessions base))
-
-let test_sim_chaos_noop_equivalence () =
-  (* The chaos layer with a zero-rate fault process is a strict no-op: the
-     stats are identical, field for field, to the plain simulator. *)
-  let t = small_internet ~seed:3 ~scale:0.01 () in
-  let g = t.Broker_topo.Topology.graph in
-  let brokers = Broker_core.Maxsg.run g ~k:15 in
-  let model = Broker_core.Traffic.gravity ~rng:(rng ()) g in
-  let sessions =
-    Workload.generate ~rng:(rng ()) model ~n_sessions:600 Workload.default_params
+      ignore (Sim.run topo ~brokers:[| 99 |] ~sessions base));
+  (* Malformed chaos input: a negative or NaN delay would schedule a retry
+     before the block that caused it. *)
+  let expect msg chaos =
+    Alcotest.check_raises msg (Invalid_argument ("Simulator.run: " ^ msg))
+      (fun () -> ignore (Sim.run ~chaos topo ~brokers:[| 0 |] ~sessions base))
   in
-  let config = Sim.degree_capacity g ~factor:0.2 in
-  let plain = Sim.run t ~brokers ~sessions config in
-  let chaos_on = Sim.run ~chaos:zero_chaos t ~brokers ~sessions config in
-  let chaos_off =
-    Sim.run ~chaos:{ zero_chaos with Sim.failover = false } t ~brokers ~sessions
-      config
-  in
-  check_bool "zero-rate chaos = plain" true (Sim.stats_equal plain chaos_on);
-  check_bool "failover flag irrelevant without faults" true
-    (Sim.stats_equal plain chaos_off)
-
-let sim_qcheck_noop =
-  let t = small_internet ~seed:7 ~scale:0.008 () in
-  let g = t.Broker_topo.Topology.graph in
-  let brokers = Broker_core.Maxsg.run g ~k:12 in
-  let model = Broker_core.Traffic.gravity ~rng:(xr 31) g in
-  QCheck_alcotest.to_alcotest
-    (QCheck.Test.make ~count:40 ~name:"chaos layer no-op when disabled"
-       QCheck.(pair (int_bound 120) (int_bound 3))
-       (fun (n_sessions, fi) ->
-         let factor = [| 0.05; 0.1; 0.3; 1.0 |].(fi) in
-         let sessions =
-           Workload.generate
-             ~rng:(xr ((13 * n_sessions) + fi))
-             model ~n_sessions Workload.default_params
-         in
-         let config = Sim.degree_capacity g ~factor in
-         Sim.stats_equal
-           (Sim.run t ~brokers ~sessions config)
-           (Sim.run ~chaos:zero_chaos t ~brokers ~sessions config)))
+  let retry = Sim.default_retry and bp = Sim.default_breaker in
+  expect "retry max_attempts must be >= 0"
+    { zero_chaos with Sim.retry = { retry with Sim.max_attempts = -1 } };
+  expect "retry base_delay must be >= 0"
+    { zero_chaos with Sim.retry = { retry with Sim.base_delay = -1.0 } };
+  expect "retry base_delay must be >= 0"
+    { zero_chaos with Sim.retry = { retry with Sim.base_delay = Float.nan } };
+  expect "retry multiplier must be >= 0"
+    { zero_chaos with Sim.retry = { retry with Sim.multiplier = -2.0 } };
+  expect "retry jitter must be >= 0"
+    { zero_chaos with Sim.retry = { retry with Sim.jitter = Float.nan } };
+  expect "breaker high_water must be >= 0"
+    { zero_chaos with Sim.breaker = Some { bp with Sim.high_water = Float.nan } };
+  expect "breaker trip_after must be >= 0"
+    { zero_chaos with Sim.breaker = Some { bp with Sim.trip_after = -1.0 } };
+  expect "breaker cooldown must be >= 0"
+    { zero_chaos with Sim.breaker = Some { bp with Sim.cooldown = Float.nan } };
+  expect "fault time is NaN"
+    { zero_chaos with Sim.faults = [| fault ~time:Float.nan ~broker:0 Faults.Crash |] }
 
 (* 4-cycle 0-1-2-3-0 with brokers 1 and 3: both leaf pairs are bridged by
    either broker, so a session 0->2 can fail over from one to the other.
@@ -759,25 +743,96 @@ let cache_qcheck_remap =
          && ring <= 3.5 /. float_of_int nshards
          && md >= 0.5))
 
-(* Without churn every strategy degenerates to the same
-   compute-once-then-hit behavior, so whole-run stats (cache tallies
-   included) are field-for-field identical to the Flush default. *)
-let test_cache_noop_equivalence () =
-  let t = small_internet ~seed:3 ~scale:0.01 () in
+(* ---------- The whole option matrix ---------- *)
+
+module Stream = Broker_sim.Topo_stream
+
+(* One fixed-seed property over every combination of the optional
+   inputs: chaos {absent, zero-rate, Independent faults} × topo {absent,
+   empty stream, Bgp_like burst} × cache {Flush, Modulo, Ring} ×
+   stats_window {off, on}. Absent chaos and absent topo are, by
+   construction, the zero-rate and empty-stream values, so those pairs
+   must agree field for field. *)
+let sim_qcheck_option_matrix =
+  let t = small_internet ~seed:7 ~scale:0.008 () in
   let g = t.Broker_topo.Topology.graph in
-  let brokers = Broker_core.Maxsg.run g ~k:15 in
-  let model = Broker_core.Traffic.gravity ~rng:(rng ()) g in
-  let sessions =
-    Workload.generate ~rng:(rng ()) model ~n_sessions:600 Workload.default_params
-  in
-  let config = Sim.degree_capacity g ~factor:0.2 in
-  let plain = Sim.run t ~brokers ~sessions config in
-  let modulo = Sim.run ~cache:Cache.Modulo t ~brokers ~sessions config in
-  let ring =
-    Sim.run ~cache:(Cache.Ring { vnodes = 32 }) t ~brokers ~sessions config
-  in
-  check_bool "modulo = flush without churn" true (Sim.stats_equal plain modulo);
-  check_bool "ring = flush without churn" true (Sim.stats_equal plain ring)
+  let brokers = Broker_core.Maxsg.run g ~k:12 in
+  let model = Broker_core.Traffic.gravity ~rng:(xr 31) g in
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |])
+    (QCheck.Test.make ~count:20 ~name:"option matrix invariants"
+       QCheck.(pair (int_bound 120) (int_bound 3))
+       (fun (n_sessions, fi) ->
+         let factor = [| 0.05; 0.1; 0.3; 1.0 |].(fi) in
+         let sessions =
+           Workload.generate
+             ~rng:(xr ((13 * n_sessions) + fi))
+             model ~n_sessions Workload.default_params
+         in
+         let config = Sim.degree_capacity g ~factor in
+         let horizon =
+           (if n_sessions = 0 then 0.0
+            else sessions.(n_sessions - 1).Workload.arrival)
+           +. 10.0
+         in
+         let faults =
+           Faults.generate ~rng:(xr (n_sessions + 5)) t ~brokers ~horizon
+             (Faults.Independent { mtbf = horizon /. 3.0; mttr = 4.0 })
+         in
+         let updates =
+           Array.map
+             (fun op -> { Stream.time = 0.5 *. horizon; op })
+             (Stream.burst ~rng:(xr (fi + 11)) g ~size:6)
+         in
+         let empty =
+           { Sim.updates = [||]; propagation = Stream.Centralized { delay = 1.0 } }
+         in
+         let burst =
+           { Sim.updates; propagation = Stream.Bgp_like { base = 0.5; per_hop = 1.0 } }
+         in
+         let caches = [ Cache.Flush; Cache.Modulo; Cache.Ring { vnodes = 16 } ] in
+         let run ?chaos ?topo ?stats_window cache =
+           Sim.run ?chaos ?topo ~cache ?stats_window t ~brokers ~sessions config
+         in
+         let sound (s : Sim.stats) =
+           s.Sim.offered
+           = s.Sim.admitted + s.Sim.rejected_no_path + s.Sim.rejected_capacity
+             + s.Sim.rejected_shed
+           && s.Sim.dropped_midflight <= s.Sim.admitted
+           && s.Sim.availability >= 0.0 && s.Sim.availability <= 1.0
+         in
+         (* Same admissions: everything but the cache outcome tallies. *)
+         let same_admissions (a : Sim.stats) (b : Sim.stats) =
+           Sim.stats_equal a { b with Sim.cache = a.Sim.cache }
+         in
+         let no_updates (s : Sim.stats) = s.Sim.topo_applied + s.Sim.topo_ignored = 0 in
+         let chaos_opts =
+           [ (None, false); (Some zero_chaos, false); (Some (Sim.default_chaos faults), true) ]
+         in
+         let topo_opts = [ (None, false); (Some empty, false); (Some burst, true) ] in
+         List.for_all
+           (fun cache ->
+             List.for_all
+               (fun (chaos, faulty) ->
+                 List.for_all
+                   (fun (topo, churned) ->
+                     let s = run ?chaos ?topo cache in
+                     sound s
+                     (* stats_window is passive *)
+                     && Sim.stats_equal s (run ?chaos ?topo ~stats_window:5.0 cache)
+                     (* absent = empty: zero-rate chaos and an empty stream
+                        change nothing, whatever the other options *)
+                     && (faulty || Sim.stats_equal s (run ?topo cache))
+                     && (churned || (no_updates s && Sim.stats_equal s (run ?chaos cache)))
+                     (* without faults the strategy never changes admissions,
+                        and without churn not even the cache tallies *)
+                     && (faulty
+                        ||
+                        let flush = run ?chaos ?topo Cache.Flush in
+                        same_admissions flush s
+                        && (churned || Sim.stats_equal flush s)))
+                   topo_opts)
+               chaos_opts)
+           caches))
 
 (* Graceful-degradation outcomes of a sharded lookup, one by one. Owners
    are hash-placed, so riders and key choices adapt to [owner] instead of
@@ -938,12 +993,11 @@ let suite =
         Alcotest.test_case "utilization bounds" `Quick test_sim_utilization_bounds;
         Alcotest.test_case "stats_window timelines" `Quick
           test_sim_stats_window;
+        sim_qcheck_option_matrix;
       ] );
     ( "sim.chaos",
       [
         Alcotest.test_case "validates config" `Quick test_sim_validates_config;
-        Alcotest.test_case "no-op equivalence" `Quick test_sim_chaos_noop_equivalence;
-        sim_qcheck_noop;
         Alcotest.test_case "failover reroutes" `Quick test_sim_failover_reroutes;
         Alcotest.test_case "drop without alternate" `Quick test_sim_drop_without_alternate;
         Alcotest.test_case "retry admits after backoff" `Quick
@@ -958,8 +1012,6 @@ let suite =
         Alcotest.test_case "flush reverse-index invariant" `Quick
           test_cache_flush_invariant;
         cache_qcheck_remap;
-        Alcotest.test_case "no-churn equivalence" `Quick
-          test_cache_noop_equivalence;
         Alcotest.test_case "degraded outcomes" `Quick
           test_cache_degraded_outcomes;
       ] );
