@@ -5,7 +5,7 @@ let small_topo ctx factor =
   let params = { (Broker_topo.Internet.scaled factor) with seed = Ctx.seed ctx } in
   (Broker_topo.Internet.generate params).Broker_topo.Topology.graph
 
-(* Timing goes through the obs clock (brokerlint R8, clock-discipline):
+(* Timing goes through the obs clock (brokercheck R8, clock-discipline):
    monotonic, and the resulting cells stay flagged volatile via
    [Report.seconds]. *)
 let time = Broker_obs.Clock.time

@@ -1,7 +1,7 @@
 (** The project clock: monotonic, allocation-free, and the only
     sanctioned way to read time outside [bench/].
 
-    brokerlint rule R8 ([clock-discipline]) bans [Unix.gettimeofday] and
+    brokercheck rule R8 ([clock-discipline]) bans [Unix.gettimeofday] and
     [Sys.time] everywhere but [lib/obs/] and [bench/]; code that wants a
     duration calls {!time} (or {!now_ns} pairs) so the wall-clock value
     flows through the obs layer and stays flagged volatile in reports.

@@ -43,7 +43,7 @@ let pp ppf r = Format.pp_print_string ppf (render r)
 
 (* The redirectable output channel: all terminal-facing experiment text
    funnels through here so library code never touches stdout directly
-   (brokerlint: no-stdout-in-lib) and harnesses can capture a run. *)
+   (brokercheck: no-stdout-in-lib) and harnesses can capture a run. *)
 let out_ppf = ref Format.std_formatter
 let set_out ppf = out_ppf := ppf
 let out () = !out_ppf

@@ -50,7 +50,7 @@ let stats_equal a b =
   && a.flushed = b.flushed
 
 (* Seeded splitmix64 finalizer — the deterministic stand-in for
-   [Hashtbl.hash] (banned in lib code, brokerlint R9): owners must be
+   [Hashtbl.hash] (banned in lib code, brokercheck R9): owners must be
    identical across runs, processes and REPRO_DOMAINS settings. *)
 let mix64 state =
   let z = Int64.add state 0x9E3779B97F4A7C15L in

@@ -28,7 +28,7 @@
     {!Broker_obs.Control.enabled}).
 
     Determinism: key and ring-point placement hash through a seeded
-    splitmix64 on the key ints — never [Hashtbl.hash] (brokerlint R9) —
+    splitmix64 on the key ints — never [Hashtbl.hash] (brokercheck R9) —
     so owners are reproducible across runs, processes and domain counts. *)
 
 type strategy =

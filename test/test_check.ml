@@ -1,10 +1,11 @@
 (* Drives the brokercheck executable (tools/check) over the compiled
-   fixture library in tools/check/fixtures/: the bad fixtures seed one
-   violation per rule-construct (a data race per shared-state class for
-   C1, an allocation per construct class for C2) and must fail with
-   [file:line:col: [rule]] diagnostics; the good and suppressed ones
-   must pass silently. A final case checks the real lib/ artifacts,
-   pinning the "annotated kernels check clean" acceptance criterion.
+   fixture library in tools/check/fixtures/. Each identifier rule R1-R9
+   has one violating and one clean fixture; the C1/C2 bad fixtures seed
+   one violation per rule construct (a data race per shared-state class
+   for C1, an allocation per construct class for C2). Violating fixtures
+   must fail with [file:line:col: [rule]] diagnostics; clean and
+   suppressed ones must pass silently. Final cases check the real lib/
+   artifacts, pinning "the repo as shipped checks clean".
 
    The checker reads .cmt files, so every target here is a build
    artifact (under .brokercheck_fixtures.objs/byte/), not a source
@@ -15,7 +16,7 @@ let exe = "../tools/check/brokercheck.exe"
 
 let fixture name =
   "../tools/check/fixtures/.brokercheck_fixtures.objs/byte/brokercheck_fixtures__"
-  ^ name ^ ".cmt"
+  ^ String.capitalize_ascii name ^ ".cmt"
 
 type result = { code : int; output : string }
 
@@ -47,6 +48,13 @@ let check_contains output needle =
     (Printf.sprintf "output mentions %S" needle)
     true (contains output needle)
 
+let check_absent output needle =
+  Alcotest.(check bool)
+    (Printf.sprintf "output does not mention %S" needle)
+    false (contains output needle)
+
+(* A violating fixture must exit 1 and name every expected
+   file:line / rule pair; a clean one must exit 0 with no output. *)
 let check_bad ~rule ~file ~lines r =
   Alcotest.(check int) (file ^ " exits 1") 1 r.code;
   check_contains r.output ("[" ^ rule ^ "]");
@@ -58,14 +66,92 @@ let check_clean ~file r =
   Alcotest.(check int) (file ^ " exits 0") 0 r.code;
   Alcotest.(check string) (file ^ " is silent") "" r.output
 
+(* Identifier-rule fixtures stand for library code: [--lib]. *)
+let test_rule ~rule ~bad ~bad_lines ~good () =
+  check_bad ~rule ~file:(bad ^ ".ml") ~lines:bad_lines
+    (run_check [ "--lib"; fixture bad ]);
+  check_clean ~file:(good ^ ".ml") (run_check [ "--lib"; fixture good ])
+
+(* Outside library code: the [flagged] lines still fire, the
+   library-only [silent] ones do not. *)
+let check_scope ~file ~flagged ~silent =
+  let r = run_check [ fixture file ] in
+  Alcotest.(check int) (file ^ " exits 1 outside lib") 1 r.code;
+  List.iter
+    (fun line -> check_contains r.output (Printf.sprintf "%s.ml:%d:" file line))
+    flagged;
+  List.iter
+    (fun line -> check_absent r.output (Printf.sprintf "%s.ml:%d:" file line))
+    silent
+
+let r1 =
+  test_rule ~rule:"no-poly-compare" ~bad:"r1_bad" ~bad_lines:[ 4; 7 ]
+    ~good:"r1_good"
+
+(* The sort-comparator half of R1 applies everywhere; bare compare (line
+   7's lambda) is library-only. *)
+let r1_outside_lib () = check_scope ~file:"r1_bad" ~flagged:[ 4 ] ~silent:[ 7 ]
+
+let r2 =
+  test_rule ~rule:"determinism" ~bad:"r2_bad" ~bad_lines:[ 4; 5; 6 ]
+    ~good:"r2_good"
+
+(* Random.self_init is banned everywhere, plain draws only in lib. *)
+let r2_self_init_outside_lib () =
+  check_scope ~file:"r2_bad" ~flagged:[ 4 ] ~silent:[ 5; 6 ]
+
+let r3 = test_rule ~rule:"mli-complete" ~bad:"r3_bad" ~bad_lines:[ 1 ] ~good:"r3_good"
+
+let r4 =
+  test_rule ~rule:"domain-confinement" ~bad:"r4_bad" ~bad_lines:[ 13 ]
+    ~good:"r4_good"
+
+let r5 =
+  test_rule ~rule:"no-stdout-in-lib" ~bad:"r5_bad" ~bad_lines:[ 5; 6; 8 ]
+    ~good:"r5_good"
+
+let r6 =
+  test_rule ~rule:"no-list-nth" ~bad:"r6_bad" ~bad_lines:[ 7; 15 ]
+    ~good:"r6_good"
+
+let r7 () =
+  check_bad ~rule:"report-pure" ~file:"r7_bad.ml" ~lines:[ 16; 17; 18 ]
+    (run_check [ "--experiments"; fixture "r7_bad" ]);
+  check_clean ~file:"r7_good.ml"
+    (run_check [ "--lib"; "--experiments"; fixture "r7_good" ])
+
+(* R7 only binds experiment modules: the same unit checks clean outside
+   --experiments (and outside lib/experiments/). *)
+let r7_scope () = check_clean ~file:"r7_bad.ml" (run_check [ fixture "r7_bad" ])
+
+let r8 =
+  test_rule ~rule:"clock-discipline" ~bad:"r8_bad" ~bad_lines:[ 4; 5 ]
+    ~good:"r8_good"
+
+(* R8 binds everywhere the checker looks; the overlapping R2 arm for
+   Unix.gettimeofday is library-only. *)
+let r8_scope () =
+  let r = run_check [ fixture "r8_bad" ] in
+  Alcotest.(check int) "ad-hoc clocks flagged outside lib" 1 r.code;
+  check_contains r.output "[clock-discipline]";
+  check_absent r.output "[determinism]"
+
+let r9 =
+  test_rule ~rule:"no-unsafe-obj" ~bad:"r9_bad" ~bad_lines:[ 3; 4; 5; 6; 7 ]
+    ~good:"r9_good"
+
+(* The Obj half binds everywhere; the polymorphic-hash half is
+   library-only (tests/bench may hash ad hoc). *)
+let r9_scope () = check_scope ~file:"r9_bad" ~flagged:[ 3; 4 ] ~silent:[ 5; 6; 7 ]
+
 let c1 () =
   (* One diagnostic per shared-state class: global ref (both in the
      worker closure and in the reachable [bump]), global array, global
      mutable field, and a captured ref shared across workers. *)
   check_bad ~rule:"domain-safety" ~file:"c1_bad.ml"
     ~lines:[ 20; 28; 29; 30; 31 ]
-    (run_check [ fixture "C1_bad" ]);
-  check_clean ~file:"c1_good.ml" (run_check [ fixture "C1_good" ])
+    (run_check [ fixture "c1_bad" ]);
+  check_clean ~file:"c1_good.ml" (run_check [ fixture "c1_good" ])
 
 let c1_owned () =
   (* The clean fixture's strided fill writes a shared array from workers
@@ -77,18 +163,15 @@ let c1_owned () =
     "c1_good.ml uses [@brokercheck.owned]" true
     (contains contents "[@brokercheck.owned]")
 
-let c1_suppression () =
-  check_clean ~file:"c1_suppressed.ml" (run_check [ fixture "C1_suppressed" ])
-
 let c2 () =
   (* One diagnostic per allocating construct: tuple-in-loop, ::-in-loop,
      boxed float in loop, closure construction, partial application. *)
   check_bad ~rule:"noalloc" ~file:"c2_bad.ml" ~lines:[ 7; 15; 22; 27; 30 ]
-    (run_check [ fixture "C2_bad" ]);
-  check_clean ~file:"c2_good.ml" (run_check [ fixture "C2_good" ])
+    (run_check [ fixture "c2_bad" ]);
+  check_clean ~file:"c2_good.ml" (run_check [ fixture "c2_good" ])
 
 let c2_construct_classes () =
-  let r = run_check [ fixture "C2_bad" ] in
+  let r = run_check [ fixture "c2_bad" ] in
   List.iter (check_contains r.output)
     [
       "tuple allocation";
@@ -98,27 +181,46 @@ let c2_construct_classes () =
       "partial application";
     ]
 
+let suppression () =
+  check_clean ~file:"r1_suppressed.ml"
+    (run_check [ "--lib"; fixture "r1_suppressed" ]);
+  check_clean ~file:"c1_suppressed.ml" (run_check [ fixture "c1_suppressed" ])
+
 let whole_directory () =
   (* Directory mode scans every .cmt under the path (including the
-     dot-directories dune hides artifacts in) and aggregates only the
-     bad fixtures; diagnostics come out sorted for stable diffs. *)
-  let r = run_check [ "../tools/check/fixtures" ] in
+     dot-directories dune hides artifacts in) and aggregates every bad
+     fixture and none of the clean ones. R7 stays silent: --lib alone
+     does not make a unit an experiment module. *)
+  let r = run_check [ "--lib"; "../tools/check/fixtures" ] in
   Alcotest.(check int) "fixtures dir exits 1" 1 r.code;
-  List.iter (fun f -> check_contains r.output (f ^ ":")) [ "c1_bad.ml"; "c2_bad.ml" ];
   List.iter
-    (fun f ->
-      Alcotest.(check bool)
-        (f ^ " not flagged") false
-        (contains r.output (f ^ ":")))
-    [ "c1_good.ml"; "c1_suppressed.ml"; "c2_good.ml" ]
+    (fun f -> check_contains r.output (f ^ ".ml:"))
+    [ "r1_bad"; "r2_bad"; "r3_bad"; "r4_bad"; "r5_bad"; "r6_bad"; "r8_bad";
+      "r9_bad"; "c1_bad"; "c2_bad" ];
+  List.iter
+    (fun f -> check_absent r.output (f ^ ".ml:"))
+    [ "r1_good"; "r2_good"; "r3_good"; "r4_good"; "r5_good"; "r6_good";
+      "r7_good"; "r7_bad"; "r8_good"; "r9_good"; "r1_suppressed"; "c1_good";
+      "c1_suppressed"; "c2_good" ]
 
 let repo_lib_clean () =
-  (* The repo as shipped checks clean: the annotated kernels carry no
-     unsuppressed C1/C2 findings. This is the typed-analysis half of
-     test_lint's "repo lib/ lints clean". *)
+  (* The repo as shipped checks clean under every rule: lib/ is the
+     strictest subtree, and its artifacts are dependencies of this
+     suite. *)
   let r = run_check [ "../lib" ] in
   Alcotest.(check string) "lib/ check output" "" r.output;
   Alcotest.(check int) "lib/ checks clean" 0 r.code
+
+let repo_lib_lints_clean () =
+  (* The identifier rules R1-R9 one by one over lib/: a finding names
+     the rule that fired, apart from the C1/C2 analyses. *)
+  let r = run_check [ "../lib" ] in
+  Alcotest.(check bool) "lib/ scanned" true (r.code <> 2);
+  List.iter
+    (fun rule -> check_absent r.output ("[" ^ rule ^ "]"))
+    [ "no-poly-compare"; "determinism"; "mli-complete"; "domain-confinement";
+      "no-stdout-in-lib"; "no-list-nth"; "report-pure"; "clock-discipline";
+      "no-unsafe-obj" ]
 
 let repo_lib_annotated () =
   (* The acceptance bar is >= 4 kernels carrying [@brokercheck.noalloc];
@@ -163,6 +265,21 @@ let () =
     [
       ( "rules",
         [
+          Alcotest.test_case "R1 no-poly-compare" `Quick r1;
+          Alcotest.test_case "R1 scope outside lib" `Quick r1_outside_lib;
+          Alcotest.test_case "R2 determinism" `Quick r2;
+          Alcotest.test_case "R2 scope outside lib" `Quick
+            r2_self_init_outside_lib;
+          Alcotest.test_case "R3 mli-complete" `Quick r3;
+          Alcotest.test_case "R4 domain-confinement" `Quick r4;
+          Alcotest.test_case "R5 no-stdout-in-lib" `Quick r5;
+          Alcotest.test_case "R6 no-list-nth" `Quick r6;
+          Alcotest.test_case "R7 report-pure" `Quick r7;
+          Alcotest.test_case "R7 scope" `Quick r7_scope;
+          Alcotest.test_case "R8 clock-discipline" `Quick r8;
+          Alcotest.test_case "R8 scope" `Quick r8_scope;
+          Alcotest.test_case "R9 no-unsafe-obj" `Quick r9;
+          Alcotest.test_case "R9 scope" `Quick r9_scope;
           Alcotest.test_case "C1 domain-safety" `Quick c1;
           Alcotest.test_case "C1 owned escape hatch" `Quick c1_owned;
           Alcotest.test_case "C2 noalloc" `Quick c2;
@@ -171,9 +288,11 @@ let () =
         ] );
       ( "driver",
         [
-          Alcotest.test_case "suppression comment" `Quick c1_suppression;
+          Alcotest.test_case "suppression comment" `Quick suppression;
           Alcotest.test_case "directory mode" `Quick whole_directory;
           Alcotest.test_case "repo lib/ checks clean" `Quick repo_lib_clean;
+          Alcotest.test_case "repo lib/ lints clean" `Quick
+            repo_lib_lints_clean;
           Alcotest.test_case "repo lib/ annotation floor" `Quick
             repo_lib_annotated;
           Alcotest.test_case "missing path" `Quick missing_path;

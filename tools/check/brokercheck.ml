@@ -1,14 +1,46 @@
-(* brokercheck — typed static analysis for the broker-set repo.
+(* brokercheck — static analysis for the broker-set repo.
 
-   Where brokerlint (tools/lint) walks the *Parsetree* and can only see
-   spelling, brokercheck walks the *Typedtree*: it loads the [.cmt]
-   files the ordinary dune build already produces ([Cmt_format]) and
-   traverses them with [Tast_iterator], so every identifier is resolved
-   to its defining path and every expression carries its inferred type.
-   That is exactly the information the two rule families below need —
-   an [int Atomic.t] and a plain [int ref] are indistinguishable to a
-   syntactic pass, and "does this application allocate a closure"
-   (partial application) is a typing fact, not a spelling fact.
+   One compiler-libs pass over the typed trees the ordinary dune build
+   already produces: every [.cmt] under the scanned directories is loaded
+   ([Cmt_format]) and walked with [Tast_iterator], so every identifier is
+   resolved to its defining path and every expression carries its
+   inferred type. Resolution is what keeps the rules honest: a local
+   [let compare = Int.compare] is not [Stdlib.compare], a module's own
+   [Random] is not the stdlib one, and [let open Random in int 6] is
+   still a [Stdlib.Random] draw.
+
+   Identifier rules. They encode the invariants HACKING.md argues for:
+   the paper's headline connectivity numbers are only reproducible if
+   every algorithm is deterministic and every sort comparator is
+   well-defined. "Library code" is any unit whose source is under lib/.
+
+   - R1 [no-poly-compare]: the polymorphic [compare] (or [=], [<], ...)
+     must not be passed to [Array.sort]/[List.sort] anywhere, and bare
+     [Stdlib.compare] must not appear at all in library code.
+   - R2 [determinism]: no [Random.self_init] anywhere; no [Stdlib.Random]
+     or [Unix.gettimeofday] in library code outside
+     [lib/util/xrandom.ml]. All stochastic code draws from the seeded
+     [Xrandom] streams.
+   - R3 [mli-complete]: every library module has an interface (a [.cmti]
+     next to its [.cmt]).
+   - R4 [domain-confinement]: [Domain.spawn] only inside
+     [lib/util/parallel.ml], whose chunk-merge discipline (and
+     [REPRO_DOMAINS] override) keeps results schedule-independent.
+   - R5 [no-stdout-in-lib]: [print_*]/[Printf.printf]/[Format.printf]/
+     [Fmt.pr]/[exit] are banned in library code.
+   - R6 [no-list-nth]: [List.nth] and [( @ )] inside [for]/[while] loop
+     bodies are almost always accidentally quadratic.
+   - R7 [report-pure]: experiment modules (lib/experiments/) must not
+     print through the retired [Ctx] output helpers ([Ctx.printf],
+     [Ctx.table], ...); they build a [Broker_report.Report.t].
+   - R8 [clock-discipline]: [Unix.gettimeofday] and [Sys.time] are banned
+     everywhere except [lib/obs/] and [bench/]; time through
+     [Broker_obs.Clock].
+   - R9 [no-unsafe-obj]: [Obj.magic]/[Obj.repr]/[Obj.obj] are banned
+     everywhere; in library code so are [Hashtbl.hash]/[hash_param]/
+     [seeded_hash]/[randomize] and [Hashtbl.create ~random].
+
+   Whole-program rules:
 
    C1 [domain-safety]
      Compute the set of code reachable from the closures handed to the
@@ -54,13 +86,31 @@
 module Sset = Set.Make (String)
 
 module Rule = struct
-  type t = Domain_safety | Noalloc
+  type t =
+    | No_poly_compare
+    | Determinism
+    | Mli_complete
+    | Domain_confinement
+    | No_stdout_in_lib
+    | No_list_nth
+    | Report_pure
+    | Clock_discipline
+    | No_unsafe_obj
+    | Domain_safety
+    | Noalloc
 
   let name = function
+    | No_poly_compare -> "no-poly-compare"
+    | Determinism -> "determinism"
+    | Mli_complete -> "mli-complete"
+    | Domain_confinement -> "domain-confinement"
+    | No_stdout_in_lib -> "no-stdout-in-lib"
+    | No_list_nth -> "no-list-nth"
+    | Report_pure -> "report-pure"
+    | Clock_discipline -> "clock-discipline"
+    | No_unsafe_obj -> "no-unsafe-obj"
     | Domain_safety -> "domain-safety"
     | Noalloc -> "noalloc"
-
-  let id = function Domain_safety -> 1 | Noalloc -> 2
 end
 
 type violation = {
@@ -73,18 +123,13 @@ type violation = {
 
 let violations : violation list ref = ref []
 
+let report ~file ~line ~col rule msg =
+  if line >= 1 then violations := { file; line; col; rule; msg } :: !violations
+
 let report_loc (loc : Location.t) rule msg =
   let p = loc.loc_start in
-  if p.pos_lnum >= 1 then
-    violations :=
-      {
-        file = p.pos_fname;
-        line = p.pos_lnum;
-        col = p.pos_cnum - p.pos_bol;
-        rule;
-        msg;
-      }
-      :: !violations
+  report ~file:p.pos_fname ~line:p.pos_lnum ~col:(p.pos_cnum - p.pos_bol) rule
+    msg
 
 (* ------------------------------------------------------------------ *)
 (* Suppression comments                                                *)
@@ -106,7 +151,8 @@ let load_lines file =
       Hashtbl.replace source_lines file lines;
       lines
 
-(* Allocation-free substring probe (same discipline as brokerlint's). *)
+(* Character-by-character probe: no [String.sub] garbage per candidate
+   offset (this runs once per source line scanned for a suppression). *)
 let contains_substring haystack needle =
   let nh = String.length haystack and nn = String.length needle in
   let rec eq i j = j >= nn || (haystack.[i + j] = needle.[j] && eq i (j + 1)) in
@@ -171,8 +217,35 @@ let suffixes2 comps =
 (* Per-unit model                                                      *)
 (* ------------------------------------------------------------------ *)
 
+(* Which identifier rules bind a unit, from its source path. *)
+type scope = {
+  in_lib : bool;  (** library-code rules apply *)
+  in_experiments : bool;  (** experiment-module rules (R7) apply *)
+  rng_exempt : bool;  (** this unit IS the sanctioned RNG module *)
+  spawn_exempt : bool;  (** this unit IS the sanctioned parallel runner *)
+  clock_exempt : bool;  (** lib/obs/ or bench/: ad-hoc clocks allowed *)
+}
+
+(* [--lib]/[--experiments]: treat every scanned unit as library code or
+   as an experiment module (fixture mode). *)
+let force_lib = ref false
+let force_experiments = ref false
+
+let under dir file =
+  String.starts_with ~prefix:dir file || contains_substring file ("/" ^ dir)
+
+let scope_of file =
+  {
+    in_lib = !force_lib || under "lib/" file;
+    in_experiments = !force_experiments || under "lib/experiments/" file;
+    rng_exempt = String.ends_with ~suffix:"lib/util/xrandom.ml" file;
+    spawn_exempt = String.ends_with ~suffix:"lib/util/parallel.ml" file;
+    clock_exempt = under "lib/obs/" file || under "bench/" file;
+  }
+
 type unit_info = {
   u_mod : string;  (** normalized unit module name, e.g. ["Bfs"] *)
+  u_scope : scope;
   u_globals : Sset.t ref;
       (** unique keys of structure-level value idents (any module depth) *)
   u_structure : Typedtree.structure;
@@ -216,6 +289,201 @@ let vb_has_attr name (vb : Typedtree.value_binding) =
 
 let is_function_expr (e : Typedtree.expression) =
   match e.exp_desc with Texp_function _ -> true | _ -> false
+
+(* A [Tast_iterator] calling [visit ~in_loop e] on every expression.
+   [in_loop] holds inside [for]/[while] bodies and [while] conditions
+   (they re-run every iteration), not in [for] bounds (evaluated once). *)
+let loop_iterator visit =
+  let depth = ref 0 in
+  let super = Tast_iterator.default_iterator in
+  let looped (it : Tast_iterator.iterator) e =
+    incr depth;
+    it.expr it e;
+    decr depth
+  in
+  let expr (it : Tast_iterator.iterator) (e : Typedtree.expression) =
+    visit ~in_loop:(!depth > 0) e;
+    match e.exp_desc with
+    | Texp_for (_, _, lo, hi, _, body) ->
+        it.expr it lo;
+        it.expr it hi;
+        looped it body
+    | Texp_while (cond, body) ->
+        looped it cond;
+        looped it body
+    | _ -> super.expr it e
+  in
+  { super with expr }
+
+(* ------------------------------------------------------------------ *)
+(* R1-R9 identifier rules                                              *)
+(* ------------------------------------------------------------------ *)
+
+let sort_functions =
+  [
+    "Stdlib.Array.sort"; "Stdlib.Array.stable_sort"; "Stdlib.Array.fast_sort";
+    "Stdlib.List.sort"; "Stdlib.List.stable_sort"; "Stdlib.List.fast_sort";
+    "Stdlib.List.sort_uniq";
+  ]
+
+let poly_comparators =
+  [
+    "Stdlib.compare"; "Stdlib.="; "Stdlib.<"; "Stdlib.>"; "Stdlib.<=";
+    "Stdlib.>="; "Stdlib.<>";
+  ]
+
+let stdout_printers =
+  [
+    "Stdlib.print_string"; "Stdlib.print_endline"; "Stdlib.print_newline";
+    "Stdlib.print_char"; "Stdlib.print_bytes"; "Stdlib.print_int";
+    "Stdlib.print_float"; "Stdlib.exit"; "Stdlib.Printf.printf"; "Fmt.pr";
+    "Stdlib.Format.printf";
+  ]
+
+(* The retired [Ctx] output surface: any path ending in [Ctx.<one of
+   these>] is a text-backend bypass in an experiment module. *)
+let ends_in_ctx_output comps =
+  match List.rev comps with
+  | ("printf" | "table" | "section" | "out" | "set_out" | "flush_out")
+    :: "Ctx" :: _ ->
+      true
+  | _ -> false
+
+(* [Hashtbl.create]'s [?random]: an omitted argument is elaborated to
+   [None] and [~random:false] to [Some false]; anything else may
+   randomize. *)
+let randomizes ((lbl : Asttypes.arg_label), (arg : Typedtree.expression option))
+    =
+  match (lbl, Option.map (fun (e : Typedtree.expression) -> e.exp_desc) arg) with
+  | ( Optional "random",
+      ( None
+      | Some (Texp_construct (_, { cstr_name = "None"; _ }, []))
+      | Some
+          (Texp_construct
+            ( _,
+              { cstr_name = "Some"; _ },
+              [ { exp_desc = Texp_construct (_, { cstr_name = "false"; _ }, []); _ } ]
+            )) ) ) ->
+      false
+  | Optional "random", Some _ -> true
+  | _ -> false
+
+(* A resolved name as users spell it: [Stdlib.] is implicit. *)
+let spelled name =
+  if String.starts_with ~prefix:"Stdlib." name then
+    String.sub name 7 (String.length name - 7)
+  else name
+
+let check_ident s ~in_loop comps loc =
+  let flag = report_loc loc in
+  let name = dotted comps in
+  let shown = spelled name in
+  match name with
+  | "Stdlib.compare" when s.in_lib ->
+      flag No_poly_compare
+        "bare polymorphic compare in library code; use Int.compare, \
+         Float.compare, String.compare or an explicit comparator"
+  | "Stdlib.Random.self_init" ->
+      flag Determinism
+        "Random.self_init makes runs irreproducible; seed Xrandom.create \
+         explicitly"
+  | _
+    when s.in_lib && (not s.rng_exempt)
+         && String.starts_with ~prefix:"Stdlib.Random." name ->
+      flag Determinism
+        "Stdlib.Random in library code; draw from Broker_util.Xrandom streams"
+  | "Unix.gettimeofday" ->
+      if s.in_lib then
+        flag Determinism
+          "wall-clock in library code breaks reproducibility; thread an \
+           explicit seed or clock";
+      if not s.clock_exempt then
+        flag Clock_discipline
+          "Unix.gettimeofday outside lib/obs/ and bench/; time through \
+           Broker_obs.Clock so probes stay behind the observability switch"
+  | "Stdlib.Sys.time" when not s.clock_exempt ->
+      flag Clock_discipline
+        "Sys.time outside lib/obs/ and bench/; use Broker_obs.Clock.time \
+         (monotonic, observability-gated sinks)"
+  | "Stdlib.Domain.spawn" when not s.spawn_exempt ->
+      flag Domain_confinement
+        "Domain.spawn outside lib/util/parallel.ml; use Parallel.chunked / \
+         Parallel.map_array"
+  | _ when s.in_experiments && ends_in_ctx_output comps ->
+      flag Report_pure
+        (Printf.sprintf
+           "%s in an experiment module; build a Broker_report.Report.t and \
+            let the harness pick a backend"
+           shown)
+  | _
+    when s.in_lib
+         && (List.mem name stdout_printers
+            || String.starts_with ~prefix:"Stdlib.Format.print_" name) ->
+      flag No_stdout_in_lib
+        (Printf.sprintf
+           "%s in library code; print via Fmt on an explicit formatter (or \
+            Logs)"
+           shown)
+  | "Stdlib.Obj.magic" | "Stdlib.Obj.repr" | "Stdlib.Obj.obj" ->
+      flag No_unsafe_obj
+        (Printf.sprintf
+           "%s defeats the type system (and the typed rules of this \
+            checker); restructure with a variant or GADT"
+           shown)
+  | "Stdlib.Hashtbl.hash" | "Stdlib.Hashtbl.hash_param"
+  | "Stdlib.Hashtbl.seeded_hash"
+    when s.in_lib ->
+      flag No_unsafe_obj
+        (Printf.sprintf
+           "%s is the polymorphic structural hash; like polymorphic compare \
+            it silently changes meaning as types grow — key on an explicit \
+            int/string instead"
+           shown)
+  | "Stdlib.Hashtbl.randomize" when s.in_lib ->
+      flag No_unsafe_obj
+        "Hashtbl.randomize makes iteration order vary across runs; library \
+         containers must stay deterministic"
+  | "Stdlib.List.nth" when in_loop ->
+      flag No_list_nth
+        "List.nth inside a loop body is quadratic; index an array instead"
+  | "Stdlib.@" when in_loop ->
+      flag No_list_nth
+        "list append inside a loop body is quadratic; accumulate and reverse \
+         once"
+  | _ -> ()
+
+let check_apply s f args (loc : Location.t) =
+  if List.mem f sort_functions then
+    List.iter
+      (fun (_, (arg : Typedtree.expression option)) ->
+        match arg with
+        | Some { exp_desc = Texp_ident (p, _, _); exp_loc; _ }
+          when List.mem (dotted (norm_path p)) poly_comparators ->
+            report_loc exp_loc No_poly_compare
+              (Printf.sprintf
+                 "polymorphic comparator passed to %s; use a monomorphic \
+                  comparator (Int.compare, Float.compare, ...)"
+                 (spelled f))
+        | _ -> ())
+      args
+  else if s.in_lib && f = "Stdlib.Hashtbl.create" && List.exists randomizes args
+  then
+    report_loc loc No_unsafe_obj
+      "Hashtbl.create ~random makes iteration order vary across runs; \
+       library containers must stay deterministic (the non-randomized \
+       default is fine)"
+
+let rules_walk u =
+  let it =
+    loop_iterator (fun ~in_loop (e : Typedtree.expression) ->
+        match e.exp_desc with
+        | Texp_ident (p, _, _) ->
+            check_ident u.u_scope ~in_loop (norm_path p) e.exp_loc
+        | Texp_apply ({ exp_desc = Texp_ident (f, _, _); _ }, args) ->
+            check_apply u.u_scope (dotted (norm_path f)) args e.exp_loc
+        | _ -> ())
+  in
+  it.structure it u.u_structure
 
 (* ------------------------------------------------------------------ *)
 (* Pass A: collect definitions, globals, owned bindings, local fns     *)
@@ -588,91 +856,92 @@ let param_chain (e : Typedtree.expression) =
 
 let c2_walk ~fname (vb : Typedtree.value_binding) =
   let params = param_chain vb.vb_expr in
-  let is_param e = List.memq e params in
-  let loop_depth = ref 0 in
   let flag loc what =
     report_loc loc Rule.Noalloc
       (Printf.sprintf "[@brokercheck.noalloc] %s: %s" fname what)
   in
-  let super = Tast_iterator.default_iterator in
-  let expr it (e : Typedtree.expression) =
-    (match e.exp_desc with
-    | Texp_function _ when not (is_param e) ->
-        flag e.exp_loc
-          "closure construction allocates (and captures); lift the \
-           function out of the kernel or inline it"
-    | Texp_apply _ when type_is_arrow e.exp_type ->
-        flag e.exp_loc
-          "partial application allocates a closure; apply all arguments \
-           or eta-expand at definition site"
-    | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _)
-      when !loop_depth > 0
-           && List.mem (dotted (norm_path p)) allocating_calls ->
-        flag e.exp_loc
-          (Printf.sprintf "allocating call %s inside a loop"
-             (dotted (norm_path p)))
-    | Texp_apply _ when !loop_depth > 0 && is_float_type e.exp_type ->
-        flag e.exp_loc
-          "boxed float produced inside a loop; keep the hot path in \
-           integers or hoist the float math out of the loop"
-    | Texp_tuple _ when !loop_depth > 0 ->
-        flag e.exp_loc "tuple allocation inside a loop"
-    | Texp_record _ when !loop_depth > 0 ->
-        flag e.exp_loc "record allocation inside a loop"
-    | Texp_construct (_, cd, _ :: _) when !loop_depth > 0 ->
-        flag e.exp_loc
-          (Printf.sprintf "constructor %s with arguments allocates inside \
-                           a loop"
-             cd.cstr_name)
-    | Texp_variant (_, Some _) when !loop_depth > 0 ->
-        flag e.exp_loc "variant argument allocates inside a loop"
-    | Texp_array (_ :: _) when !loop_depth > 0 ->
-        flag e.exp_loc "array literal allocates inside a loop"
-    | Texp_lazy _ when !loop_depth > 0 ->
-        flag e.exp_loc "lazy block allocates inside a loop"
-    | _ -> ());
-    match e.exp_desc with
-    | Texp_for (_, _, lo, hi, _, body) ->
-        it.Tast_iterator.expr it lo;
-        it.Tast_iterator.expr it hi;
-        incr loop_depth;
-        it.Tast_iterator.expr it body;
-        decr loop_depth
-    | Texp_while (cond, body) ->
-        incr loop_depth;
-        it.Tast_iterator.expr it cond;
-        it.Tast_iterator.expr it body;
-        decr loop_depth
-    | _ -> super.expr it e
+  let it =
+    loop_iterator (fun ~in_loop (e : Typedtree.expression) ->
+        match e.exp_desc with
+        | Texp_function _ when not (List.memq e params) ->
+            flag e.exp_loc
+              "closure construction allocates (and captures); lift the \
+               function out of the kernel or inline it"
+        | Texp_apply _ when type_is_arrow e.exp_type ->
+            flag e.exp_loc
+              "partial application allocates a closure; apply all arguments \
+               or eta-expand at definition site"
+        | _ when not in_loop -> ()
+        | Texp_apply ({ exp_desc = Texp_ident (p, _, _); _ }, _)
+          when List.mem (dotted (norm_path p)) allocating_calls ->
+            flag e.exp_loc
+              (Printf.sprintf "allocating call %s inside a loop"
+                 (dotted (norm_path p)))
+        | Texp_apply _ when is_float_type e.exp_type ->
+            flag e.exp_loc
+              "boxed float produced inside a loop; keep the hot path in \
+               integers or hoist the float math out of the loop"
+        | Texp_tuple _ -> flag e.exp_loc "tuple allocation inside a loop"
+        | Texp_record _ -> flag e.exp_loc "record allocation inside a loop"
+        | Texp_construct (_, cd, _ :: _) ->
+            flag e.exp_loc
+              (Printf.sprintf
+                 "constructor %s with arguments allocates inside a loop"
+                 cd.cstr_name)
+        | Texp_variant (_, Some _) ->
+            flag e.exp_loc "variant argument allocates inside a loop"
+        | Texp_array (_ :: _) ->
+            flag e.exp_loc "array literal allocates inside a loop"
+        | Texp_lazy _ -> flag e.exp_loc "lazy block allocates inside a loop"
+        | _ -> ())
   in
-  let it = { super with expr } in
   it.expr it vb.vb_expr
 
 (* ------------------------------------------------------------------ *)
 (* cmt discovery and loading                                           *)
 (* ------------------------------------------------------------------ *)
 
-let has_suffix s suf =
-  let ns = String.length s and nf = String.length suf in
-  ns >= nf && String.sub s (ns - nf) nf = suf
-
-(* Unlike brokerlint's source scan, dot-directories are included: dune
-   keeps compiled artifacts under [.<lib>.objs/byte/]. *)
+(* Dot-directories are included: dune keeps compiled artifacts under
+   [.<lib>.objs/byte/] and [.<exe>.eobjs/byte/]. *)
 let rec collect_cmt acc path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort String.compare
     |> List.fold_left (fun acc e -> collect_cmt acc (Filename.concat path e)) acc
-  else if has_suffix path ".cmt" then path :: acc
+  else if String.ends_with ~suffix:".cmt" path then path :: acc
   else acc
 
+(* Only units compiled from a [.ml] source, each once: dune's generated
+   wrapper modules ([*.ml-gen]) hold nothing but aliases, and a native
+   compile may leave a second [.cmt] of the same source. R3 is decided
+   here, against the source tree. *)
+let loaded_sources = Hashtbl.create 256
+
 let load_unit file =
-  let infos = Cmt_format.read_cmt file in
-  match infos.cmt_annots with
-  | Cmt_format.Implementation str ->
-      let m = norm_component infos.cmt_modname in
-      if m = "" then None
-      else
-        Some { u_mod = m; u_globals = ref Sset.empty; u_structure = str }
+  match Cmt_format.read_cmt file with
+  | {
+      cmt_annots = Implementation str;
+      cmt_sourcefile = Some src;
+      cmt_modname;
+      _;
+    }
+    when String.ends_with ~suffix:".ml" src
+         && not (Hashtbl.mem loaded_sources src) ->
+      Hashtbl.replace loaded_sources src ();
+      let scope = scope_of src in
+      if
+        scope.in_lib
+        && not (Sys.file_exists (Filename.concat !source_root src ^ "i"))
+      then
+        report ~file:src ~line:1 ~col:0 Mli_complete
+          (Printf.sprintf "library module %s has no interface file %si"
+             (Filename.basename src) (Filename.basename src));
+      Some
+        {
+          u_mod = norm_component cmt_modname;
+          u_scope = scope;
+          u_globals = ref Sset.empty;
+          u_structure = str;
+        }
   | _ -> None
   | exception exn ->
       Printf.eprintf "brokercheck: cannot read %s (%s)\n" file
@@ -684,38 +953,47 @@ let load_unit file =
 (* ------------------------------------------------------------------ *)
 
 let usage =
-  "brokercheck [--source-root DIR] [path ...]\n\
-   Check the .cmt files under the given files/directories (default: lib).\n\
+  "brokercheck [--lib] [--experiments] [--source-root DIR] [path ...]\n\
+   Check the .cmt files under the given files/directories (default: lib bin \
+   bench examples).\n\
+  \  --lib              treat every scanned unit as library code (fixture \
+   mode)\n\
+  \  --experiments      treat every scanned unit as an experiment module \
+   (fixture mode)\n\
   \  --source-root DIR  prefix for source paths when reading suppression\n\
   \                     comments (default: .)\n\
    Exit codes: 0 clean, 1 findings, 2 usage or read error."
 
+let usage_error msg =
+  prerr_endline ("brokercheck: " ^ msg);
+  prerr_endline usage;
+  exit 2
+
 let () =
-  let paths = ref [] in
-  let rec parse i =
-    if i < Array.length Sys.argv then begin
-      (match Sys.argv.(i) with
-      | "--source-root" ->
-          if i + 1 >= Array.length Sys.argv then begin
-            prerr_endline "brokercheck: --source-root needs an argument";
-            exit 2
-          end;
-          source_root := Sys.argv.(i + 1);
-          parse (i + 2);
-          raise Exit
-      | "--help" | "-help" ->
-          print_endline usage;
-          exit 0
-      | arg when String.length arg > 0 && arg.[0] = '-' ->
-          prerr_endline ("brokercheck: unknown option " ^ arg);
-          prerr_endline usage;
-          exit 2
-      | arg -> paths := arg :: !paths);
-      parse (i + 1)
-    end
+  let rec parse paths = function
+    | [] -> List.rev paths
+    | "--source-root" :: dir :: rest ->
+        source_root := dir;
+        parse paths rest
+    | [ "--source-root" ] -> usage_error "--source-root needs an argument"
+    | "--lib" :: rest ->
+        force_lib := true;
+        parse paths rest
+    | "--experiments" :: rest ->
+        force_experiments := true;
+        parse paths rest
+    | ("--help" | "-help") :: _ ->
+        print_endline usage;
+        exit 0
+    | arg :: _ when String.starts_with ~prefix:"-" arg ->
+        usage_error ("unknown option " ^ arg)
+    | arg :: rest -> parse (arg :: paths) rest
   in
-  (try parse 1 with Exit -> ());
-  let paths = match List.rev !paths with [] -> [ "lib" ] | ps -> ps in
+  let paths =
+    match parse [] (List.tl (Array.to_list Sys.argv)) with
+    | [] -> [ "lib"; "bin"; "bench"; "examples" ]
+    | ps -> ps
+  in
   let files =
     List.concat_map
       (fun p ->
@@ -728,11 +1006,12 @@ let () =
   in
   if files = [] then begin
     prerr_endline
-      "brokercheck: no .cmt files found (build the libraries first: the \
-       @check alias depends on them)";
+      "brokercheck: no .cmt files found (build first: the @check alias \
+       depends on the compiled libraries and executables)";
     exit 2
   end;
   units := List.filter_map load_unit files;
+  List.iter rules_walk !units;
   List.iter collect_unit !units;
   List.iter collect_roots !units;
   (* Reachability: walk roots, then the transitive closure of referenced
@@ -769,8 +1048,9 @@ let () =
   done;
   (* C2 on every annotated binding. *)
   List.iter (fun (name, _, vb) -> c2_walk ~fname:name vb) !noalloc_defs;
-  (* Sort, dedup per (file, line, rule), then drop suppressed findings —
-     one cached line lookup per surviving diagnostic. *)
+  (* Sort, dedup per (file, line, rule) — several nodes can hit one rule
+     on one line, e.g. a sort call and the bare ident inside it — then
+     drop suppressed findings: one cached line lookup per survivor. *)
   let sorted =
     List.sort_uniq
       (fun (a : violation) (b : violation) ->
@@ -780,7 +1060,7 @@ let () =
           let c = Int.compare a.line b.line in
           if c <> 0 then c
           else
-            let c = Int.compare (Rule.id a.rule) (Rule.id b.rule) in
+            let c = String.compare (Rule.name a.rule) (Rule.name b.rule) in
             if c <> 0 then c else Int.compare a.col b.col)
       !violations
   in

@@ -1,4 +1,4 @@
-(* Seeded domain-safety races: writes to shared mutable state from a
+(* Fixture (brokercheck: allow mli-complete): Seeded domain-safety races: writes to shared mutable state from a
    parallel worker. The fixture carries its own [Parallel] so the spawn
    site resolves without depending on the real libraries. *)
 

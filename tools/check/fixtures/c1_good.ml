@@ -1,4 +1,4 @@
-(* Domain-safe counterparts of c1_bad.ml: cross-domain accumulation goes
+(* Fixture (brokercheck: allow mli-complete): Domain-safe counterparts of c1_bad.ml: cross-domain accumulation goes
    through Atomic, per-worker scratch lives inside the worker closure,
    and the one shared array is written at provably disjoint strided
    indices under the owned annotation. *)

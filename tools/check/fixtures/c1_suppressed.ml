@@ -1,4 +1,4 @@
-(* Same race as c1_bad.ml, silenced by a suppression comment on the
+(* Fixture (brokercheck: allow mli-complete): Same race as c1_bad.ml, silenced by a suppression comment on the
    offending line: the file must check clean. *)
 
 module Parallel = struct

@@ -1,4 +1,4 @@
-(* Seeded allocations inside [@brokercheck.noalloc] bodies, one per
+(* Fixture (brokercheck: allow mli-complete): Seeded allocations inside [@brokercheck.noalloc] bodies, one per
    construct class the rule rejects. *)
 
 let[@brokercheck.noalloc] sum_pairs a b =

@@ -1,4 +1,4 @@
-(* Zero-alloc kernels that must pass: O(1) setup allocation before the
+(* Fixture (brokercheck: allow mli-complete): Zero-alloc kernels that must pass: O(1) setup allocation before the
    loop is tolerated by design; the per-iteration path is pure int
    arithmetic on preallocated arrays. *)
 
