@@ -1,6 +1,7 @@
 module G = Broker_graph.Graph
 module View = Broker_graph.View
 module Delta = Broker_graph.Delta
+module Bfs = Broker_graph.Bfs
 module Msbfs = Broker_graph.Msbfs
 module Obs = Broker_obs
 
@@ -13,6 +14,8 @@ let m_ops_ignored = Obs.Metrics.counter "incr.ops.ignored"
 let m_batches_reeval = Obs.Metrics.counter "incr.batches.reevaluated"
 let m_batches_skipped = Obs.Metrics.counter "incr.batches.skipped"
 let m_sources_affected = Obs.Metrics.counter "incr.sources.affected"
+let m_endpoint_bfs = Obs.Metrics.counter "incr.endpoint_bfs"
+let m_fallbacks = Obs.Metrics.counter "incr.fallbacks"
 
 type op = Add of int * int | Remove of int * int
 
@@ -23,6 +26,7 @@ type stats = {
   sources_affected : int;
   batches_reevaluated : int;
   batches_total : int;
+  fallback : bool;
 }
 
 let lanes = Msbfs.lanes
@@ -31,24 +35,29 @@ let lanes = Msbfs.lanes
    topology. Only dominated edges (a broker endpoint) survive the
    projection the evaluators run on, so the tracker keeps a {!Delta}
    over the *projected* base graph, applies exactly the dominated subset
-   of each update burst to it, and caches the MS-BFS tallies of every
-   source batch. After a burst, a batch is re-swept only when one of its
-   sources can reach a touched endpoint — in the old or the new edge
-   set — because an undirected distance can only change when its
-   shortest path crosses a changed edge. Everything cached is an integer
-   count keyed by batch id, so totals are REPRO_DOMAINS-independent and
-   the final curve goes through {!Connectivity.curve_of_counts}, bitwise
-   identical to a from-scratch {!Connectivity.eval_sources}. *)
+   of each update burst to it, and keeps every source's integer tallies
+   plus their totals. After a burst, only the sources whose distance
+   vector changed are re-swept, repacked into fresh MS-BFS batches, and
+   their rows patched into the totals. Every tally is an integer count,
+   so the totals are REPRO_DOMAINS-independent and the curve goes
+   through {!Connectivity.curve_of_counts}, bitwise identical to a
+   from-scratch {!Connectivity.eval_sources}. *)
 type t = {
   n : int;  (* vertex count of the original graph *)
   l_max : int;
   is_broker : int -> bool;
   sources : int array;
-  nbatch : int;
+  nbatch : int;  (* MS-BFS batches of a full sweep *)
   pdelta : Delta.t;  (* overlay over the projected base *)
   mutable cur_view : View.t;  (* snapshot of pdelta's current state *)
-  hists : int array array;  (* per-batch first-arrival pair counts *)
-  reached : int array;  (* per-batch pairs settled at depth >= 1 *)
+  bfs : Bfs.workspace;  (* endpoint distances for the exact test *)
+  mutable pool : Msbfs.workspace array;  (* one per re-sweep worker *)
+  hist : int array array;
+      (* per source: first arrivals by hop, 1..l_max; rows are replaced,
+         never written in place *)
+  reached : int array;  (* per source: vertices settled at depth >= 1 *)
+  tot_hist : int array;  (* column sums of [hist] *)
+  mutable tot_reached : int;  (* sum of [reached] *)
   mutable last : stats;
 }
 
@@ -60,191 +69,233 @@ let no_stats =
     sources_affected = 0;
     batches_reevaluated = 0;
     batches_total = 0;
+    fallback = false;
   }
 
-(* Re-sweep the batches listed in [ids] against [vw] and overwrite their
-   cache rows. Workers only read shared state and return rows keyed by
-   batch id (merged by list append), so the strided split passes C1
-   domain-safety and the written caches are split-independent. *)
-let reeval t vw ids =
-  let sources = t.sources and l_max = t.l_max in
-  let nsrc = Array.length sources in
-  let nids = Array.length ids in
+(* Re-sweep the sources at indices [idx] against [vw], packed [lanes] to
+   a batch in index order, and patch their rows into the totals. Returns
+   the batches swept. Worker [start] sweeps on [pool.(start)], kept
+   across bursts so a burst pays no workspace allocation; workers
+   otherwise only read shared state and return rows keyed by source
+   index (merged by list append), so the strided split passes C1
+   domain-safety and, the totals being integer sums, the result is
+   split-independent. *)
+let resweep t vw idx =
+  let nidx = Array.length idx and l_max = t.l_max in
+  let srcs = Array.map (fun i -> t.sources.(i)) idx in
+  let nb = (nidx + lanes - 1) / lanes in
+  let domains = Broker_util.Parallel.domain_count () in
+  let have = Array.length t.pool in
+  if have < domains then
+    t.pool <-
+      Array.append t.pool
+        (Array.init (domains - have) (fun _ ->
+             Msbfs.workspace ~per_lane:true ()));
+  let pool = t.pool in
   let worker ~start ~step =
-    let ws = Msbfs.workspace () in
+    let ws = pool.(start) in
     let rows = ref [] in
-    let i = ref start in
-    while !i < nids do
-      let b = ids.(!i) in
-      let lo = b * lanes in
-      let len = min lanes (nsrc - lo) in
-      Msbfs.run_view ws vw sources ~lo ~len;
-      let hist = Array.make (l_max + 1) 0 in
-      let reached = ref 0 in
-      for d = 1 to Msbfs.max_level ws do
-        let c = Msbfs.level_pairs ws d in
-        reached := !reached + c;
-        if d <= l_max then hist.(d) <- hist.(d) + c
+    let b = ref start in
+    while !b < nb do
+      let lo = !b * lanes in
+      let len = min lanes (nidx - lo) in
+      Msbfs.run_view ws vw srcs ~lo ~len;
+      for k = 0 to len - 1 do
+        let hist = Array.make (l_max + 1) 0 in
+        let reached = ref 0 in
+        for d = 1 to Msbfs.max_level ws do
+          let c = Msbfs.lane_level ws k d in
+          reached := !reached + c;
+          if d <= l_max then hist.(d) <- c
+        done;
+        rows := (idx.(lo + k), hist, !reached) :: !rows
       done;
-      rows := (b, hist, !reached) :: !rows;
-      i := !i + step
+      b := !b + step
     done;
     !rows
   in
   let rows =
-    Broker_util.Parallel.strided ~n:nids ~worker
+    Broker_util.Parallel.strided ~domains ~n:nb ~worker
       ~merge:(fun a b -> List.rev_append b a)
       []
   in
   List.iter
-    (fun (b, hist, reached) ->
-      t.hists.(b) <- hist;
-      t.reached.(b) <- reached)
-    rows
+    (fun (i, hist, reached) ->
+      let old = t.hist.(i) in
+      for l = 1 to l_max do
+        t.tot_hist.(l) <- t.tot_hist.(l) - old.(l) + hist.(l)
+      done;
+      t.tot_reached <- t.tot_reached - t.reached.(i) + reached;
+      t.hist.(i) <- hist;
+      t.reached.(i) <- reached)
+    rows;
+  nb
 
 let create ?(l_max = 10) g ~is_broker ~sources =
   let n = G.n g in
+  Array.iter
+    (fun s ->
+      if s < 0 || s >= n then
+        invalid_arg "Incremental.create: source out of range")
+    sources;
   let sources = Array.copy sources in
   let nsrc = Array.length sources in
-  let nbatch = (nsrc + lanes - 1) / lanes in
   let pg = Broker_graph.Projected.graph (Broker_graph.Projected.project g ~is_broker) in
-  let pdelta = Delta.create pg in
   let t =
     {
       n;
       l_max;
       is_broker;
       sources;
-      nbatch;
-      pdelta;
+      nbatch = (nsrc + lanes - 1) / lanes;
+      pdelta = Delta.create pg;
       cur_view = View.of_graph pg;
-      hists = Array.init nbatch (fun _ -> Array.make (l_max + 1) 0);
-      reached = Array.make nbatch 0;
+      bfs = Bfs.workspace ();
+      pool = [||];
+      hist = Array.make nsrc (Array.make (l_max + 1) 0);
+      reached = Array.make nsrc 0;
+      tot_hist = Array.make (l_max + 1) 0;
+      tot_reached = 0;
       last = no_stats;
     }
   in
-  reeval t t.cur_view (Array.init nbatch (fun b -> b));
+  ignore (resweep t t.cur_view (Array.init nsrc Fun.id));
   t
 
 let l_max t = t.l_max
 let batches t = t.nbatch
 let last_stats t = t.last
 
-(* Vertices reachable from any seed, marked into [out] — the plain
-   multi-source BFS behind the dirty-region bound. *)
-let mark_reachable vw seeds out =
-  let n = View.n vw in
-  let queue = Array.make (max n 1) 0 in
-  let head = ref 0 and tail = ref 0 in
+(* The exact test. Adding edges to a graph changes d(s,.) iff one of
+   them is far apart for s: its endpoints sit at least 2 levels apart,
+   or exactly one is reachable. Otherwise d(s,.) still differs by at
+   most 1 across every edge, so no path got shorter. A burst takes G to
+   G' = G - W + A, and G + A = G' + W is their union U: d_G = d_U iff no
+   edge of A is far apart under d_G, and d_G' = d_U iff no edge of W is
+   far apart under d_G'. d_G = d_G' forces both to equal d_U, because
+   every edge of A lies in G' and so is not far apart under d_G'. So
+   announcements are tested on the old view and withdrawals on the new
+   one, each by one BFS per distinct endpoint read back at the sources
+   (distances are symmetric). *)
+let far_apart du dv =
+  if du < 0 || dv < 0 then du >= 0 || dv >= 0 else abs (du - dv) >= 2
+
+let endpoints es =
+  Array.of_list
+    (List.sort_uniq Int.compare (List.concat_map (fun (u, v) -> [ u; v ]) es))
+
+let flag_far_apart t vw eps es flagged =
+  let rows =
+    Array.map
+      (fun x ->
+        Bfs.run_view t.bfs vw x;
+        Array.map (Bfs.distance t.bfs) t.sources)
+      eps
+  in
+  let row x =
+    let k = ref 0 in
+    while eps.(!k) <> x do
+      incr k
+    done;
+    rows.(!k)
+  in
   List.iter
-    (fun s ->
-      if not out.(s) then begin
-        out.(s) <- true;
-        queue.(!tail) <- s;
-        incr tail
-      end)
-    seeds;
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    View.iter_neighbors vw u (fun v ->
-        if not out.(v) then begin
-          out.(v) <- true;
-          queue.(!tail) <- v;
-          incr tail
-        end)
-  done
+    (fun (u, v) ->
+      let du = row u and dv = row v in
+      Array.iteri (fun i d -> if far_apart d dv.(i) then flagged.(i) <- true) du)
+    es
+
+(* A scalar BFS costs about a sixth of a 63-lane MS-BFS batch (measured
+   at scales 0.02 to 1), so [3 * nbatch] endpoint runs spend half a full
+   re-sweep on the test and leave the other half for the flagged
+   sources' own batches; a burst needing more runs re-sweeps every
+   source untested. *)
+let fallback_ratio = 3
 
 let apply t ops =
+  let endpoints_of = function Add (u, v) | Remove (u, v) -> (u, v) in
+  (* Validate the whole burst before touching the overlay, so a rejected
+     burst leaves the tracker as it was. *)
+  Array.iter
+    (fun op ->
+      let u, v = endpoints_of op in
+      if u < 0 || u >= t.n || v < 0 || v >= t.n then
+        invalid_arg "Incremental.apply: endpoint out of range")
+    ops;
   let applied = ref 0 and noops = ref 0 and ignored = ref 0 in
   let touched = ref [] in
   Array.iter
     (fun op ->
-      let u, v, add =
-        match op with Add (u, v) -> (u, v, true) | Remove (u, v) -> (u, v, false)
-      in
+      let u, v = endpoints_of op in
       if not (Connectivity.edge_ok ~is_broker:t.is_broker u v) then
         (* No broker endpoint: the edge never enters the dominated
            projection, so the curve cannot depend on it. *)
         incr ignored
       else begin
         let changed =
-          if add then Delta.add_edge t.pdelta u v
-          else Delta.remove_edge t.pdelta u v
+          match op with
+          | Add _ -> Delta.add_edge t.pdelta u v
+          | Remove _ -> Delta.remove_edge t.pdelta u v
         in
         if changed then begin
           incr applied;
-          touched := u :: v :: !touched
+          touched := (min u v, max u v) :: !touched
         end
         else incr noops
       end)
     ops;
+  let old_view = t.cur_view in
+  if !applied > 0 then t.cur_view <- Delta.view t.pdelta;
+  let new_view = t.cur_view in
+  (* Net change of the burst: edges announced and withdrawn within it
+     cancel out. *)
+  let touched =
+    List.sort_uniq
+      (fun (a, b) (c, d) ->
+        match Int.compare a c with 0 -> Int.compare b d | k -> k)
+      !touched
+  in
+  let only_in a b (u, v) = View.mem_edge a u v && not (View.mem_edge b u v) in
+  let added = List.filter (only_in new_view old_view) touched
+  and removed = List.filter (only_in old_view new_view) touched in
+  let eps_added = endpoints added and eps_removed = endpoints removed in
+  let runs = Array.length eps_added + Array.length eps_removed in
+  let nsrc = Array.length t.sources in
+  let fallback = runs > fallback_ratio * t.nbatch in
+  let idx =
+    if fallback then Array.init nsrc Fun.id
+    else begin
+      let flagged = Array.make nsrc false in
+      flag_far_apart t old_view eps_added added flagged;
+      flag_far_apart t new_view eps_removed removed flagged;
+      let idx = ref [] in
+      for i = nsrc - 1 downto 0 do
+        if flagged.(i) then idx := i :: !idx
+      done;
+      Array.of_list !idx
+    end
+  in
+  let swept = if Array.length idx = 0 then 0 else resweep t new_view idx in
   Obs.Metrics.incr m_applies;
   Obs.Metrics.add m_ops_applied !applied;
   Obs.Metrics.add m_ops_noop !noops;
   Obs.Metrics.add m_ops_ignored !ignored;
-  if !applied = 0 then begin
-    t.last <-
-      {
-        applied = 0;
-        noops = !noops;
-        ignored = !ignored;
-        sources_affected = 0;
-        batches_reevaluated = 0;
-        batches_total = t.nbatch;
-      };
-    Obs.Metrics.add m_batches_skipped t.nbatch;
-    t.last
-  end
-  else begin
-    let old_view = t.cur_view in
-    let new_view = Delta.view t.pdelta in
-    t.cur_view <- new_view;
-    (* A source's distance vector can only change when its shortest path
-       crosses a changed edge, i.e. when it reaches a touched endpoint
-       in the old edge set (withdrawn path) or the new one (announced
-       path). Mark both reachable regions and re-sweep exactly the
-       batches owning a marked source. *)
-    let pn = View.n new_view in
-    let mark_old = Array.make pn false in
-    let mark_new = Array.make pn false in
-    mark_reachable old_view !touched mark_old;
-    mark_reachable new_view !touched mark_new;
-    let nsrc = Array.length t.sources in
-    let affected_sources = ref 0 in
-    let ids = ref [] and nids = ref 0 in
-    for b = t.nbatch - 1 downto 0 do
-      let lo = b * lanes in
-      let hi = min (lo + lanes) nsrc in
-      let hit = ref false in
-      for i = lo to hi - 1 do
-        let s = t.sources.(i) in
-        if mark_old.(s) || mark_new.(s) then begin
-          incr affected_sources;
-          hit := true
-        end
-      done;
-      if !hit then begin
-        ids := b :: !ids;
-        incr nids
-      end
-    done;
-    let ids = Array.of_list !ids in
-    reeval t new_view ids;
-    Obs.Metrics.add m_batches_reeval !nids;
-    Obs.Metrics.add m_batches_skipped (t.nbatch - !nids);
-    Obs.Metrics.add m_sources_affected !affected_sources;
-    t.last <-
-      {
-        applied = !applied;
-        noops = !noops;
-        ignored = !ignored;
-        sources_affected = !affected_sources;
-        batches_reevaluated = !nids;
-        batches_total = t.nbatch;
-      };
-    t.last
-  end
+  Obs.Metrics.add m_batches_reeval swept;
+  Obs.Metrics.add m_batches_skipped (t.nbatch - swept);
+  Obs.Metrics.add m_sources_affected (Array.length idx);
+  if fallback then Obs.Metrics.incr m_fallbacks
+  else Obs.Metrics.add m_endpoint_bfs runs;
+  t.last <-
+    {
+      applied = !applied;
+      noops = !noops;
+      ignored = !ignored;
+      sources_affected = Array.length idx;
+      batches_reevaluated = swept;
+      batches_total = t.nbatch;
+      fallback;
+    };
+  t.last
 
 let curve t =
   if t.n < 2 then
@@ -253,18 +304,9 @@ let curve t =
       per_hop = Array.make (t.l_max + 1) 0.0;
       saturated = 0.0;
     }
-  else begin
-    let hist = Array.make (t.l_max + 1) 0 in
-    let reached = ref 0 in
-    for b = 0 to t.nbatch - 1 do
-      let h = t.hists.(b) in
-      for l = 1 to t.l_max do
-        hist.(l) <- hist.(l) + h.(l)
-      done;
-      reached := !reached + t.reached.(b)
-    done;
-    Connectivity.curve_of_counts ~l_max:t.l_max ~hist ~reached:!reached
+  else
+    Connectivity.curve_of_counts ~l_max:t.l_max ~hist:t.tot_hist
+      ~reached:t.tot_reached
       ~total:(Array.length t.sources * (t.n - 1))
-  end
 
 let saturated t = (curve t).Connectivity.saturated

@@ -4,17 +4,30 @@
     topology for a fixed broker set and source sample. Updates are
     applied as announce/withdraw operations; only the dominated subset
     (a broker endpoint) enters the projected overlay the evaluators
-    sweep, and after each burst the tracker re-runs MS-BFS only for the
-    source batches whose reachable set can have changed: a source is
-    *affected* when it reaches an endpoint of a changed edge in the old
-    or the new edge set (an undirected distance can only change when its
-    shortest path crosses a changed edge). Unaffected batches keep
-    their cached integer tallies.
+    sweep. The tracker keeps integer tallies per source, and after each
+    burst re-sweeps only the *affected* sources — those whose distance
+    vector changes — repacked into fresh MS-BFS batches
+    ({!Broker_graph.Msbfs.lane_level} gives each its own tallies).
+
+    The test is exact and stores no distances. Call an edge far apart
+    for a source when its endpoints sit at least 2 hops apart from it,
+    or exactly one of them is reachable: adding edges to a graph
+    changes a source's distances iff one of them is far apart under
+    the distances before. The union of the graphs before and after a
+    burst is both the old graph plus the net announcements and the new
+    graph plus the net withdrawals, so a source is affected iff a net
+    announcement is far apart on the old graph or a net withdrawal on
+    the new one. One scalar BFS per distinct endpoint gives the
+    distances of every source at once, by symmetry. A scalar BFS costs
+    about a sixth of a batch, so when a burst would need more of those
+    runs than [3 *] {!batches} — half of a full re-sweep — the tracker
+    skips the test and re-sweeps every source instead ([fallback]).
+    The rule depends on the burst alone.
 
     Equivalence guarantee: {!curve} is bitwise identical to running
     {!Connectivity.eval_sources} from scratch on the compacted updated
     graph with the same [l_max], broker set and source array — both
-    paths produce the same per-batch integer counts and share
+    paths sum the same integer counts and share
     {!Connectivity.curve_of_counts} — for any [REPRO_DOMAINS].
 
     Single-writer: {!apply} is not domain-safe (re-sweeps parallelize
@@ -30,9 +43,14 @@ type stats = {
   applied : int;  (** ops that changed the dominated edge set *)
   noops : int;  (** dominated ops that were already satisfied *)
   ignored : int;  (** ops with no broker endpoint (outside the projection) *)
-  sources_affected : int;  (** sources whose reachable set may have changed *)
-  batches_reevaluated : int;
-  batches_total : int;
+  sources_affected : int;
+      (** sources whose distance vector changed; every source on a
+          [fallback] *)
+  batches_reevaluated : int;  (** batches the affected sources packed into *)
+  batches_total : int;  (** batches of a full sweep ({!batches}) *)
+  fallback : bool;
+      (** the burst needed more endpoint BFS runs than [3 *] {!batches},
+          so every source was re-swept untested *)
 }
 
 val create :
@@ -41,14 +59,17 @@ val create :
   is_broker:(int -> bool) ->
   sources:int array ->
   t
-(** Project the base graph, cache every batch's tallies (full initial
+(** Project the base graph and tally every source (full initial
     evaluation). [l_max] defaults to 10 as in
-    {!Connectivity.eval_sources}. The source array is copied. *)
+    {!Connectivity.eval_sources}. The source array is copied.
+    @raise Invalid_argument when a source is out of range. *)
 
 val apply : t -> op array -> stats
-(** Apply an update burst and re-sweep the affected batches. Returns the
-    burst's statistics (also readable via {!last_stats}).
-    @raise Invalid_argument when an endpoint is out of range. *)
+(** Apply an update burst and re-sweep the affected sources. Returns the
+    burst's statistics (also readable via {!last_stats}). The burst is
+    atomic: every endpoint is checked before any op is applied.
+    @raise Invalid_argument when an endpoint is out of range; the
+    tracker is then unchanged. *)
 
 val curve : t -> Connectivity.curve
 (** Current connectivity curve, bitwise identical to a from-scratch
@@ -63,4 +84,4 @@ val last_stats : t -> stats
 val l_max : t -> int
 
 val batches : t -> int
-(** Source batches tracked ([ceil (sources / Msbfs.lanes)]). *)
+(** MS-BFS batches of a full sweep ([ceil (sources / Msbfs.lanes)]). *)

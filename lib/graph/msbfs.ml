@@ -37,9 +37,14 @@ type workspace = {
   mutable max_level : int;
   mutable pairs : int;  (* settled pairs at depth >= 1 *)
   mutable len : int;  (* lanes active in the last run *)
+  per_lane : bool;  (* tally [lane_lv] during runs *)
+  planes : int array;
+      (* bit-sliced level counter: bit [b] of [planes.(j)] is bit [j] of
+         lane [b]'s count on the level being tallied *)
+  mutable lane_lv : int array;  (* lane_lv.(d * lanes + b), d >= 1 *)
 }
 
-let workspace () =
+let workspace ?(per_lane = false) () =
   {
     cap = 0;
     epoch = 0;
@@ -59,6 +64,9 @@ let workspace () =
     max_level = 0;
     pairs = 0;
     len = 0;
+    per_lane;
+    planes = (if per_lane then Array.make lanes 0 else [||]);
+    lane_lv = [||];
   }
 
 let ensure ws n =
@@ -105,6 +113,90 @@ let h_frontier_words = Obs.Metrics.histogram "msbfs.frontier_words"
 let t_run = Obs.Trace.scope "msbfs.run"
 let t_sweep_td = Obs.Trace.scope "msbfs.sweep.top_down"
 let t_sweep_bu = Obs.Trace.scope "msbfs.sweep.bottom_up"
+
+(* Room for level [d]'s per-lane counts: doubles [lane_lv], so a run
+   reaching a new depth record pays one copy and later runs none. *)
+let grow_lane_levels ws d =
+  let need = (d + 1) * lanes in
+  let lv = Array.make (Int.max need (2 * Array.length ws.lane_lv)) 0 in
+  Array.blit ws.lane_lv 0 lv 0 (Array.length ws.lane_lv);
+  ws.lane_lv <- lv
+
+(* Add word [x] into the bit-sliced counter [planes] at plane [k]: a
+   ripple-carry that stops as soon as no lane carries. [top] is one past
+   the highest plane in use; returns it raised past any plane written. *)
+let[@brokercheck.noalloc] ripple planes k x top =
+  let carry = ref x and j = ref k in
+  while !carry <> 0 do
+    let p = Array.unsafe_get planes !j in
+    Array.unsafe_set planes !j (p lxor !carry);
+    carry := p land !carry;
+    incr j
+  done;
+  if !j > top then !j else top
+
+(* Full adder over 63 lanes at once: [sum3] is each lane's sum bit,
+   [carry3] its carry. *)
+let[@inline] sum3 a b c = a lxor b lxor c
+let[@inline] carry3 a b c = (a land b) lor ((a lxor b) land c)
+
+(* Per-lane counts of level [d] by positional popcount. Newly settled
+   words go through a Harley-Seal carry-save tree eight at a time (the
+   [ones]/[twos]/[fours] accumulators), so only every eighth word
+   ripples into [planes]; then each lane's count is read back out of
+   the planes. Cost: about one full adder per settled word plus
+   [len * planes] per level, against one step per settled (lane,
+   vertex) pair for a bit loop. *)
+let[@brokercheck.noalloc] tally_lanes ws nx nq next_n d =
+  let planes = ws.planes in
+  let top = ref 0 and c = ref 0 and i = ref 0 in
+  let ones = ref 0 and twos = ref 0 and fours = ref 0 in
+  while !i + 8 <= next_n do
+    let base = !i in
+    let w0 = Array.unsafe_get nx (Array.unsafe_get nq base) in
+    let w1 = Array.unsafe_get nx (Array.unsafe_get nq (base + 1)) in
+    let w2 = Array.unsafe_get nx (Array.unsafe_get nq (base + 2)) in
+    let w3 = Array.unsafe_get nx (Array.unsafe_get nq (base + 3)) in
+    let w4 = Array.unsafe_get nx (Array.unsafe_get nq (base + 4)) in
+    let w5 = Array.unsafe_get nx (Array.unsafe_get nq (base + 5)) in
+    let w6 = Array.unsafe_get nx (Array.unsafe_get nq (base + 6)) in
+    let w7 = Array.unsafe_get nx (Array.unsafe_get nq (base + 7)) in
+    let twos_a = carry3 !ones w0 w1 in
+    ones := sum3 !ones w0 w1;
+    let twos_b = carry3 !ones w2 w3 in
+    ones := sum3 !ones w2 w3;
+    let fours_a = carry3 !twos twos_a twos_b in
+    twos := sum3 !twos twos_a twos_b;
+    let twos_a = carry3 !ones w4 w5 in
+    ones := sum3 !ones w4 w5;
+    let twos_b = carry3 !ones w6 w7 in
+    ones := sum3 !ones w6 w7;
+    let fours_b = carry3 !twos twos_a twos_b in
+    twos := sum3 !twos twos_a twos_b;
+    let eights = carry3 !fours fours_a fours_b in
+    fours := sum3 !fours fours_a fours_b;
+    top := ripple planes 3 eights !top;
+    i := base + 8
+  done;
+  while !i < next_n do
+    top := ripple planes 0 (Array.unsafe_get nx (Array.unsafe_get nq !i)) !top;
+    incr i
+  done;
+  top := ripple planes 0 !ones !top;
+  top := ripple planes 1 !twos !top;
+  top := ripple planes 2 !fours !top;
+  if (d + 1) * lanes > Array.length ws.lane_lv then grow_lane_levels ws d;
+  let lv = ws.lane_lv and base = d * lanes in
+  for b = 0 to ws.len - 1 do
+    c := 0;
+    for k = !top - 1 downto 0 do
+      c := (!c lsl 1) lor ((Array.unsafe_get planes k lsr b) land 1)
+    done;
+    Array.unsafe_set lv (base + b) !c
+  done;
+  for k = 0 to !top - 1 do
+    Array.unsafe_set planes k 0
+  done
 
 (* The sweep is the whole point of the module: one pass over the frontier
    advances up to [lanes] BFS traversals with three word ops per arc
@@ -311,7 +403,8 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
     if !next_n > 0 then begin
       ws.max_level <- dn;
       levels.(dn) <- !pc;
-      ws.pairs <- ws.pairs + !pc
+      ws.pairs <- ws.pairs + !pc;
+      if ws.per_lane then tally_lanes ws nx nq !next_n dn
     end;
     (* Swap frontier and next (words, stamps, queues) for the next level. *)
     let tmpw = !front in
@@ -359,6 +452,14 @@ let level_pairs ws d =
   if d < 0 || d > ws.max_level then
     invalid_arg "Msbfs.level_pairs: level out of range";
   ws.levels.(d)
+
+let lane_level ws b d =
+  if not ws.per_lane then
+    invalid_arg "Msbfs.lane_level: workspace does not tally per lane";
+  if b < 0 || b >= ws.len then invalid_arg "Msbfs.lane_level: lane out of range";
+  if d < 0 || d > ws.max_level then
+    invalid_arg "Msbfs.lane_level: level out of range";
+  if d = 0 then 1 else ws.lane_lv.((d * lanes) + b)
 
 let settled_bits ws v =
   if v < 0 || v >= ws.cap then

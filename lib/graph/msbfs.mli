@@ -35,9 +35,12 @@ type workspace
     the marginal cost of a batch is exactly its sweeps. Not thread-safe:
     confine each workspace to one domain. *)
 
-val workspace : unit -> workspace
+val workspace : ?per_lane:bool -> unit -> workspace
 (** An empty workspace; arrays are sized lazily by the first {!run} (and
-    regrown if a later run presents a larger graph). *)
+    regrown if a later run presents a larger graph). With [~per_lane:true]
+    (default [false]) every run also tallies {!lane_level}: one
+    positional popcount of each level's newly settled words, a cost the
+    batch-total callers ({!level_pairs}) never pay. *)
 
 val run :
   workspace -> Graph.t -> ?max_depth:int -> int array -> lo:int -> len:int ->
@@ -72,6 +75,14 @@ val level_pairs : workspace -> int -> int
     {!Bfs.level_count} over the batch's scalar runs. Valid for [d] in
     [0 .. max_level ws].
     @raise Invalid_argument outside that range. *)
+
+val lane_level : workspace -> int -> int -> int
+(** [lane_level ws b d]: vertices lane [b] settled at depth exactly [d]
+    in the last run — {!Bfs.level_count} of lane [b]'s scalar BFS, so
+    summing it over the lanes gives {!level_pairs}. [1] at [d = 0].
+    @raise Invalid_argument unless the workspace was created with
+    [~per_lane:true], [b] is in [0 .. batch_lanes ws - 1] and [d] in
+    [0 .. max_level ws]. *)
 
 val reached_pairs : workspace -> int
 (** Total (lane, vertex) pairs settled at depth [>= 1] — the batched

@@ -152,6 +152,35 @@ let incr_script_arb =
       int_range 0 24 >>= fun nops ->
       int_range 0 1_000_000 >|= fun seed -> (n, m, k, nops, seed))
 
+(* A burst of [len] random ops; about one op in four revisits an edge
+   an earlier op of the burst touched, with the kind drawn afresh, so
+   bursts announce and withdraw the same edge and cancel out. *)
+let random_burst rng ~n len =
+  let ops = Array.make len (Incr.Add (0, 0)) in
+  for i = 0 to len - 1 do
+    let u, v =
+      if i > 0 && X.int rng 4 = 0 then
+        match ops.(X.int rng i) with
+        | Incr.Add (u, v) | Incr.Remove (u, v) -> (v, u)
+      else (X.int rng n, X.int rng n)
+    in
+    ops.(i) <- (if X.int rng 2 = 0 then Incr.Add (u, v) else Incr.Remove (u, v))
+  done;
+  ops
+
+let mirror_ops d ops =
+  Array.iter
+    (fun op ->
+      ignore
+        (match op with
+        | Incr.Add (u, v) -> Delta.add_edge d u v
+        | Incr.Remove (u, v) -> Delta.remove_edge d u v))
+    ops
+
+(* Up to 252 sources (four words), drawn with replacement: repacked
+   batches span several words, a quarter of the cases reach the
+   four batches a parallel sweep needs, and duplicate sources are
+   distinct lanes. *)
 let incremental_matches_oracle_under ~domains =
   q ~count:40
     (Printf.sprintf "incremental = oracle (REPRO_DOMAINS=%s)" domains)
@@ -162,25 +191,14 @@ let incremental_matches_oracle_under ~domains =
           let g = random_graph rng ~n ~m in
           let brokers = Array.init k (fun _ -> X.int rng n) in
           let is_broker = Conn.of_brokers ~n brokers in
-          let nsrc = 1 + X.int rng 70 in
+          let nsrc = 1 + X.int rng 252 in
           let sources = Array.init nsrc (fun _ -> X.int rng n) in
           let tracker = Incr.create g ~is_broker ~sources in
           let d = Delta.create g in
           (* Two bursts: the second starts from an already-dirty overlay. *)
-          let burst () =
-            Array.init (nops / 2) (fun _ ->
-                let u = X.int rng n and v = X.int rng n in
-                if X.int rng 2 = 0 then Incr.Add (u, v) else Incr.Remove (u, v))
-          in
           let check_burst ops =
             ignore (Incr.apply tracker ops);
-            Array.iter
-              (fun op ->
-                ignore
-                  (match op with
-                  | Incr.Add (u, v) -> Delta.add_edge d u v
-                  | Incr.Remove (u, v) -> Delta.remove_edge d u v))
-              ops;
+            mirror_ops d ops;
             let g' = Delta.compact g d in
             curves_equal (Incr.curve tracker)
               (Conn.eval_sources g' ~is_broker sources)
@@ -189,7 +207,81 @@ let incremental_matches_oracle_under ~domains =
             curves_equal (Incr.curve tracker)
               (Conn.eval_sources g ~is_broker sources)
           in
-          initial && check_burst (burst ()) && check_burst (burst ())))
+          initial
+          && check_burst (random_burst rng ~n (nops / 2))
+          && check_burst (random_burst rng ~n (nops / 2))))
+
+(* Exactness of the affected-source test, checked the way SNIPPETS.md's
+   check_prop does it: a fixed seed, and a tally of the cases whose
+   precondition failed (here: the burst took the fallback, which skips
+   the test). On the test path, [sources_affected] must equal the number
+   of sources whose filtered-BFS distance vector differs between the
+   compacted graphs before and after the burst. *)
+type outcome = Exact of int | Fallback | Mismatch of string
+
+let affected_is_exact () =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 40 >>= fun n ->
+      int_range 0 80 >>= fun m ->
+      int_range 1 8 >>= fun k ->
+      int_range 1 10 >>= fun nops ->
+      int_range 1 200 >>= fun nsrc ->
+      int_range 0 1_000_000 >|= fun seed -> (n, m, k, nops, nsrc, seed))
+  in
+  let cases =
+    QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:300 gen
+  in
+  let check (n, m, k, nops, nsrc, seed) =
+    let rng = X.create seed in
+    let g = random_graph rng ~n ~m in
+    let is_broker = Conn.of_brokers ~n (Array.init k (fun _ -> X.int rng n)) in
+    let edge_ok = Conn.edge_ok ~is_broker in
+    let sources = Array.init nsrc (fun _ -> X.int rng n) in
+    let tracker = Incr.create g ~is_broker ~sources in
+    let d = Delta.create g in
+    (* Two bursts, so the second is tested against a dirty overlay. *)
+    let burst () =
+      let before = Delta.compact g d in
+      let ops = random_burst rng ~n nops in
+      let s = Incr.apply tracker ops in
+      mirror_ops d ops;
+      let after = Delta.compact g d in
+      let moved = ref 0 in
+      Array.iter
+        (fun src ->
+          if
+            Bfs.distances_filtered before ~edge_ok src
+            <> Bfs.distances_filtered after ~edge_ok src
+          then incr moved)
+        sources;
+      if s.Incr.fallback then Fallback
+      else if s.Incr.sources_affected = !moved then Exact !moved
+      else
+        Mismatch
+          (Printf.sprintf
+             "n=%d m=%d k=%d nops=%d nsrc=%d seed=%d: affected %d, moved %d" n
+             m k nops nsrc seed s.Incr.sources_affected !moved)
+    in
+    let first = burst () in
+    [ first; burst () ]
+  in
+  let outcomes = List.concat_map check cases in
+  let count p = List.length (List.filter p outcomes) in
+  let exact = count (function Exact _ -> true | _ -> false) in
+  let moving = count (function Exact m -> m > 0 | _ -> false) in
+  let fallback = count (function Fallback -> true | _ -> false) in
+  let failures =
+    List.filter_map (function Mismatch m -> Some m | _ -> None) outcomes
+  in
+  Printf.printf
+    "%d bursts for affected-source exactness: %d exact (%d moving some \
+     source), %d failures, %d took the fallback\n"
+    (List.length outcomes) exact moving (List.length failures) fallback;
+  List.iter print_endline failures;
+  check_int "mismatches" 0 (List.length failures);
+  check_bool "most bursts ran the test" true (exact > fallback);
+  check_bool "many tested bursts moved a source" true (3 * moving > exact)
 
 let incr_stats_accounting () =
   (* Hand-built scene: broker 0 in a 4-chain 0-1-2-3. *)
@@ -211,6 +303,87 @@ let incr_stats_accounting () =
   let s2 = Incr.apply t [| Incr.Remove (1, 2) |] in
   check_int "ignored only" 1 s2.Incr.ignored;
   check_int "no re-eval" 0 s2.Incr.batches_reevaluated
+
+(* Bursts are atomic: an out-of-range endpoint anywhere in the burst
+   rejects the whole burst before any op touches the overlay. Scene: the
+   path 0-1-2-3-4-5 with brokers {0, 3} keeps (0,1), (2,3) and (3,4), so
+   8 of the 30 ordered pairs connect; announcing (0,4) would make it 20. *)
+let incr_rejects_out_of_range () =
+  let g = path_graph 6 in
+  let is_broker v = v = 0 || v = 3 in
+  let sources = Array.init 6 Fun.id in
+  let t = Incr.create g ~is_broker ~sources in
+  let base = Incr.curve t in
+  check_float "base saturated" (8.0 /. 30.0) base.Conn.saturated;
+  let rejected = Invalid_argument "Incremental.apply: endpoint out of range" in
+  Alcotest.check_raises "bad endpoint after a good op" rejected (fun () ->
+      ignore (Incr.apply t [| Incr.Add (0, 4); Incr.Add (3, 99) |]));
+  Alcotest.check_raises "op with no broker endpoint" rejected (fun () ->
+      ignore (Incr.apply t [| Incr.Add (77, 99) |]));
+  Alcotest.check_raises "negative endpoint" rejected (fun () ->
+      ignore (Incr.apply t [| Incr.Remove (-1, 0) |]));
+  Alcotest.check_raises "source out of range"
+    (Invalid_argument "Incremental.create: source out of range") (fun () ->
+      ignore (Incr.create g ~is_broker ~sources:[| 0; 6 |]))
+
+let incr_unchanged_after_rejection () =
+  let g = path_graph 6 in
+  let is_broker v = v = 0 || v = 3 in
+  let sources = Array.init 6 Fun.id in
+  let t = Incr.create g ~is_broker ~sources in
+  let base = Incr.curve t in
+  (try ignore (Incr.apply t [| Incr.Add (0, 4); Incr.Add (3, 99) |])
+   with Invalid_argument _ -> ());
+  check_bool "curve unchanged" true (curves_equal base (Incr.curve t));
+  (* The overlay does not hold (0,4): announcing it now applies, and
+     the curve follows the oracle. *)
+  let s = Incr.apply t [| Incr.Add (0, 4) |] in
+  check_int "(0,4) applies" 1 s.Incr.applied;
+  let g' =
+    G.of_edges ~n:6 [| (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (0, 4) |]
+  in
+  check_bool "oracle after the retry" true
+    (curves_equal (Incr.curve t) (Conn.eval_sources g' ~is_broker sources));
+  check_float "saturated" (20.0 /. 30.0) (Incr.saturated t)
+
+(* The test needs one BFS per distinct endpoint; past 3 runs per batch
+   the tracker re-sweeps every source untested. One batch here, so one
+   net edge (2 runs) is tested and two disjoint ones (4 runs) are not. *)
+let incr_fallback_rule () =
+  let g = path_graph 8 in
+  let is_broker v = v = 0 || v = 4 in
+  let sources = Array.init 8 Fun.id in
+  let t = Incr.create g ~is_broker ~sources in
+  let s = Incr.apply t [| Incr.Add (0, 2) |] in
+  check_bool "one edge: tested" false s.Incr.fallback;
+  check_int "one batch swept" 1 s.Incr.batches_reevaluated;
+  let s = Incr.apply t [| Incr.Add (0, 6); Incr.Add (4, 7) |] in
+  check_bool "two edges: fallback" true s.Incr.fallback;
+  check_int "every source" 8 s.Incr.sources_affected;
+  (* An announce and withdraw of the same edge cancel: nothing to test. *)
+  let s = Incr.apply t [| Incr.Add (0, 5); Incr.Remove (5, 0) |] in
+  check_int "applied both" 2 s.Incr.applied;
+  check_bool "cancelled: tested" false s.Incr.fallback;
+  check_int "cancelled: none affected" 0 s.Incr.sources_affected;
+  check_int "cancelled: no sweep" 0 s.Incr.batches_reevaluated
+
+(* A withdrawal and an announcement that offset each other: 0-1-2 loses
+   (1,2) while (3,2) arrives beside 0-3, so vertex 2 stays 2 hops from
+   0. Each op alone moves source 0; the burst as a whole does not. *)
+let incr_offsetting_burst () =
+  let g = G.of_edges ~n:4 [| (0, 1); (1, 2); (0, 3) |] in
+  let is_broker v = v = 1 || v = 3 in
+  (* 64 lanes, 2 batches: the 4 endpoint runs stay under the fallback. *)
+  let sources = Array.make 64 0 in
+  let t = Incr.create g ~is_broker ~sources in
+  let s = Incr.apply t [| Incr.Remove (1, 2); Incr.Add (3, 2) |] in
+  check_int "applied" 2 s.Incr.applied;
+  check_bool "tested" false s.Incr.fallback;
+  check_int "no source moved" 0 s.Incr.sources_affected;
+  check_int "no sweep" 0 s.Incr.batches_reevaluated;
+  let g' = G.of_edges ~n:4 [| (0, 1); (3, 2); (0, 3) |] in
+  check_bool "oracle" true
+    (curves_equal (Incr.curve t) (Conn.eval_sources g' ~is_broker sources))
 
 (* ---------- update streams ---------- *)
 
@@ -365,6 +538,15 @@ let suite =
         incremental_matches_oracle_under ~domains:"1";
         incremental_matches_oracle_under ~domains:"4";
         Alcotest.test_case "stats accounting" `Quick incr_stats_accounting;
+        Alcotest.test_case "affected sources are exact" `Quick
+          affected_is_exact;
+        Alcotest.test_case "rejects out-of-range endpoints" `Quick
+          incr_rejects_out_of_range;
+        Alcotest.test_case "tracker unchanged after a rejected burst" `Quick
+          incr_unchanged_after_rejection;
+        Alcotest.test_case "fallback rule" `Quick incr_fallback_rule;
+        Alcotest.test_case "offsetting withdraw and announce" `Quick
+          incr_offsetting_burst;
       ] );
     ( "delta.stream",
       [

@@ -80,6 +80,47 @@ let lanes_match_scalar =
       done;
       !ok)
 
+(* Per-lane level counts: every lane of a [~per_lane:true] run must
+   report its own scalar BFS histogram. Graphs run up to a few hundred
+   vertices with a dense random part, so single levels hold well past
+   eight settled words (the carry-save tree's block) and counts past a
+   few bit planes; the same workspace is reused across cases and
+   [max_depth] cuts some runs short. *)
+let lane_levels_arb =
+  QCheck.make
+    ~print:(fun (n, m, seed) -> Printf.sprintf "<n=%d m=%d seed=%d>" n m seed)
+    QCheck.Gen.(
+      int_range 2 400 >>= fun n ->
+      int_range 0 (4 * n) >>= fun m ->
+      int_range 0 1_000_000 >|= fun seed -> (n, m, seed))
+
+let lane_levels_match_scalar =
+  let ws = Msbfs.workspace ~per_lane:true () in
+  let sws = Bfs.workspace () in
+  q ~count:80 "per-lane level counts = per-source Bfs.level_count"
+    lane_levels_arb (fun (n, m, seed) ->
+      let rng = Broker_util.Xrandom.create seed in
+      let g = random_graph rng ~n ~m in
+      let len = 1 + Broker_util.Xrandom.int rng Msbfs.lanes in
+      let sources = draw_sources rng ~n ~count:len in
+      let max_depth =
+        if Broker_util.Xrandom.int rng 4 = 0 then
+          1 + Broker_util.Xrandom.int rng 3
+        else max_int
+      in
+      Msbfs.run ws g ~max_depth sources ~lo:0 ~len;
+      let ok = ref true in
+      for b = 0 to len - 1 do
+        Bfs.run sws g ~max_depth sources.(b);
+        for d = 0 to Msbfs.max_level ws do
+          let scalar =
+            if d <= Bfs.max_level sws then Bfs.level_count sws d else 0
+          in
+          if Msbfs.lane_level ws b d <> scalar then ok := false
+        done
+      done;
+      !ok)
+
 let max_depth_matches_bounded =
   let ws = Msbfs.workspace () in
   q ~count:40 "max_depth truncates like the scalar bounded BFS"
@@ -225,7 +266,18 @@ let run_validates_arguments () =
       ignore (Msbfs.settled_bits ws 99));
   Alcotest.check_raises "short out array"
     (Invalid_argument "Msbfs.lane_counts_into: output shorter than the batch")
-    (fun () -> Msbfs.lane_counts_into ws ~keep:(fun _ -> true) (Array.make 1 0))
+    (fun () -> Msbfs.lane_counts_into ws ~keep:(fun _ -> true) (Array.make 1 0));
+  Alcotest.check_raises "no per-lane tallies"
+    (Invalid_argument "Msbfs.lane_level: workspace does not tally per lane")
+    (fun () -> ignore (Msbfs.lane_level ws 0 0));
+  let lws = Msbfs.workspace ~per_lane:true () in
+  Msbfs.run lws g srcs ~lo:0 ~len:2;
+  Alcotest.check_raises "lane out of range"
+    (Invalid_argument "Msbfs.lane_level: lane out of range") (fun () ->
+      ignore (Msbfs.lane_level lws 2 0));
+  Alcotest.check_raises "lane level out of range"
+    (Invalid_argument "Msbfs.lane_level: level out of range") (fun () ->
+      ignore (Msbfs.lane_level lws 0 (Msbfs.max_level lws + 1)))
 
 let suite =
   [
@@ -233,6 +285,7 @@ let suite =
       [
         Alcotest.test_case "word width" `Quick lanes_is_word_width;
         lanes_match_scalar;
+        lane_levels_match_scalar;
         max_depth_matches_bounded;
       ] );
     ( "msbfs.connectivity",
