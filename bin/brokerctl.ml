@@ -24,7 +24,7 @@ let scale_arg =
 
 let load path =
   try Ok (Broker_topo.Dataset.load ~path)
-  with Sys_error msg | Failure msg -> Error msg
+  with Sys_error msg | Invalid_argument msg -> Error msg
 
 (* generate *)
 let generate scale seed out =

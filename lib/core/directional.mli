@@ -13,9 +13,11 @@
     signs internally. *)
 
 type upgrades
-(** A set of undirected edges upgraded to free traversal. *)
+(** A set of undirected edges upgraded to free traversal, held as bits
+    over the arc indices of the graph it was drawn on. *)
 
 val no_upgrades : upgrades
+(** The empty set; fits every graph. *)
 
 val upgrade_broker_edges :
   rng:Broker_util.Xrandom.t ->
@@ -23,9 +25,25 @@ val upgrade_broker_edges :
   brokers:int array ->
   fraction:float ->
   upgrades
-(** Uniformly sample [fraction] of the broker–broker edges. *)
+(** Uniformly sample [fraction] of the broker–broker edges of the
+    topology's graph. *)
 
 val upgrade_count : upgrades -> int
+(** Number of upgraded edges. *)
+
+val is_upgraded : upgrades -> int -> int -> bool
+(** [is_upgraded up u v] iff [uv] is an upgraded edge (either
+    orientation). O(log d). *)
+
+val distances :
+  ?upgrades:upgrades ->
+  Broker_topo.Topology.t ->
+  is_broker:(int -> bool) ->
+  int ->
+  int array
+(** [distances topo ~is_broker src]: hop count of the shortest
+    valley-free, B-dominated path from [src] to every vertex, [-1] when
+    there is none. Same engine and exceptions as {!curve_sampled}. *)
 
 val curve_sampled :
   ?l_max:int ->
@@ -40,7 +58,12 @@ val curve_sampled :
     edges) and B-dominated. Edges without a recorded relation are treated as
     peering. [source_set] pins the BFS sources (common random numbers when
     comparing broker sets or upgrade levels); otherwise [sources] are drawn
-    from [rng]. *)
+    from [rng]. The sources share one sweep workspace: a two-phase
+    (ascending, descending) array BFS that reads each arc's relation
+    label by arc index.
+    @raise Invalid_argument when [upgrades] were drawn on another graph,
+    when the topology's relations label another graph, or when a source
+    is out of range. *)
 
 val saturated_sampled :
   ?upgrades:upgrades ->

@@ -130,20 +130,22 @@ let fold_neighbors t u f init =
 
 let neighbors t u = Array.sub t.adj t.off.(u) (t.off.(u + 1) - t.off.(u))
 
-let mem_edge t u v =
-  if u < 0 || u >= t.n || v < 0 || v >= t.n then false
+let find_arc t u v =
+  if u < 0 || u >= t.n || v < 0 || v >= t.n then -1
   else begin
     let lo = ref t.off.(u) and hi = ref (t.off.(u + 1) - 1) in
-    let found = ref false in
-    while (not !found) && !lo <= !hi do
+    let found = ref (-1) in
+    while !found < 0 && !lo <= !hi do
       let mid = (!lo + !hi) / 2 in
       let w = t.adj.(mid) in
-      if w = v then found := true
+      if w = v then found := mid
       else if w < v then lo := mid + 1
       else hi := mid - 1
     done;
     !found
   end
+
+let mem_edge t u v = find_arc t u v >= 0
 
 let iter_edges t f =
   for u = 0 to t.n - 1 do

@@ -29,6 +29,12 @@ val neighbors : t -> int -> int array
 val mem_edge : t -> int -> int -> bool
 (** O(log degree) adjacency test. *)
 
+val find_arc : t -> int -> int -> int
+(** [find_arc t u v] is the index of the arc [u -> v] in {!csr_adj} (so
+    [off.(u) <= i < off.(u+1)]), or [-1] when [uv] is not an edge or an
+    endpoint is out of range. O(log degree). Arc indices key per-arc
+    data such as business-relation labels. *)
+
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Each undirected edge exactly once, with [u < v]. *)
 

@@ -1,6 +1,6 @@
 module T = Broker_topo.Topology
 module G = Broker_graph.Graph
-module Rel = Broker_topo.Node_meta.Relations
+module Rel = Broker_topo.Relations
 
 type route_class = Via_customer | Via_peer | Via_provider
 
@@ -11,6 +11,7 @@ type route = { hops : int; via : route_class }
 let customer_pass topo d =
   let g = topo.T.graph in
   let n = G.n g in
+  let off = G.csr_off g and adj = G.csr_adj g in
   let dist = Array.make n (-1) in
   let queue = Array.make n 0 in
   let head = ref 0 and tail = ref 0 in
@@ -20,13 +21,16 @@ let customer_pass topo d =
   while !head < !tail do
     let u = queue.(!head) in
     incr head;
-    G.iter_neighbors g u (fun p ->
-        (* u is a customer of p: p learns the route from its customer u. *)
-        if dist.(p) < 0 && Rel.customer_of topo.T.relations u p then begin
+    for i = off.(u) to off.(u + 1) - 1 do
+      let p = adj.(i) in
+      (* u is a customer of p: p learns the route from its customer u. *)
+      match Rel.arc topo.T.relations i with
+      | Rel.Up when dist.(p) < 0 ->
           dist.(p) <- dist.(u) + 1;
           queue.(!tail) <- p;
           incr tail
-        end)
+      | Rel.Up | Rel.Down | Rel.Peer | Rel.Ixp_member | Rel.Unlabelled -> ()
+    done
   done;
   dist
 
@@ -36,6 +40,7 @@ let customer_pass topo d =
 let peer_pass topo dist_c =
   let g = topo.T.graph in
   let n = G.n g in
+  let off = G.csr_off g and adj = G.csr_adj g in
   let dist = Array.make n (-1) in
   (* For each IXP: the two best customer-route distances among members
      (two, so a member does not route through itself). *)
@@ -56,16 +61,21 @@ let peer_pass topo dist_c =
   for v = 0 to n - 1 do
     if T.is_as topo v && dist_c.(v) < 0 then begin
       let best = ref max_int in
-      G.iter_neighbors g v (fun w ->
-          if T.is_ixp topo w then begin
-            match Hashtbl.find_opt ixp_best w with
-            | Some ((d1, w1), (d2, _)) ->
-                let d = if w1 = v then d2 else d1 in
-                if d < max_int && d + 2 < !best then best := d + 2
-            | None -> ()
-          end
-          else if Rel.peers topo.T.relations v w && dist_c.(w) >= 0 then
-            if dist_c.(w) + 1 < !best then best := dist_c.(w) + 1);
+      for i = off.(v) to off.(v + 1) - 1 do
+        let w = adj.(i) in
+        if T.is_ixp topo w then begin
+          match Hashtbl.find_opt ixp_best w with
+          | Some ((d1, w1), (d2, _)) ->
+              let d = if w1 = v then d2 else d1 in
+              if d < max_int && d + 2 < !best then best := d + 2
+          | None -> ()
+        end
+        else
+          match Rel.arc topo.T.relations i with
+          | Rel.Peer | Rel.Ixp_member ->
+              if dist_c.(w) >= 0 && dist_c.(w) + 1 < !best then best := dist_c.(w) + 1
+          | Rel.Up | Rel.Down | Rel.Unlabelled -> ()
+      done;
       if !best < max_int then dist.(v) <- !best
     end
   done;
@@ -77,6 +87,7 @@ let peer_pass topo dist_c =
 let provider_pass topo dist_c dist_p =
   let g = topo.T.graph in
   let n = G.n g in
+  let off = G.csr_off g and adj = G.csr_adj g in
   let dist = Array.make n (-1) in
   let heap = Broker_util.Heap.create ~initial_capacity:1024 Broker_util.Heap.Min in
   let seed v d = Broker_util.Heap.push heap ~priority:(float_of_int d) v in
@@ -98,14 +109,17 @@ let provider_pass topo dist_c dist_p =
           settled.(u) <- true;
           let d = int_of_float fd in
           (* The route propagates from provider u to its customers only. *)
-          G.iter_neighbors g u (fun c ->
-              if (not settled.(c)) && Rel.provider_of topo.T.relations u c then begin
+          for i = off.(u) to off.(u + 1) - 1 do
+            let c = adj.(i) in
+            match Rel.arc topo.T.relations i with
+            | Rel.Down when not settled.(c) ->
                 let nd = d + 1 in
                 if dist.(c) < 0 || nd < dist.(c) then begin
                   dist.(c) <- nd;
                   seed c nd
                 end
-              end)
+            | Rel.Up | Rel.Down | Rel.Peer | Rel.Ixp_member | Rel.Unlabelled -> ()
+          done
         end
   done;
   (* Remove entries that merely echo a better-class route. *)

@@ -1,6 +1,6 @@
 module G = Broker_graph.Graph
 module T = Broker_topo.Topology
-module Rel = Broker_topo.Node_meta.Relations
+module Rel = Broker_topo.Relations
 
 type t = { tbl : (int * int, float) Hashtbl.t }
 

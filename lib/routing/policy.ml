@@ -1,5 +1,5 @@
 module T = Broker_topo.Topology
-module Rel = Broker_topo.Node_meta.Relations
+module Rel = Broker_topo.Relations
 
 type hop_class = Up | Down | Flat | Into_fabric | Out_of_fabric
 

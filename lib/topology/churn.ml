@@ -6,22 +6,10 @@ let grow ~rng topo ~new_ases =
   let old_n = Topology.n topo in
   let n = old_n + new_ases in
   let edges = ref [] in
-  let relations = Node_meta.Relations.create () in
-  (* One in-place sweep collects the old edges and copies their relations
-     onto the same ids — no materialized edge array. *)
-  G.iter_edges topo.Topology.graph (fun u v ->
-      edges := (u, v) :: !edges;
-      match Node_meta.Relations.find topo.Topology.relations u v with
-      | Some Node_meta.Customer_provider ->
-          if Node_meta.Relations.customer_of topo.Topology.relations u v then
-            Node_meta.Relations.add_c2p relations ~customer:u ~provider:v
-          else Node_meta.Relations.add_c2p relations ~customer:v ~provider:u
-      | Some Node_meta.Peer -> Node_meta.Relations.add_peer relations u v
-      | Some Node_meta.Ixp_member ->
-          if Topology.is_ixp topo v then
-            Node_meta.Relations.add_ixp_member relations ~as_node:u ~ixp:v
-          else Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp:u
-      | None -> ());
+  G.iter_edges topo.Topology.graph (fun u v -> edges := (u, v) :: !edges);
+  (* The new edges, kept apart so their arcs can be labelled once the
+     graph exists. *)
+  let transit = ref [] and memberships = ref [] in
   (* Degree-weighted provider pool over the existing transit core. *)
   let core = ref [] in
   for v = 0 to old_n - 1 do
@@ -57,14 +45,21 @@ let grow ~rng topo ~new_ases =
     Hashtbl.iter
       (fun p () ->
         edges := (v, p) :: !edges;
-        Node_meta.Relations.add_c2p relations ~customer:v ~provider:p)
+        transit := (v, p) :: !transit)
       chosen;
     (* ~40% also join a random IXP, mirroring the base topology. *)
     if Array.length ixps > 0 && R.bernoulli rng 0.4 then begin
       let x = ixps.(R.int rng (Array.length ixps)) in
       edges := (v, x) :: !edges;
-      Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp:x
+      memberships := (v, x) :: !memberships
     end
   done;
   let graph = G.of_edges ~n (Array.of_list !edges) in
+  (* Old ids are kept, so the old edges keep their labels. *)
+  let relations =
+    Relations.remap topo.Topology.relations graph ~old_id:(fun v ->
+        if v < old_n then v else -1)
+  in
+  List.iter (fun (v, p) -> Relations.add_c2p relations ~customer:v ~provider:p) !transit;
+  List.iter (fun (v, x) -> Relations.add_ixp_member relations ~as_node:v ~ixp:x) !memberships;
   { Topology.graph; kinds; tiers; names; relations }

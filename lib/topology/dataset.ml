@@ -37,13 +37,22 @@ let kind_code = function
   | Node_meta.Ixp -> "ix"
 
 let kind_of_code = function
-  | "t1" -> Node_meta.Tier1
-  | "tr" -> Node_meta.Transit
-  | "ac" -> Node_meta.Access
-  | "co" -> Node_meta.Content
-  | "en" -> Node_meta.Enterprise
-  | "ix" -> Node_meta.Ixp
-  | s -> failwith (Printf.sprintf "Dataset.load: unknown kind %S" s)
+  | "t1" -> Some Node_meta.Tier1
+  | "tr" -> Some Node_meta.Transit
+  | "ac" -> Some Node_meta.Access
+  | "co" -> Some Node_meta.Content
+  | "en" -> Some Node_meta.Enterprise
+  | "ix" -> Some Node_meta.Ixp
+  | _ -> None
+
+(* Edge codes, read from the line's first endpoint. *)
+let label_of_code = function
+  | "cp" -> Some Relations.Up
+  | "pc" -> Some Relations.Down
+  | "pp" -> Some Relations.Peer
+  | "im" -> Some Relations.Ixp_member
+  | "--" -> Some Relations.Unlabelled
+  | _ -> None
 
 let save ~path t =
   let oc = open_out path in
@@ -59,9 +68,9 @@ let save ~path t =
       done;
       G.iter_edges t.Topology.graph (fun u v ->
           let rel =
-            match Node_meta.Relations.find t.Topology.relations u v with
+            match Relations.find t.Topology.relations u v with
             | Some Node_meta.Customer_provider ->
-                if Node_meta.Relations.customer_of t.Topology.relations u v
+                if Relations.customer_of t.Topology.relations u v
                 then "cp"
                 else "pc"
             | Some Node_meta.Peer -> "pp"
@@ -70,49 +79,110 @@ let save ~path t =
           in
           Printf.fprintf oc "e %d %d %s\n" u v rel))
 
+(* Lines are read before anything is sized from the header, so a header
+   that overstates n or m fails on the line count instead of allocating
+   what it claims. *)
 let load ~path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let header = input_line ic in
-      let n, m =
-        match String.split_on_char ' ' header with
-        | [ "brokerset-topology"; "1"; n; m ] -> (int_of_string n, int_of_string m)
-        | _ -> failwith "Dataset.load: bad header"
+  In_channel.with_open_text path (fun ic ->
+      let line = ref 0 in
+      let bad fmt =
+        Printf.ksprintf
+          (fun what ->
+            invalid_arg (Printf.sprintf "Dataset.load: %s:%d: %s" path !line what))
+          fmt
       in
+      let next () =
+        match In_channel.input_line ic with
+        | Some l ->
+            incr line;
+            Some l
+        | None -> None
+      in
+      let int_field s =
+        match int_of_string_opt s with Some x -> x | None -> bad "not an integer: %S" s
+      in
+      let n, m =
+        let header = match next () with Some h -> h | None -> "" in
+        line := 1;
+        match String.split_on_char ' ' header with
+        | [ "brokerset-topology"; "1"; n; m ] -> (
+            match (int_of_string_opt n, int_of_string_opt m) with
+            | Some n, Some m when n >= 0 && m >= 0 -> (n, m)
+            | _ -> bad "bad header")
+        | _ -> bad "bad header"
+      in
+      let vertex what s =
+        let v = int_field s in
+        if v < 0 || v >= n then bad "%s %d out of range [0, %d)" what v n;
+        v
+      in
+      let nodes = ref [] and n_nodes = ref 0 in
+      let edges = ref [] and n_edges = ref 0 in
+      let rec read () =
+        match next () with
+        | None -> ()
+        | Some l ->
+            (match String.split_on_char ' ' l with
+            | "n" :: v :: kind :: tier :: name_parts ->
+                let v = vertex "node id" v in
+                let kind =
+                  match kind_of_code kind with Some k -> k | None -> bad "unknown kind %S" kind
+                in
+                let tier = int_field tier in
+                if !n_nodes = n then bad "more node lines than the header's %d" n;
+                incr n_nodes;
+                nodes := (v, kind, tier, String.concat " " name_parts, !line) :: !nodes
+            | [ "e"; u; v; rel ] ->
+                let u = vertex "edge endpoint" u in
+                let v = vertex "edge endpoint" v in
+                if u = v then bad "self-loop on %d" u;
+                let label =
+                  match label_of_code rel with
+                  | Some l -> l
+                  | None -> bad "unknown relation %S" rel
+                in
+                if !n_edges = m then bad "more edge lines than the header's %d" m;
+                incr n_edges;
+                edges := (u, v, label, !line) :: !edges
+            | [] | [ "" ] -> ()
+            | _ -> bad "malformed line");
+            read ()
+      in
+      read ();
+      if !n_nodes <> n then bad "%d node lines, the header declares %d" !n_nodes n;
+      if !n_edges <> m then bad "%d edge lines, the header declares %d" !n_edges m;
       let kinds = Array.make n Node_meta.Enterprise in
       let tiers = Array.make n 3 in
       let names = Array.make n "" in
-      let relations = Node_meta.Relations.create () in
-      let edges = Array.make m (0, 0) in
-      let n_edges = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           match String.split_on_char ' ' line with
-           | "n" :: v :: kind :: tier :: name_parts ->
-               let v = int_of_string v in
-               kinds.(v) <- kind_of_code kind;
-               tiers.(v) <- int_of_string tier;
-               names.(v) <- String.concat " " name_parts
-           | [ "e"; u; v; rel ] ->
-               let u = int_of_string u and v = int_of_string v in
-               edges.(!n_edges) <- (u, v);
-               incr n_edges;
-               (match rel with
-               | "cp" -> Node_meta.Relations.add_c2p relations ~customer:u ~provider:v
-               | "pc" -> Node_meta.Relations.add_c2p relations ~customer:v ~provider:u
-               | "pp" -> Node_meta.Relations.add_peer relations u v
-               | "im" ->
-                   if Node_meta.kind_equal kinds.(v) Node_meta.Ixp then
-                     Node_meta.Relations.add_ixp_member relations ~as_node:u ~ixp:v
-                   else Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp:u
-               | "--" -> ()
-               | s -> failwith (Printf.sprintf "Dataset.load: unknown relation %S" s))
-           | [] | [ "" ] -> ()
-           | _ -> failwith "Dataset.load: malformed line"
-         done
-       with End_of_file -> ());
-      let graph = G.of_edges ~n (Array.sub edges 0 !n_edges) in
+      let listed = Array.make n false in
+      List.iter
+        (fun (v, kind, tier, name, at) ->
+          line := at;
+          if listed.(v) then bad "node %d listed twice" v;
+          listed.(v) <- true;
+          kinds.(v) <- kind;
+          tiers.(v) <- tier;
+          names.(v) <- name)
+        (List.rev !nodes);
+      let edges = Array.of_list (List.rev !edges) in
+      let graph = G.of_edges ~n (Array.map (fun (u, v, _, _) -> (u, v)) edges) in
+      let relations = Relations.create graph in
+      let is_ixp v = Node_meta.kind_equal kinds.(v) Node_meta.Ixp in
+      let seen = Broker_util.Bitset.create (G.arcs graph) in
+      Array.iter
+        (fun (u, v, label, at) ->
+          line := at;
+          let i = G.find_arc graph (Int.min u v) (Int.max u v) in
+          if Broker_util.Bitset.mem seen i then bad "edge (%d, %d) listed twice" u v;
+          Broker_util.Bitset.add seen i;
+          match label with
+          | Relations.Up -> Relations.add_c2p relations ~customer:u ~provider:v
+          | Relations.Down -> Relations.add_c2p relations ~customer:v ~provider:u
+          | Relations.Peer -> Relations.add_peer relations u v
+          | Relations.Ixp_member ->
+              if is_ixp v then Relations.add_ixp_member relations ~as_node:u ~ixp:v
+              else if is_ixp u then Relations.add_ixp_member relations ~as_node:v ~ixp:u
+              else bad "im edge (%d, %d) has no IXP endpoint" u v
+          | Relations.Unlabelled -> ())
+        edges;
       { Topology.graph; kinds; tiers; names; relations })

@@ -76,15 +76,20 @@ let generate params =
   let n_total = n_as + n_ixp in
   let kinds = Array.make n_total Node_meta.Enterprise in
   let tiers = Array.make n_total 3 in
-  let relations = Node_meta.Relations.create () in
+  (* Accepted edges, newest first, and beside them their relations: for
+     [Customer_provider] the first endpoint is the customer, for
+     [Ixp_member] it is the AS. The arcs are labelled once the graph
+     exists. *)
   let edges = ref [] in
+  let rels = ref [] in
   let n_edges = ref 0 in
   let edge_seen = Hashtbl.create (4 * as_as_edge_target) in
-  let add_edge u v =
-    let key = if u < v then (u, v) else (v, u) in
+  let add_edge u v rel =
+    let key = if u < v then (u * n_total) + v else (v * n_total) + u in
     if u <> v && not (Hashtbl.mem edge_seen key) then begin
       Hashtbl.replace edge_seen key ();
       edges := (u, v) :: !edges;
+      rels := rel :: !rels;
       incr n_edges;
       true
     end
@@ -115,8 +120,7 @@ let generate params =
   (* Tier-1 clique: settlement-free peering. *)
   for u = 0 to n_tier1 - 1 do
     for v = u + 1 to n_tier1 - 1 do
-      if add_edge u v then begin
-        Node_meta.Relations.add_peer relations u v;
+      if add_edge u v Node_meta.Peer then begin
         pool_push core_pool u;
         pool_push core_pool v
       end
@@ -134,8 +138,7 @@ let generate params =
     done;
     Hashtbl.iter
       (fun p () ->
-        if add_edge v p then begin
-          Node_meta.Relations.add_c2p relations ~customer:v ~provider:p;
+        if add_edge v p Node_meta.Customer_provider then begin
           pool_push core_pool v;
           pool_push core_pool p
         end)
@@ -162,11 +165,8 @@ let generate params =
     done;
     Hashtbl.iter
       (fun p () ->
-        if add_edge v p then begin
-          Node_meta.Relations.add_c2p relations ~customer:v ~provider:p;
-          pool_push core_pool p
-          (* Stubs are not pushed: they never attract attachments. *)
-        end)
+        (* Stubs are not pushed: they never attract attachments. *)
+        if add_edge v p Node_meta.Customer_provider then pool_push core_pool p)
       providers_buf
   done;
   (* Extra peering links up to the AS-AS edge budget. Endpoints are drawn
@@ -184,8 +184,7 @@ let generate params =
     incr guard;
     let u = pool_draw rng all_pool in
     let v = pool_draw rng all_pool in
-    if u <> v && add_edge u v then begin
-      Node_meta.Relations.add_peer relations u v;
+    if u <> v && add_edge u v Node_meta.Peer then begin
       pool_push all_pool u;
       pool_push all_pool v
     end
@@ -215,14 +214,7 @@ let generate params =
   let draw_ixp = Broker_util.Sampling.weighted_alias ixp_weights in
   (* Every connected AS gets one membership; the remaining budget goes to
      degree-weighted repeat memberships. *)
-  let add_membership v ixp_local =
-    let ixp = n_as + ixp_local in
-    if add_edge v ixp then begin
-      Node_meta.Relations.add_ixp_member relations ~as_node:v ~ixp;
-      true
-    end
-    else false
-  in
+  let add_membership v ixp_local = add_edge v (n_as + ixp_local) Node_meta.Ixp_member in
   Array.iter (fun v -> ignore (add_membership v (draw_ixp rng))) members;
   let member_pool = pool_create (4 * Array.length members) in
   Array.iter
@@ -256,6 +248,13 @@ let generate params =
         else Printf.sprintf "IXP-%d" (v - n_as))
   in
   let graph = G.of_edges ~n:n_total (Array.of_list !edges) in
+  let relations = Relations.create graph in
+  List.iter2
+    (fun (u, v) -> function
+      | Node_meta.Customer_provider -> Relations.add_c2p relations ~customer:u ~provider:v
+      | Node_meta.Peer -> Relations.add_peer relations u v
+      | Node_meta.Ixp_member -> Relations.add_ixp_member relations ~as_node:u ~ixp:v)
+    !edges !rels;
   Log.info (fun m ->
       m "generated topology: %d ASes + %d IXPs, %d edges (seed %d)" n_as n_ixp
         (G.m graph) seed);

@@ -13,52 +13,3 @@ let is_as = function Ixp -> false | Tier1 | Transit | Access | Content | Enterpr
 let all_kinds = [ Tier1; Transit; Access; Content; Enterprise; Ixp ]
 
 type relation = Customer_provider | Peer | Ixp_member
-
-module Relations = struct
-  (* Keyed by the canonical (min, max) pair; the payload records which
-     orientation is the customer for C2P links. *)
-  type entry = C2p_low_customer | C2p_high_customer | Peer_e | Ixp_e
-
-  type t = (int * int, entry) Hashtbl.t
-
-  let create () : t = Hashtbl.create 1024
-
-  let key u v = if u < v then (u, v) else (v, u)
-
-  let add_c2p t ~customer ~provider =
-    if customer = provider then invalid_arg "Relations.add_c2p: self edge";
-    let entry =
-      if customer < provider then C2p_low_customer else C2p_high_customer
-    in
-    Hashtbl.replace t (key customer provider) entry
-
-  let add_peer t u v =
-    if u = v then invalid_arg "Relations.add_peer: self edge";
-    Hashtbl.replace t (key u v) Peer_e
-
-  let add_ixp_member t ~as_node ~ixp =
-    if as_node = ixp then invalid_arg "Relations.add_ixp_member: self edge";
-    Hashtbl.replace t (key as_node ixp) Ixp_e
-
-  let find t u v =
-    match Hashtbl.find_opt t (key u v) with
-    | None -> None
-    | Some (C2p_low_customer | C2p_high_customer) -> Some Customer_provider
-    | Some Peer_e -> Some Peer
-    | Some Ixp_e -> Some Ixp_member
-
-  let customer_of t u v =
-    match Hashtbl.find_opt t (key u v) with
-    | Some C2p_low_customer -> u < v
-    | Some C2p_high_customer -> u > v
-    | Some (Peer_e | Ixp_e) | None -> false
-
-  let provider_of t u v = customer_of t v u
-
-  let peers t u v =
-    match Hashtbl.find_opt t (key u v) with
-    | Some (Peer_e | Ixp_e) -> true
-    | Some (C2p_low_customer | C2p_high_customer) | None -> false
-
-  let cardinal t = Hashtbl.length t
-end

@@ -23,31 +23,7 @@ val all_kinds : kind list
 
 type relation =
   | Customer_provider
-      (** the canonical lower endpoint pays the higher one; orientation is
-          stored by {!Relations.add_c2p} *)
+      (** one endpoint buys transit from the other; {!Relations} records
+          which one per arc *)
   | Peer
   | Ixp_member
-
-(** Business relations of all edges of a topology. Lookup is
-    orientation-aware: [customer_of t u v] answers whether [u] buys transit
-    from [v]. *)
-module Relations : sig
-  type t
-
-  val create : unit -> t
-  val add_c2p : t -> customer:int -> provider:int -> unit
-  val add_peer : t -> int -> int -> unit
-  val add_ixp_member : t -> as_node:int -> ixp:int -> unit
-
-  val find : t -> int -> int -> relation option
-  (** Relation of the undirected edge, if recorded. *)
-
-  val customer_of : t -> int -> int -> bool
-  (** [customer_of t u v] iff the edge is C2P with [u] the customer. *)
-
-  val provider_of : t -> int -> int -> bool
-  val peers : t -> int -> int -> bool
-  (** True for both [Peer] and [Ixp_member] edges. *)
-
-  val cardinal : t -> int
-end

@@ -5,7 +5,7 @@ type t = {
   kinds : Node_meta.kind array;
   tiers : int array;
   names : string array;
-  relations : Node_meta.Relations.t;
+  relations : Relations.t;
 }
 
 let n t = G.n t.graph
@@ -44,16 +44,7 @@ let with_ases_only t =
       if remap.(u) >= 0 && remap.(v) >= 0 then
         edges := (remap.(u), remap.(v)) :: !edges);
   let graph = G.of_edges ~n:(Array.length old_ids) (Array.of_list !edges) in
-  let relations = Node_meta.Relations.create () in
-  G.iter_edges graph (fun u v ->
-      let ou = old_ids.(u) and ov = old_ids.(v) in
-      match Node_meta.Relations.find t.relations ou ov with
-      | Some Node_meta.Customer_provider ->
-          if Node_meta.Relations.customer_of t.relations ou ov then
-            Node_meta.Relations.add_c2p relations ~customer:u ~provider:v
-          else Node_meta.Relations.add_c2p relations ~customer:v ~provider:u
-      | Some Node_meta.Peer -> Node_meta.Relations.add_peer relations u v
-      | Some Node_meta.Ixp_member | None -> ());
+  let relations = Relations.remap t.relations graph ~old_id:(Array.get old_ids) in
   ( {
       graph;
       kinds = Array.map (fun old_id -> t.kinds.(old_id)) old_ids;

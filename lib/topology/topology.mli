@@ -8,7 +8,7 @@ type t = {
   tiers : int array;
       (** 1 = tier-1, 2 = transit, 3 = stub levels, 0 = IXP *)
   names : string array;
-  relations : Node_meta.Relations.t;
+  relations : Relations.t;  (** labels of [graph]'s arcs *)
 }
 
 val n : t -> int

@@ -116,16 +116,79 @@ let test_xrandom_split_diverges () =
 
 (* ---------- Dataset malformed input ---------- *)
 
-let test_dataset_bad_header () =
+(* Loading [contents] must fail with the line-numbered message. *)
+let dataset_fails ~line what contents =
   let path = Filename.temp_file "bad" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      let oc = open_out path in
-      output_string oc "not-a-topology\n";
-      close_out oc;
-      Alcotest.check_raises "bad header" (Failure "Dataset.load: bad header")
+      Out_channel.with_open_text path (fun oc -> output_string oc contents);
+      Alcotest.check_raises what
+        (Invalid_argument (Printf.sprintf "Dataset.load: %s:%d: %s" path line what))
         (fun () -> ignore (Broker_topo.Dataset.load ~path)))
+
+(* Two ASes and an IXP; [edges] follow the node lines, from line 5. *)
+let dataset ?(m = 1) edges =
+  Printf.sprintf "brokerset-topology 1 3 %d\nn 0 t1 1 A\nn 1 tr 2 B\nn 2 ix 0 X\n%s" m
+    (String.concat "" (List.map (fun e -> e ^ "\n") edges))
+
+let test_dataset_bad_header () =
+  dataset_fails ~line:1 "bad header" "not-a-topology\n";
+  dataset_fails ~line:1 "bad header" "";
+  dataset_fails ~line:1 "bad header" "brokerset-topology 1 -3 0\n"
+
+let test_dataset_not_integer () =
+  dataset_fails ~line:3 "not an integer: \"x\""
+    "brokerset-topology 1 2 0\nn 0 t1 1 A\nn 1 tr x B\n";
+  dataset_fails ~line:5 "not an integer: \"one\"" (dataset [ "e 0 one cp" ])
+
+let test_dataset_ids_out_of_range () =
+  dataset_fails ~line:2 "node id 3 out of range [0, 3)"
+    "brokerset-topology 1 3 0\nn 3 t1 1 A\n";
+  dataset_fails ~line:5 "edge endpoint 7 out of range [0, 3)" (dataset [ "e 0 7 cp" ]);
+  dataset_fails ~line:5 "edge endpoint -1 out of range [0, 3)" (dataset [ "e -1 0 cp" ])
+
+let test_dataset_line_counts () =
+  dataset_fails ~line:6 "more edge lines than the header's 1"
+    (dataset [ "e 0 1 cp"; "e 0 2 im" ]);
+  dataset_fails ~line:5 "1 edge lines, the header declares 2" (dataset ~m:2 [ "e 0 1 cp" ]);
+  dataset_fails ~line:3 "1 node lines, the header declares 2"
+    "brokerset-topology 1 2 0\nn 0 t1 1 A\n\n";
+  dataset_fails ~line:3 "node 0 listed twice"
+    "brokerset-topology 1 2 0\nn 0 t1 1 A\nn 0 tr 2 B\n"
+
+let test_dataset_self_loop () =
+  dataset_fails ~line:5 "self-loop on 0" (dataset [ "e 0 0 cp" ])
+
+let test_dataset_duplicate_edge () =
+  dataset_fails ~line:6 "edge (1, 0) listed twice" (dataset ~m:2 [ "e 0 1 cp"; "e 1 0 pc" ]);
+  dataset_fails ~line:6 "edge (0, 1) listed twice" (dataset ~m:2 [ "e 0 1 pp"; "e 0 1 pp" ])
+
+let test_dataset_unknown_codes () =
+  dataset_fails ~line:2 "unknown kind \"zz\"" "brokerset-topology 1 1 0\nn 0 zz 1 A\n";
+  dataset_fails ~line:5 "unknown relation \"xx\"" (dataset [ "e 0 1 xx" ])
+
+let test_dataset_im_without_ixp () =
+  dataset_fails ~line:5 "im edge (0, 1) has no IXP endpoint" (dataset [ "e 0 1 im" ])
+
+let test_dataset_malformed_line () =
+  dataset_fails ~line:5 "malformed line" (dataset [ "e 0 1" ]);
+  dataset_fails ~line:2 "malformed line" "brokerset-topology 1 0 0\nhello\n"
+
+let test_dataset_valid_fixture () =
+  (* The fixture itself loads: every failure above is the line's fault. *)
+  let path = Filename.temp_file "ok" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (dataset ~m:2 [ "e 0 1 cp"; "e 2 0 im" ]));
+      let t = Broker_topo.Dataset.load ~path in
+      check_bool "c2p" true
+        (Broker_topo.Relations.customer_of t.Broker_topo.Topology.relations 0 1);
+      check_bool "membership" true
+        (Broker_topo.Relations.find t.Broker_topo.Topology.relations 0 2
+        = Some Broker_topo.Node_meta.Ixp_member))
 
 (* ---------- Connectivity.value_at clamping ---------- *)
 
@@ -158,7 +221,7 @@ let test_directional_unknown_relations_behave_as_peering () =
       kinds = Array.make 4 Broker_topo.Node_meta.Transit;
       tiers = Array.make 4 2;
       names = Array.init 4 string_of_int;
-      relations = Broker_topo.Node_meta.Relations.create ();
+      relations = Broker_topo.Relations.create graph;
     }
   in
   let sat =
@@ -197,6 +260,15 @@ let suite =
     ( "edge_cases.misc",
       [
         Alcotest.test_case "dataset bad header" `Quick test_dataset_bad_header;
+        Alcotest.test_case "dataset non-integer field" `Quick test_dataset_not_integer;
+        Alcotest.test_case "dataset id out of range" `Quick test_dataset_ids_out_of_range;
+        Alcotest.test_case "dataset line counts" `Quick test_dataset_line_counts;
+        Alcotest.test_case "dataset self-loop" `Quick test_dataset_self_loop;
+        Alcotest.test_case "dataset duplicate edge" `Quick test_dataset_duplicate_edge;
+        Alcotest.test_case "dataset unknown codes" `Quick test_dataset_unknown_codes;
+        Alcotest.test_case "dataset im without IXP" `Quick test_dataset_im_without_ixp;
+        Alcotest.test_case "dataset malformed line" `Quick test_dataset_malformed_line;
+        Alcotest.test_case "dataset valid fixture" `Quick test_dataset_valid_fixture;
         Alcotest.test_case "value_at clamps" `Quick test_value_at_clamps;
         Alcotest.test_case "alpha_beta disconnected" `Quick test_alpha_beta_disconnected;
         Alcotest.test_case "directional unknown relations" `Quick test_directional_unknown_relations_behave_as_peering;

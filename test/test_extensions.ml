@@ -298,7 +298,7 @@ let test_churn_new_nodes_attached () =
     (* All new relations recorded. *)
     G.iter_neighbors g v (fun w ->
         check_bool "relation recorded" true
-          (Broker_topo.Node_meta.Relations.find grown.Broker_topo.Topology.relations v w
+          (Broker_topo.Relations.find grown.Broker_topo.Topology.relations v w
           <> None))
   done
 

@@ -131,7 +131,8 @@ let betweenness_leaves =
       Array.iteri (fun v x -> if G.degree g v <= 1 && x <> 0.0 then ok := false) c;
       !ok)
 
-(* Dataset save/load is the identity on generated topologies. *)
+(* Dataset save/load is the identity on generated topologies, down to
+   the relation label of every arc. *)
 let dataset_roundtrip =
   q ~count:10 "dataset roundtrip" seed_arb (fun seed ->
       let t = small_internet ~seed ~scale:0.004 () in
@@ -141,8 +142,11 @@ let dataset_roundtrip =
         (fun () ->
           Broker_topo.Dataset.save ~path t;
           let t' = Broker_topo.Dataset.load ~path in
-          G.edges t.Broker_topo.Topology.graph = G.edges t'.Broker_topo.Topology.graph
-          && t.Broker_topo.Topology.kinds = t'.Broker_topo.Topology.kinds))
+          let g = t.Broker_topo.Topology.graph in
+          let label t i = Broker_topo.Relations.arc t.Broker_topo.Topology.relations i in
+          G.edges g = G.edges t'.Broker_topo.Topology.graph
+          && t.Broker_topo.Topology.kinds = t'.Broker_topo.Topology.kinds
+          && List.for_all (fun i -> label t i = label t' i) (List.init (G.arcs g) Fun.id)))
 
 (* MCBG keeps its guarantee across beta values. *)
 let mcbg_guarantee_any_beta =

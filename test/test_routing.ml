@@ -5,6 +5,7 @@
 open Helpers
 module G = Broker_graph.Graph
 module Nm = Broker_topo.Node_meta
+module Rel = Broker_topo.Relations
 module T = Broker_topo.Topology
 module Policy = Broker_routing.Policy
 module Bgp = Broker_routing.Bgp
@@ -37,18 +38,18 @@ let fixture () =
   in
   let tiers = [| 1; 1; 2; 2; 2; 3; 3; 3; 3; 0 |] in
   let names = Array.init 10 (fun i -> Printf.sprintf "N%d" i) in
-  let relations = Nm.Relations.create () in
-  Nm.Relations.add_peer relations 0 1;
-  Nm.Relations.add_c2p relations ~customer:2 ~provider:0;
-  Nm.Relations.add_c2p relations ~customer:3 ~provider:0;
-  Nm.Relations.add_c2p relations ~customer:4 ~provider:1;
-  Nm.Relations.add_c2p relations ~customer:5 ~provider:2;
-  Nm.Relations.add_c2p relations ~customer:6 ~provider:3;
-  Nm.Relations.add_c2p relations ~customer:7 ~provider:4;
-  Nm.Relations.add_c2p relations ~customer:8 ~provider:4;
-  Nm.Relations.add_ixp_member relations ~as_node:2 ~ixp:9;
-  Nm.Relations.add_ixp_member relations ~as_node:4 ~ixp:9;
-  Nm.Relations.add_peer relations 3 4;
+  let relations = Rel.create graph in
+  Rel.add_peer relations 0 1;
+  Rel.add_c2p relations ~customer:2 ~provider:0;
+  Rel.add_c2p relations ~customer:3 ~provider:0;
+  Rel.add_c2p relations ~customer:4 ~provider:1;
+  Rel.add_c2p relations ~customer:5 ~provider:2;
+  Rel.add_c2p relations ~customer:6 ~provider:3;
+  Rel.add_c2p relations ~customer:7 ~provider:4;
+  Rel.add_c2p relations ~customer:8 ~provider:4;
+  Rel.add_ixp_member relations ~as_node:2 ~ixp:9;
+  Rel.add_ixp_member relations ~as_node:4 ~ixp:9;
+  Rel.add_peer relations 3 4;
   { T.graph; kinds; tiers; names; relations }
 
 (* ---------- Policy ---------- *)
@@ -218,6 +219,196 @@ let test_upgrade_fraction_bounds () =
     (fun () ->
       ignore (Directional.upgrade_broker_edges ~rng:(rng ()) t ~brokers:[| 0 |] ~fraction:1.5))
 
+(* ---------- Directional oracle ---------- *)
+
+(* The hashtable-era valley-free BFS, kept as the oracle of the arc-label
+   engine. It answers relations through the O(log d) edge queries and
+   upgrades through [Directional.is_upgraded]. *)
+let oracle_distances topo ~is_broker ~upgrades src =
+  let g = topo.T.graph in
+  let n = G.n g in
+  let rel = topo.T.relations in
+  let is_ixp v = T.is_ixp topo v in
+  let dist = Array.make (2 * n) (-1) in
+  let queue = Array.make (2 * n) 0 in
+  let head = ref 0 and tail = ref 0 in
+  let push v s d =
+    let i = (2 * v) + s in
+    if dist.(i) < 0 then begin
+      dist.(i) <- d;
+      queue.(!tail) <- i;
+      incr tail
+    end
+  in
+  push src 0 0;
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
+    let u = i / 2 and s = i land 1 in
+    let d = dist.(i) in
+    G.iter_neighbors g u (fun v ->
+        if is_broker u || is_broker v then begin
+          if Directional.is_upgraded upgrades u v then push v s (d + 1)
+          else if is_ixp v then begin
+            if s = 0 then push v 0 (d + 1)
+          end
+          else if is_ixp u then begin
+            if s = 0 then push v 1 (d + 1)
+          end
+          else if Rel.customer_of rel u v then begin
+            if s = 0 then push v 0 (d + 1)
+          end
+          else if Rel.provider_of rel u v then push v 1 (d + 1)
+          else if s = 0 then push v 1 (d + 1)
+        end)
+  done;
+  Array.init n (fun v ->
+      let a = dist.(2 * v) and b = dist.((2 * v) + 1) in
+      if a < 0 then b else if b < 0 then a else min a b)
+
+let oracle_curve ~l_max topo ~is_broker ~upgrades srcs =
+  let n = T.n topo in
+  let hist = Array.make (l_max + 1) 0 in
+  let reached = ref 0 and total = ref 0 in
+  Array.iter
+    (fun s ->
+      Array.iteri
+        (fun v d ->
+          if v <> s && d > 0 then begin
+            incr reached;
+            if d <= l_max then hist.(d) <- hist.(d) + 1
+          end)
+        (oracle_distances topo ~is_broker ~upgrades s);
+      total := !total + (n - 1))
+    srcs;
+  let ftotal = float_of_int (max 1 !total) in
+  let acc = ref 0 in
+  let per_hop =
+    Array.init (l_max + 1) (fun l ->
+        if l > 0 then acc := !acc + hist.(l);
+        if l = 0 then 0.0 else float_of_int !acc /. ftotal)
+  in
+  { Conn.l_max; per_hop; saturated = float_of_int !reached /. ftotal }
+
+let curves_bitwise_equal (a : Conn.curve) (b : Conn.curve) =
+  a.Conn.l_max = b.Conn.l_max
+  && Float.equal a.Conn.saturated b.Conn.saturated
+  && Array.for_all2 Float.equal a.Conn.per_hop b.Conn.per_hop
+
+(* A small random labelled topology: about one node in five an IXP, and
+   each edge given any label (both C2P orientations, peering, IXP
+   membership — also between two ASes — or none), whatever its
+   endpoints' kinds. *)
+let labelled_topology rng ~n ~m =
+  let module X = Broker_util.Xrandom in
+  let graph = random_graph rng ~n ~m in
+  let as_kinds = [| Nm.Tier1; Nm.Transit; Nm.Access; Nm.Content; Nm.Enterprise |] in
+  let kinds = Array.init n (fun _ -> if X.int rng 5 = 0 then Nm.Ixp else X.pick rng as_kinds) in
+  let relations = Rel.create graph in
+  G.iter_edges graph (fun u v ->
+      match X.int rng 6 with
+      | 0 -> Rel.add_c2p relations ~customer:u ~provider:v
+      | 1 -> Rel.add_c2p relations ~customer:v ~provider:u
+      | 2 -> Rel.add_peer relations u v
+      | 3 -> Rel.add_ixp_member relations ~as_node:u ~ixp:v
+      | _ -> ());
+  {
+    T.graph;
+    kinds;
+    tiers = Array.map (fun k -> if Nm.kind_equal k Nm.Ixp then 0 else 2) kinds;
+    names = Array.init n string_of_int;
+    relations;
+  }
+
+type oracle_outcome = Agree | Vacuous | Disagree of string
+
+(* The arc-label engine against the oracle, checked the way SNIPPETS.md's
+   check_prop does it: a fixed seed, and a tally of the cases whose
+   precondition failed (here: no arc has a broker endpoint, so every
+   source reaches only itself). Every source's distance vector and the
+   curve over all sources must be bitwise equal, at upgrade fractions 0,
+   0.3 and 1. *)
+let test_directional_oracle () =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 30 >>= fun n ->
+      int_range 0 70 >>= fun m ->
+      int_range 0 100 >>= fun broker_pct ->
+      int_range 0 1_000_000 >|= fun seed -> (n, m, broker_pct, seed))
+  in
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 42 |]) ~n:300 gen in
+  let check (n, m, broker_pct, seed) =
+    let rng = Broker_util.Xrandom.create seed in
+    let topo = labelled_topology rng ~n ~m in
+    let brokers =
+      List.filter (fun _ -> Broker_util.Xrandom.int rng 100 < broker_pct) (List.init n Fun.id)
+      |> Array.of_list
+    in
+    let is_broker = Conn.of_brokers ~n brokers in
+    let dominated = ref false in
+    G.iter_edges topo.T.graph (fun u v -> if is_broker u || is_broker v then dominated := true);
+    let sources = Array.init n Fun.id in
+    let disagreement =
+      List.find_map
+        (fun fraction ->
+          let upgrades = Directional.upgrade_broker_edges ~rng topo ~brokers ~fraction in
+          let bad_source =
+            Array.find_opt
+              (fun s ->
+                Directional.distances ~upgrades topo ~is_broker s
+                <> oracle_distances topo ~is_broker ~upgrades s)
+              sources
+          in
+          let curve =
+            Directional.curve_sampled ~l_max:4 ~upgrades ~source_set:sources ~rng ~sources:n
+              topo ~is_broker
+          in
+          match bad_source with
+          | Some s -> Some (Printf.sprintf "fraction %g: source %d" fraction s)
+          | None ->
+              if curves_bitwise_equal curve (oracle_curve ~l_max:4 topo ~is_broker ~upgrades sources)
+              then None
+              else Some (Printf.sprintf "fraction %g: curve" fraction))
+        [ 0.0; 0.3; 1.0 ]
+    in
+    match disagreement with
+    | Some what ->
+        Disagree
+          (Printf.sprintf "n=%d m=%d brokers=%d%% seed=%d: %s" n m broker_pct seed what)
+    | None -> if !dominated then Agree else Vacuous
+  in
+  let outcomes = List.map check cases in
+  let count p = List.length (List.filter p outcomes) in
+  let agree = count (function Agree -> true | Vacuous | Disagree _ -> false) in
+  let vacuous = count (function Vacuous -> true | Agree | Disagree _ -> false) in
+  let failures = List.filter_map (function Disagree d -> Some d | Agree | Vacuous -> None) outcomes in
+  Printf.printf "%d cases for the valley-free oracle: %d agree, %d failures, %d discarded (no dominated arc)\n"
+    (List.length outcomes) agree (List.length failures) vacuous;
+  List.iter print_endline failures;
+  check_int "disagreements" 0 (List.length failures);
+  check_bool "most cases have dominated arcs" true (agree > 4 * vacuous)
+
+let test_upgrades_bound_to_graph () =
+  let t = fixture () in
+  let upgrades =
+    Directional.upgrade_broker_edges ~rng:(rng ()) t ~brokers:[| 0; 1; 2; 3; 4 |] ~fraction:1.0
+  in
+  let other = small_internet ~seed:6 ~scale:0.005 () in
+  Alcotest.check_raises "another graph"
+    (Invalid_argument "Directional: upgrades drawn on another graph") (fun () ->
+      ignore
+        (Directional.saturated_sampled ~upgrades ~rng:(rng ()) ~sources:4 other
+           ~is_broker:(fun _ -> true)));
+  (* An equal graph built again is the same graph; no_upgrades fits any. *)
+  ignore
+    (Directional.saturated_sampled ~upgrades ~rng:(rng ()) ~sources:4 (fixture ())
+       ~is_broker:(fun _ -> true));
+  ignore
+    (Directional.saturated_sampled ~upgrades:Directional.no_upgrades ~rng:(rng ()) ~sources:4
+       other ~is_broker:(fun _ -> true));
+  check_bool "upgraded edge" true (Directional.is_upgraded upgrades 2 0);
+  check_bool "non-broker edge" false (Directional.is_upgraded upgrades 2 5)
+
 (* ---------- Stitch ---------- *)
 
 let test_stitch_simple () =
@@ -273,6 +464,8 @@ let suite =
         Alcotest.test_case "upgrades monotone" `Quick test_directional_upgrades_monotone;
         Alcotest.test_case "below bidirectional" `Quick test_directional_below_bidirectional;
         Alcotest.test_case "fraction bounds" `Quick test_upgrade_fraction_bounds;
+        Alcotest.test_case "oracle agreement" `Quick test_directional_oracle;
+        Alcotest.test_case "upgrades bound to graph" `Quick test_upgrades_bound_to_graph;
       ] );
     ( "routing.stitch",
       [

@@ -92,7 +92,7 @@ let star_topo n =
     kinds = Array.make n Broker_topo.Node_meta.Transit;
     tiers = Array.make n 2;
     names = Array.init n (fun i -> Printf.sprintf "AS%d" i);
-    relations = Broker_topo.Node_meta.Relations.create ();
+    relations = Broker_topo.Relations.create graph;
   }
 
 let session ~id ~src ~dst ~arrival ~duration =
@@ -899,7 +899,7 @@ let test_latency_relation_bases () =
   let lat = Latency.assign ~rng:(rng ()) t in
   G.iter_edges t.Broker_topo.Topology.graph (fun u v ->
       let l = Latency.edge_latency lat u v in
-      match Broker_topo.Node_meta.Relations.find t.Broker_topo.Topology.relations u v with
+      match Broker_topo.Relations.find t.Broker_topo.Topology.relations u v with
       | Some Broker_topo.Node_meta.Ixp_member ->
           check_bool "ixp range" true (l >= 1.0 && l <= 3.0)
       | Some Broker_topo.Node_meta.Peer ->

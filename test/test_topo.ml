@@ -4,36 +4,76 @@
 open Helpers
 module G = Broker_graph.Graph
 module Nm = Broker_topo.Node_meta
+module Rel = Broker_topo.Relations
 module T = Broker_topo.Topology
 module Classic = Broker_topo.Classic
 module Internet = Broker_topo.Internet
 module Dataset = Broker_topo.Dataset
 
-(* ---------- Node_meta.Relations ---------- *)
+(* ---------- Relations ---------- *)
 
 let test_relations_c2p_orientation () =
-  let r = Nm.Relations.create () in
-  Nm.Relations.add_c2p r ~customer:5 ~provider:2;
-  check_bool "customer" true (Nm.Relations.customer_of r 5 2);
-  check_bool "not reversed" false (Nm.Relations.customer_of r 2 5);
-  check_bool "provider" true (Nm.Relations.provider_of r 2 5);
-  check_bool "find" true (Nm.Relations.find r 2 5 = Some Nm.Customer_provider);
-  check_bool "not peers" false (Nm.Relations.peers r 5 2)
+  let g = G.of_edges ~n:6 [| (2, 5) |] in
+  let r = Rel.create g in
+  Rel.add_c2p r ~customer:5 ~provider:2;
+  check_bool "customer" true (Rel.customer_of r 5 2);
+  check_bool "not reversed" false (Rel.customer_of r 2 5);
+  check_bool "provider" true (Rel.provider_of r 2 5);
+  check_bool "find" true (Rel.find r 2 5 = Some Nm.Customer_provider);
+  check_bool "not peers" false (Rel.peers r 5 2);
+  check_bool "customer arc up" true (Rel.arc r (G.find_arc g 5 2) = Rel.Up);
+  check_bool "provider arc down" true (Rel.arc r (G.find_arc g 2 5) = Rel.Down)
 
 let test_relations_peer_ixp () =
-  let r = Nm.Relations.create () in
-  Nm.Relations.add_peer r 1 2;
-  Nm.Relations.add_ixp_member r ~as_node:3 ~ixp:9;
-  check_bool "peer both ways" true (Nm.Relations.peers r 2 1);
-  check_bool "ixp as peer" true (Nm.Relations.peers r 3 9);
-  check_bool "find ixp" true (Nm.Relations.find r 9 3 = Some Nm.Ixp_member);
-  check_bool "missing" true (Nm.Relations.find r 1 9 = None);
-  check_int "cardinal" 2 (Nm.Relations.cardinal r)
+  let r = Rel.create (G.of_edges ~n:10 [| (1, 2); (3, 9); (1, 9) |]) in
+  Rel.add_peer r 1 2;
+  Rel.add_ixp_member r ~as_node:3 ~ixp:9;
+  check_bool "peer both ways" true (Rel.peers r 2 1);
+  check_bool "ixp as peer" true (Rel.peers r 3 9);
+  check_bool "find ixp" true (Rel.find r 9 3 = Some Nm.Ixp_member);
+  check_bool "unlabelled edge" true (Rel.find r 1 9 = None);
+  check_bool "non-edge" true (Rel.find r 1 3 = None);
+  check_int "cardinal" 2 (Rel.cardinal r)
 
 let test_relations_self_edge () =
-  let r = Nm.Relations.create () in
+  let r = Rel.create (G.of_edges ~n:5 [| (3, 4) |]) in
   Alcotest.check_raises "self" (Invalid_argument "Relations.add_peer: self edge")
-    (fun () -> Nm.Relations.add_peer r 4 4)
+    (fun () -> Rel.add_peer r 4 4);
+  Alcotest.check_raises "non-edge" (Invalid_argument "Relations.add_c2p: not an edge")
+    (fun () -> Rel.add_c2p r ~customer:2 ~provider:4)
+
+(* The two arcs of every edge carry matching labels. *)
+let twin_mismatches t =
+  let g = t.T.graph and r = t.T.relations in
+  let bad = ref 0 in
+  for u = 0 to G.n g - 1 do
+    G.iter_neighbors g u (fun v ->
+        let twins =
+          match (Rel.arc r (G.find_arc g u v), Rel.arc r (G.find_arc g v u)) with
+          | Rel.Up, Rel.Down
+          | Rel.Down, Rel.Up
+          | Rel.Peer, Rel.Peer
+          | Rel.Ixp_member, Rel.Ixp_member
+          | Rel.Unlabelled, Rel.Unlabelled ->
+              true
+          | _ -> false
+        in
+        if not twins then incr bad)
+  done;
+  !bad
+
+let test_relations_twin_arcs () =
+  let t = small_internet ~seed:9 ~scale:0.005 () in
+  check_int "generated" 0 (twin_mismatches t);
+  check_int "ASes only" 0 (twin_mismatches (fst (T.with_ases_only t)));
+  check_int "grown" 0
+    (twin_mismatches (Broker_topo.Churn.grow ~rng:(rng ()) t ~new_ases:20));
+  let path = Filename.temp_file "twins" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Dataset.save ~path t;
+      check_int "loaded" 0 (twin_mismatches (Dataset.load ~path)))
 
 (* ---------- Classic generators ---------- *)
 
@@ -105,14 +145,14 @@ let test_internet_relations_complete () =
   let t = Lazy.force small in
   let missing = ref 0 in
   G.iter_edges t.T.graph (fun u v ->
-      if Nm.Relations.find t.T.relations u v = None then incr missing);
+      if Rel.find t.T.relations u v = None then incr missing);
   check_int "every edge classified" 0 !missing
 
 let test_internet_ixp_edges_touch_ixps () =
   let t = Lazy.force small in
   let bad = ref 0 in
   G.iter_edges t.T.graph (fun u v ->
-      match Nm.Relations.find t.T.relations u v with
+      match Rel.find t.T.relations u v with
       | Some Nm.Ixp_member -> if not (T.is_ixp t u || T.is_ixp t v) then incr bad
       | Some Nm.Customer_provider | Some Nm.Peer ->
           if T.is_ixp t u || T.is_ixp t v then incr bad
@@ -131,7 +171,7 @@ let test_internet_tiers () =
         (fun v ->
           if u <> v then begin
             check_bool "clique edge" true (G.mem_edge t.T.graph u v);
-            check_bool "peer link" true (Nm.Relations.peers t.T.relations u v)
+            check_bool "peer link" true (Rel.peers t.T.relations u v)
           end)
         tier1)
     tier1
@@ -190,12 +230,12 @@ let test_dataset_roundtrip () =
       (* Relations survive with orientation. *)
       let mismatch = ref 0 in
       G.iter_edges t.T.graph (fun u v ->
-          let r1 = Nm.Relations.find t.T.relations u v in
-          let r2 = Nm.Relations.find t'.T.relations u v in
+          let r1 = Rel.find t.T.relations u v in
+          let r2 = Rel.find t'.T.relations u v in
           if r1 <> r2 then incr mismatch;
           if
-            Nm.Relations.customer_of t.T.relations u v
-            <> Nm.Relations.customer_of t'.T.relations u v
+            Rel.customer_of t.T.relations u v
+            <> Rel.customer_of t'.T.relations u v
           then incr mismatch);
       check_int "relations preserved" 0 !mismatch)
 
@@ -206,6 +246,7 @@ let suite =
         Alcotest.test_case "c2p orientation" `Quick test_relations_c2p_orientation;
         Alcotest.test_case "peer & ixp" `Quick test_relations_peer_ixp;
         Alcotest.test_case "self edge" `Quick test_relations_self_edge;
+        Alcotest.test_case "twin arcs match" `Quick test_relations_twin_arcs;
       ] );
     ( "topo.classic",
       [
