@@ -6,7 +6,16 @@
      select      run a broker-selection algorithm on a saved topology
      evaluate    l-hop connectivity of a broker set
      export-dot  write a renderable DOT sample
-     experiment  run one of the paper reproductions *)
+     simulate    flow-level brokerage simulation with admission control
+     resilience  broker failure degradation sweep
+     bgp-stats   valley-free BGP reachability and path lengths
+     list        list the experiment registry
+     run         run paper reproductions through a report backend (the
+                 one experiment driver)
+     report diff compare two JSON reports
+
+   REPRO_LOG=info|debug|warning enables library progress logging on
+   stderr. *)
 
 open Cmdliner
 
@@ -530,7 +539,7 @@ let bgp_stats_cmd =
     (Cmd.info "bgp-stats" ~doc:"Valley-free BGP reachability and path lengths")
     Term.(const bgp_stats $ topo_arg $ destinations $ seed_arg)
 
-(* experiment *)
+(* report backends, artifact files and observability *)
 module Report = Broker_report.Report
 module Report_text = Broker_report.Report_text
 module Report_json = Broker_report.Report_json
@@ -548,7 +557,7 @@ let write_file ~regen path contents =
   close_out oc
 
 (* observability: --trace/--metrics/--obs-summary on `run`, plus the
-   REPRO_TRACE env hook honored by both `run` and `experiment`. *)
+   equivalent REPRO_TRACE env hook. *)
 module Obs = Broker_obs
 
 let obs_env_trace () =
@@ -598,27 +607,6 @@ let obs_finish ~trace ~metrics ~summary ~regen =
       | None -> ());
       if summary then print_string (Broker_report.Report_obs.to_text snap)
 
-let experiment id =
-  let trace = obs_begin ~trace:None ~metrics:None ~summary:false in
-  let ctx = Broker_experiments.Ctx.from_env () in
-  match Broker_experiments.All.run_one ctx id with
-  | Ok r ->
-      Report_text.print r;
-      Report_text.flush ();
-      obs_finish ~trace ~metrics:None ~summary:false ~regen:false
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
-
-let experiment_cmd =
-  let id =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID" ~doc:"Experiment id, e.g. table1.")
-  in
-  Cmd.v
-    (Cmd.info "experiment"
-       ~doc:"Run a paper reproduction (env: REPRO_SCALE, REPRO_SOURCES, REPRO_SEED)")
-    Term.(const experiment $ id)
-
 (* list *)
 let list_experiments () =
   Printf.printf "%-18s %-16s %s\n" "ID" "ARTIFACT" "DESCRIPTION";
@@ -635,7 +623,12 @@ let list_cmd =
 (* run *)
 let run_suite format out regen trace metrics obs_summary ids =
   let trace = obs_begin ~trace ~metrics ~summary:obs_summary in
-  let ctx = Broker_experiments.Ctx.from_env () in
+  let ctx =
+    try Broker_experiments.Ctx.from_env ()
+    with Invalid_argument msg ->
+      prerr_endline ("brokerctl run: " ^ msg);
+      exit 2
+  in
   let selected =
     match ids with
     | [] -> Broker_experiments.All.experiments
@@ -712,8 +705,9 @@ let run_cmd =
   in
   Cmd.v
     (Cmd.info "run"
-       ~doc:"Run the reproduction suite through a report backend \
-             (env: REPRO_SCALE, REPRO_SOURCES, REPRO_SEED, REPRO_TRACE)")
+       ~doc:"Run paper reproductions through a report backend \
+             (env: REPRO_SCALE, REPRO_SOURCES, REPRO_SEED, REPRO_DOMAINS, \
+             REPRO_TRACE, REPRO_LOG)")
     Term.(const run_suite $ format $ out $ regen $ trace $ metrics
           $ obs_summary $ ids)
 
@@ -777,6 +771,21 @@ let report_cmd =
     [ report_diff_cmd ]
 
 let () =
+  (match Sys.getenv_opt "REPRO_LOG" with
+  | Some level ->
+      Logs.set_reporter (Logs.format_reporter ());
+      Logs.set_level
+        (match String.lowercase_ascii level with
+        | "debug" -> Some Logs.Debug
+        | "warning" -> Some Logs.Warning
+        | _ -> Some Logs.Info)
+  | None -> ());
+  (* Every subcommand that evaluates connectivity fans out over
+     REPRO_DOMAINS domains: a malformed value is a usage error up front. *)
+  (try ignore (Broker_util.Parallel.domain_count ())
+   with Invalid_argument msg ->
+     prerr_endline ("brokerctl: " ^ msg);
+     exit 2);
   let info =
     Cmd.info "brokerctl" ~version:"1.0.0"
       ~doc:"Inter-domain routing via a small broker set - reproduction toolkit"
@@ -793,7 +802,6 @@ let () =
             simulate_cmd;
             resilience_cmd;
             bgp_stats_cmd;
-            experiment_cmd;
             list_cmd;
             run_cmd;
             report_cmd;

@@ -48,33 +48,15 @@ let find id =
   let id = String.lowercase_ascii id in
   List.find_opt (fun e -> String.equal e.id id) experiments
 
-let run_meta ctx =
-  [
-    ("scale", Ctx.scale ctx);
-    ("sources", float_of_int (Ctx.sources ctx));
-    ("seed", float_of_int (Ctx.seed ctx));
-  ]
-
 let report_of ctx e =
   Obs.Metrics.incr m_runs;
   let tr0 = Obs.Trace.enter () in
   let r = e.report ctx in
   if Obs.Trace.armed () then Obs.Trace.leave_named ("experiment." ^ e.id) tr0;
-  Report.set_meta r (run_meta ctx);
+  Report.set_meta r
+    [
+      ("scale", Ctx.scale ctx);
+      ("sources", float_of_int (Ctx.sources ctx));
+      ("seed", float_of_int (Ctx.seed ctx));
+    ];
   r
-
-let run_all ?emit ctx =
-  List.map
-    (fun e ->
-      let r = report_of ctx e in
-      (match emit with Some f -> f e r | None -> ());
-      (e.id, r))
-    experiments
-
-let run_one ctx id =
-  match find id with
-  | Some e -> Ok (report_of ctx e)
-  | None ->
-      Error
-        (Printf.sprintf "unknown experiment %S; known: %s" id
-           (String.concat ", " (List.map (fun e -> e.id) experiments)))

@@ -19,21 +19,8 @@ val experiments : experiment list
 val find : string -> experiment option
 (** Lookup by id (case-insensitive), e.g. ["table1"], ["fig2b"]. *)
 
-val run_meta : Ctx.t -> (string * float) list
-(** The run-parameter meta block ([scale]/[sources]/[seed]) the runners
-    attach to every report. *)
-
 val report_of : Ctx.t -> experiment -> Broker_report.Report.t
-(** Build one experiment's report on the shared context, with the
-    {!run_meta} block attached. *)
-
-val run_all :
-  ?emit:(experiment -> Broker_report.Report.t -> unit) ->
-  Ctx.t ->
-  (string * Broker_report.Report.t) list
-(** Run every experiment on the shared context, returning [(id, report)]
-    pairs in registry order. [emit] is called after each experiment
-    completes — use it to stream text output progressively on long runs. *)
-
-val run_one :
-  Ctx.t -> string -> (Broker_report.Report.t, string) Stdlib.result
+(** Build one experiment's report on the shared context, with the run
+    parameters ([scale]/[sources]/[seed]) attached as its meta block.
+    [brokerctl run] is the one driver: it resolves ids with {!find} and
+    renders each [report_of] through the chosen backend. *)

@@ -29,21 +29,29 @@ let create ?(scale = 1.0) ?(sources = 192) ?(seed = 42) () =
     quick_sample = None;
   }
 
-let env_float name default =
+(* Unset or empty keeps the default; anything else must parse and lie in
+   range. *)
+let env name ~expected ~parse default =
   match Sys.getenv_opt name with
   | None | Some "" -> default
-  | Some s -> ( try float_of_string s with Failure _ -> default)
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> ( try int_of_string s with Failure _ -> default)
+  | Some s -> (
+      match parse s with
+      | Some v -> v
+      | None ->
+          invalid_arg (Printf.sprintf "%s: expected %s, got %S" name expected s))
 
 let from_env () =
-  create
-    ~scale:(env_float "REPRO_SCALE" 1.0)
-    ~sources:(env_int "REPRO_SOURCES" 192)
-    ~seed:(env_int "REPRO_SEED" 42) ()
+  let scale =
+    env "REPRO_SCALE" ~expected:"a number in (0, 1]" 1.0 ~parse:(fun s ->
+        Option.bind (float_of_string_opt s) (fun x ->
+            if x > 0.0 && x <= 1.0 then Some x else None))
+  in
+  let sources =
+    env "REPRO_SOURCES" ~expected:"an integer >= 1" 192 ~parse:(fun s ->
+        Option.bind (int_of_string_opt s) (fun k -> if k >= 1 then Some k else None))
+  in
+  let seed = env "REPRO_SEED" ~expected:"an integer" 42 ~parse:int_of_string_opt in
+  create ~scale ~sources ~seed ()
 
 let scale t = t.scale
 let sources t = t.sources

@@ -7,12 +7,16 @@
       paper's full 52,079 nodes);
     - [REPRO_SOURCES] — BFS sources of the sampled connectivity estimator,
       default 192;
-    - [REPRO_SEED] — master seed, default 42. *)
+    - [REPRO_SEED] — master seed, default 42.
+
+    An unset or empty variable keeps its default. *)
 
 type t
 
 val create : ?scale:float -> ?sources:int -> ?seed:int -> unit -> t
 val from_env : unit -> t
+(** @raise Invalid_argument ["REPRO_<NAME>: expected …, got \"…\""] when a
+    set, non-empty variable does not parse or is out of range. *)
 
 val scale : t -> float
 val sources : t -> int

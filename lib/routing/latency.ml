@@ -2,26 +2,32 @@ module G = Broker_graph.Graph
 module T = Broker_topo.Topology
 module Rel = Broker_topo.Relations
 
-type t = { tbl : (int * int, float) Hashtbl.t }
-
-let key u v = if u < v then (u, v) else (v, u)
+(* One latency per CSR arc of [graph]; both arcs of an edge hold the
+   same value. *)
+type t = { graph : G.t; ms : float array }
 
 let assign ~rng topo =
   let g = topo.T.graph in
-  let tbl = Hashtbl.create (2 * G.m g) in
+  let ms = Array.make (G.arcs g) 0.0 in
   G.iter_edges g (fun u v ->
+      let uv = G.find_arc g u v in
       let base =
-        match Rel.find topo.T.relations u v with
-        | Some Broker_topo.Node_meta.Ixp_member -> 2.0
-        | Some Broker_topo.Node_meta.Peer -> 5.0
-        | Some Broker_topo.Node_meta.Customer_provider -> 10.0
-        | None -> 8.0
+        match Rel.arc topo.T.relations uv with
+        | Rel.Ixp_member -> 2.0
+        | Rel.Peer -> 5.0
+        | Rel.Up | Rel.Down -> 10.0
+        | Rel.Unlabelled -> 8.0
       in
       let jitter = 0.5 +. Broker_util.Xrandom.float rng 1.0 in
-      Hashtbl.replace tbl (key u v) (base *. jitter));
-  { tbl }
+      let l = base *. jitter in
+      ms.(uv) <- l;
+      ms.(G.find_arc g v u) <- l);
+  { graph = g; ms }
 
-let edge_latency t u v = Hashtbl.find t.tbl (key u v)
+let edge_latency t u v =
+  let i = G.find_arc t.graph u v in
+  if i < 0 then invalid_arg "Latency.edge_latency: not an edge";
+  t.ms.(i)
 
 let path_latency t path =
   let rec go acc = function

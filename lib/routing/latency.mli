@@ -15,8 +15,8 @@ val assign : rng:Broker_util.Xrandom.t -> Broker_topo.Topology.t -> t
     5, customer-provider 10, unknown 8; jitter multiplies by U[0.5, 1.5]. *)
 
 val edge_latency : t -> int -> int -> float
-(** Latency of an edge in ms.
-    @raise Not_found when [(u,v)] is not an edge. *)
+(** Latency of an edge in ms, O(log degree).
+    @raise Invalid_argument when [(u,v)] is not an edge. *)
 
 val path_latency : t -> int list -> float
 (** Sum over consecutive hops. 0 for paths shorter than 2 vertices. *)

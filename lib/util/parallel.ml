@@ -36,11 +36,13 @@ let instrumented f =
 
 let domain_count () =
   match Sys.getenv_opt "REPRO_DOMAINS" with
+  | None | Some "" -> min 8 (Domain.recommended_domain_count ())
   | Some s -> (
       match int_of_string_opt s with
       | Some d when d >= 1 -> d
-      | Some _ | None -> 1)
-  | None -> min 8 (Domain.recommended_domain_count ())
+      | Some _ | None ->
+          invalid_arg
+            (Printf.sprintf "REPRO_DOMAINS: expected an integer >= 1, got %S" s))
 
 let chunked ?domains ~n ~worker ~merge init =
   let domains =

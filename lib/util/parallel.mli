@@ -11,6 +11,11 @@
     variable (set [REPRO_DOMAINS=1] to force sequential execution). *)
 
 val domain_count : unit -> int
+(** The default domain budget. Unset or empty [REPRO_DOMAINS] means
+    [min 8 (Domain.recommended_domain_count ())].
+    @raise Invalid_argument
+      ["REPRO_DOMAINS: expected an integer >= 1, got \"…\""] for any
+      other value that is not a positive integer. *)
 
 val chunked :
   ?domains:int ->

@@ -57,6 +57,17 @@ let contains ~needle haystack =
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   nl = 0 || go 0
 
+(* Run [f] with environment variable [name] set to [v], then restore it.
+   There is no unsetenv: a variable that was unset comes back as "", which
+   the REPRO_* readers treat as unset. *)
+let with_env name v f =
+  let saved = Sys.getenv_opt name in
+  Unix.putenv name v;
+  Fun.protect ~finally:(fun () -> Unix.putenv name (Option.value ~default:"" saved)) f
+
+(* Run [f] under a pinned REPRO_DOMAINS. *)
+let with_domains v f = with_env "REPRO_DOMAINS" v f
+
 let check_float = Alcotest.(check (float 1e-9))
 let check_float_eps eps = Alcotest.(check (float eps))
 let check_int = Alcotest.(check int)

@@ -183,14 +183,6 @@ let exact_matches_reference () =
 
 (* --- determinism across REPRO_DOMAINS -------------------------------- *)
 
-let with_domains v f =
-  let saved = Sys.getenv_opt "REPRO_DOMAINS" in
-  Unix.putenv "REPRO_DOMAINS" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "REPRO_DOMAINS" (Option.value ~default:"" saved))
-    f
-
 let deterministic_across_domains () =
   let t = small_internet ~seed:9 ~scale:0.01 () in
   let g = t.Broker_topo.Topology.graph in

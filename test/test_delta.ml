@@ -20,14 +20,6 @@ module Workload = Broker_sim.Workload
 let q ?(count = 80) name arb law =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
 
-let with_domains v f =
-  let saved = Sys.getenv_opt "REPRO_DOMAINS" in
-  Unix.putenv "REPRO_DOMAINS" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "REPRO_DOMAINS" (Option.value ~default:"" saved))
-    f
-
 (* A base graph plus a random announce/withdraw script (endpoints may
    collide or repeat: self-loops and duplicate ops must be no-ops). *)
 let script_arb =

@@ -123,15 +123,6 @@ let test_ext_chaos_rows () =
   let rows2 = with_quiet_stdout (fun () -> R.compute ~n_sessions:800 (tiny_ctx ())) in
   check_bool "seed-deterministic" true (rows = rows2)
 
-(* Copied from test_obs.ml: run [f] under a pinned REPRO_DOMAINS. *)
-let with_domains v f =
-  let saved = Sys.getenv_opt "REPRO_DOMAINS" in
-  Unix.putenv "REPRO_DOMAINS" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "REPRO_DOMAINS" (Option.value ~default:"" saved))
-    f
-
 let test_ext_churn_cache_rows () =
   let module R = E.Ext_churn_cache in
   let run () =
@@ -264,26 +255,44 @@ let test_ext_timeline_rows () =
 
 let test_all_experiments_run () =
   let ctx = tiny_ctx () in
-  let reports = with_quiet_stdout (fun () -> E.All.run_all ctx) in
-  check_int "one report per registry entry"
-    (List.length E.All.experiments)
-    (List.length reports);
-  List.iter2
-    (fun (e : E.All.experiment) (id, r) ->
-      check_bool "registry order" true (String.equal e.id id);
+  List.iter
+    (fun (e : E.All.experiment) ->
+      let r = with_quiet_stdout (fun () -> E.All.report_of ctx e) in
       check_bool "report named after id" true
-        (String.equal (Broker_report.Report.name r) e.id))
-    E.All.experiments reports
+        (String.equal (Broker_report.Report.name r) e.id);
+      check_bool "run parameters attached" true
+        (Broker_report.Report.meta r
+        = [ ("scale", 0.008); ("sources", 24.0); ("seed", 99.0) ]))
+    E.All.experiments
 
-let test_run_one_unknown () =
-  let ctx = tiny_ctx () in
-  match E.All.run_one ctx "nonsense" with
-  | Ok _ -> Alcotest.fail "should not resolve"
-  | Error msg -> check_bool "helpful error" true (contains ~needle:"table1" msg)
+let test_lookup_unknown () =
+  check_bool "unknown id" true (E.All.find "nonsense" = None);
+  check_bool "empty id" true (E.All.find "" = None)
 
 let test_find () =
   check_bool "case insensitive" true (E.All.find "TABLE1" <> None);
   check_bool "unknown" true (E.All.find "nope" = None)
+
+(* REPRO_* knobs: unset or empty keeps the default, anything else must
+   parse and lie in range. *)
+let with_repro scale sources seed f =
+  with_env "REPRO_SCALE" scale (fun () ->
+      with_env "REPRO_SOURCES" sources (fun () -> with_env "REPRO_SEED" seed f))
+
+let test_env_defaults () =
+  let ctx = with_repro "" "" "" E.Ctx.from_env in
+  check_float "scale" 1.0 (E.Ctx.scale ctx);
+  check_int "sources" 192 (E.Ctx.sources ctx);
+  check_int "seed" 42 (E.Ctx.seed ctx);
+  let ctx = with_repro "0.02" "48" "7" E.Ctx.from_env in
+  check_float "scale set" 0.02 (E.Ctx.scale ctx);
+  check_int "sources set" 48 (E.Ctx.sources ctx);
+  check_int "seed set" 7 (E.Ctx.seed ctx)
+
+let env_rejected ~scale ~sources ~seed msg () =
+  with_repro scale sources seed (fun () ->
+      Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+          ignore (E.Ctx.from_env ())))
 
 let suite =
   [
@@ -303,8 +312,27 @@ let suite =
         Alcotest.test_case "ext_chaos" `Quick test_ext_chaos_rows;
         Alcotest.test_case "ext_churn_cache" `Quick test_ext_churn_cache_rows;
         Alcotest.test_case "ext_timeline" `Quick test_ext_timeline_rows;
-        Alcotest.test_case "lookup unknown" `Quick test_run_one_unknown;
+        Alcotest.test_case "lookup unknown" `Quick test_lookup_unknown;
         Alcotest.test_case "find" `Quick test_find;
+      ] );
+    ( "experiments.env",
+      [
+        Alcotest.test_case "unset or empty" `Quick test_env_defaults;
+        Alcotest.test_case "REPRO_SCALE not a number" `Quick
+          (env_rejected ~scale:"0,02" ~sources:"" ~seed:""
+             "REPRO_SCALE: expected a number in (0, 1], got \"0,02\"");
+        Alcotest.test_case "REPRO_SCALE out of range" `Quick
+          (env_rejected ~scale:"2" ~sources:"" ~seed:""
+             "REPRO_SCALE: expected a number in (0, 1], got \"2\"");
+        Alcotest.test_case "REPRO_SOURCES not an integer" `Quick
+          (env_rejected ~scale:"" ~sources:"4.5" ~seed:""
+             "REPRO_SOURCES: expected an integer >= 1, got \"4.5\"");
+        Alcotest.test_case "REPRO_SOURCES out of range" `Quick
+          (env_rejected ~scale:"" ~sources:"-5" ~seed:""
+             "REPRO_SOURCES: expected an integer >= 1, got \"-5\"");
+        Alcotest.test_case "REPRO_SEED not an integer" `Quick
+          (env_rejected ~scale:"" ~sources:"" ~seed:"4x2"
+             "REPRO_SEED: expected an integer, got \"4x2\"");
       ] );
     ( "experiments.integration",
       [ Alcotest.test_case "all experiments run" `Slow test_all_experiments_run ] );

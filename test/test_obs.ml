@@ -144,14 +144,6 @@ let test_chrome_trace_json () =
 
 (* ---------- counter determinism ---------- *)
 
-let with_domains v f =
-  let saved = Sys.getenv_opt "REPRO_DOMAINS" in
-  Unix.putenv "REPRO_DOMAINS" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "REPRO_DOMAINS" (Option.value ~default:"" saved))
-    f
-
 (* A deterministic snapshot rendered to strings: Alcotest diffs lists of
    strings legibly, and rendering avoids polymorphic equality on the
    histogram payload arrays. *)

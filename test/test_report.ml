@@ -63,14 +63,16 @@ let tiny_ctx () = E.Ctx.create ~scale:0.008 ~sources:24 ~seed:99 ()
 
 let test_json_roundtrip_experiments () =
   (* Every experiment's report must survive serialization. *)
+  let ctx = tiny_ctx () in
   List.iter
-    (fun (id, r) ->
+    (fun (e : E.All.experiment) ->
+      let r = E.All.report_of ctx e in
       match Rjson.of_string (Rjson.to_string r) with
-      | Ok r' -> check_bool (id ^ " round-trips") true (R.equal r r')
-      | Error msg -> Alcotest.fail (id ^ ": " ^ msg))
-    (E.All.run_all (tiny_ctx ()))
+      | Ok r' -> check_bool (e.id ^ " round-trips") true (R.equal r r')
+      | Error msg -> Alcotest.fail (e.id ^ ": " ^ msg))
+    E.All.experiments
 
-(* Text byte-identity: the four pinned experiments must render exactly
+(* Text byte-identity: the pinned experiments must render exactly
    the goldens captured at the CI reproduction point (fresh context,
    scale 0.02, sources 192, seed 42). *)
 
@@ -80,9 +82,39 @@ let render r = Format.asprintf "%a" Rtext.pp r
 let test_text_golden id () =
   let golden = read_file ("goldens/" ^ id ^ ".txt") in
   let ctx = E.Ctx.create ~scale:0.02 ~sources:192 ~seed:42 () in
-  match E.All.run_one ctx id with
-  | Error msg -> Alcotest.fail msg
-  | Ok r -> Alcotest.(check string) (id ^ " text output") golden (render r)
+  match E.All.find id with
+  | None -> Alcotest.fail ("unknown experiment " ^ id)
+  | Some e ->
+      Alcotest.(check string) (id ^ " text output") golden
+        (render (E.All.report_of ctx e))
+
+(* The committed BENCH_kernels.json (bench/main.exe --perf-smoke --json)
+   is read by CI: it must stay a report document that carries the three
+   gated speedups and the deterministic msbfs.* counter fingerprint. *)
+let test_bench_artifact () =
+  match Rjson.of_string (read_file "../BENCH_kernels.json") with
+  | Error msg -> Alcotest.fail ("BENCH_kernels.json: " ^ msg)
+  | Ok r ->
+      let metrics =
+        List.concat_map
+          (fun s ->
+            List.filter_map
+              (function R.Metric m -> Some m | _ -> None)
+              (R.items s))
+          (R.sections r)
+      in
+      let find key = List.find_opt (fun m -> String.equal m.R.mkey key) metrics in
+      List.iter
+        (fun key ->
+          match find key with
+          | Some m -> check_bool (key ^ " is volatile") true m.R.mvolatile
+          | None -> Alcotest.fail (key ^ " missing"))
+        [ "msbfs_vs_legacy"; "incremental_vs_rebuild"; "incremental_small_vs_rebuild" ];
+      match find "msbfs.sweeps" with
+      | Some m ->
+          check_bool "msbfs.sweeps is a deterministic count" true
+            ((not m.R.mvolatile) && m.R.value > 0.0)
+      | None -> Alcotest.fail "msbfs.* counters missing"
 
 (* Diff semantics. *)
 
@@ -167,6 +199,8 @@ let suite =
         Alcotest.test_case "rejects garbage" `Quick test_json_rejects_garbage;
         Alcotest.test_case "round-trip all experiments" `Slow
           test_json_roundtrip_experiments;
+        Alcotest.test_case "BENCH_kernels.json artifact" `Quick
+          test_bench_artifact;
       ] );
     ( "report.text-goldens",
       [

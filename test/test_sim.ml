@@ -908,6 +908,19 @@ let test_latency_relation_bases () =
           check_bool "transit range" true (l >= 5.0 && l <= 15.0)
       | None -> ())
 
+let test_latency_non_edge () =
+  let t = small_internet ~seed:5 ~scale:0.005 () in
+  let lat = Latency.assign ~rng:(rng ()) t in
+  let g = t.Broker_topo.Topology.graph in
+  (* A vertex is never its own neighbour, and n is out of range. *)
+  List.iter
+    (fun (u, v) ->
+      Alcotest.check_raises
+        (Printf.sprintf "edge_latency %d %d" u v)
+        (Invalid_argument "Latency.edge_latency: not an edge")
+        (fun () -> ignore (Latency.edge_latency lat u v)))
+    [ (0, 0); (0, G.n g) ]
+
 let test_latency_path_latency () =
   let t = small_internet ~seed:5 ~scale:0.005 () in
   let lat = Latency.assign ~rng:(rng ()) t in
@@ -1019,6 +1032,7 @@ let suite =
       [
         Alcotest.test_case "assign all edges" `Quick test_latency_assign_all_edges;
         Alcotest.test_case "relation bases" `Quick test_latency_relation_bases;
+        Alcotest.test_case "non-edge rejected" `Quick test_latency_non_edge;
         Alcotest.test_case "path latency" `Quick test_latency_path_latency;
         Alcotest.test_case "stretch >= 1" `Quick test_latency_stretch_at_least_one;
         Alcotest.test_case "min path dominated" `Quick test_latency_min_path_dominated;

@@ -438,16 +438,9 @@ module Parallel = Broker_util.Parallel
 
 (* The fan-out helpers read the domain budget from REPRO_DOMAINS when no
    explicit ?domains is passed; exercising them through the env var
-   covers the same path the experiments use. *)
-let with_domains v f =
-  let saved = Sys.getenv_opt "REPRO_DOMAINS" in
-  Unix.putenv "REPRO_DOMAINS" v;
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "REPRO_DOMAINS" (Option.value ~default:"" saved))
-    f
+   covers the same path the experiments use.
 
-(* Each worker lists the indices it visited (worker-local accumulator);
+   Each worker lists the indices it visited (worker-local accumulator);
    the deterministic merge concatenates in stride/chunk order. Sorting
    the union and comparing against [0 .. n-1] catches both missed and
    doubly-visited indices. *)
@@ -507,6 +500,20 @@ let parallel_qcheck =
          with_domains (string_of_int domains) (fun () ->
              exact_cover n (strided_visits n)
              && exact_cover n (chunked_visits n))))
+
+let test_domains_env_default () =
+  with_domains "" (fun () ->
+      check_int "empty REPRO_DOMAINS is the default"
+        (min 8 (Domain.recommended_domain_count ()))
+        (Parallel.domain_count ()));
+  with_domains "3" (fun () -> check_int "REPRO_DOMAINS=3" 3 (Parallel.domain_count ()))
+
+let domains_rejected v () =
+  with_domains v (fun () ->
+      Alcotest.check_raises ("REPRO_DOMAINS=" ^ v)
+        (Invalid_argument
+           (Printf.sprintf "REPRO_DOMAINS: expected an integer >= 1, got %S" v))
+        (fun () -> ignore (Parallel.domain_count ())))
 
 let suite =
   [
@@ -591,5 +598,11 @@ let suite =
         Alcotest.test_case "chunk/stride boundaries" `Quick
           test_parallel_boundaries;
         parallel_qcheck;
+        Alcotest.test_case "REPRO_DOMAINS unset or empty" `Quick
+          test_domains_env_default;
+        Alcotest.test_case "REPRO_DOMAINS not an integer" `Quick
+          (domains_rejected "abc");
+        Alcotest.test_case "REPRO_DOMAINS out of range" `Quick
+          (domains_rejected "0");
       ] );
   ]
