@@ -198,9 +198,13 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
   (* [not (w >= 0)] also rejects NaN. *)
   if not (stats_window >= 0.0) then usage_error "--stats-window must be positive";
   let cache =
-    match Broker_sim.Shard_cache.strategy_of_string ~vnodes cache_strategy with
-    | Ok s -> s
-    | Error msg -> usage_error msg
+    match (cache_strategy, vnodes) with
+    | _, Some v when v < 1 -> usage_error "--vnodes must be >= 1"
+    | Broker_sim.Shard_cache.Ring _, Some vnodes ->
+        Broker_sim.Shard_cache.Ring { vnodes }
+    | Broker_sim.Shard_cache.(Flush | Modulo), Some _ ->
+        usage_error "--vnodes applies only to --cache-strategy ring"
+    | strategy, None -> strategy
   in
   match load path with
   | Error msg ->
@@ -399,9 +403,11 @@ let simulate_cmd =
     Arg.(value & opt int 3 & info [ "retries" ] ~doc:"Retry budget for blocked arrivals (chaos mode).")
   in
   let cache_strategy =
+    let module C = Broker_sim.Shard_cache in
+    let alts = [ C.Flush; C.Modulo; C.Ring { vnodes = C.default_vnodes } ] in
     Arg.(
       value
-      & opt string "flush"
+      & opt (enum (List.map (fun s -> (C.strategy_name s, s)) alts)) C.Flush
       & info [ "cache-strategy" ]
           ~doc:
             "Path-cache strategy: flush (historical flush-on-crash), modulo \
@@ -410,8 +416,13 @@ let simulate_cmd =
   let vnodes =
     Arg.(
       value
-      & opt int Broker_sim.Shard_cache.default_vnodes
-      & info [ "vnodes" ] ~doc:"Virtual nodes per broker shard (ring strategy).")
+      & opt (some int) None
+      & info [ "vnodes" ]
+          ~doc:
+            (Printf.sprintf
+               "Virtual nodes per broker shard; ring strategy only (default \
+                %d)."
+               Broker_sim.Shard_cache.default_vnodes))
   in
   let topo_updates =
     Arg.(

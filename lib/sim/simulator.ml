@@ -201,10 +201,12 @@ type state = {
   down_since : float array;
   mutable total_down : int;
   mutable downtime : float;
-  (* Per-broker capacity accounting with lazy time-integrated usage. *)
-  used : (int, float) Hashtbl.t;
-  area : (int, float) Hashtbl.t;
-  last_change : (int, float) Hashtbl.t;
+  (* Per-broker capacity accounting with lazy time-integrated usage,
+     indexed by vertex; [last_change] is [nan] until a broker is first
+     touched. *)
+  used : float array;
+  area : float array;
+  last_change : float array;
   (* Admission circuit breaker: how long a broker's utilization has been
      continuously at or above the high-water mark. Empty without one. *)
   above_since : float array;
@@ -282,9 +284,9 @@ let init ~(chaos : chaos) ~churn ~cache ~stats_window g ~brokers config =
     down_since = Array.make n 0.0;
     total_down = 0;
     downtime = 0.0;
-    used = Hashtbl.create 1024;
-    area = Hashtbl.create 1024;
-    last_change = Hashtbl.create 1024;
+    used = Array.make n 0.0;
+    area = Array.make n 0.0;
+    last_change = Array.make n nan;
     above_since = Array.make breaker_n nan;
     tripped_until = Array.make breaker_n neg_infinity;
     pcache;
@@ -306,13 +308,13 @@ let tl_add st ts t = if st.tl_on then Obs.Timeseries.add ts ~time:t 1
 let tl_latency st ts t ~since =
   if st.tl_on then Obs.Timeseries.observe ts ~time:t (Obs.Timeseries.to_fp (t -. since))
 
-let get tbl b = Option.value ~default:0.0 (Hashtbl.find_opt tbl b)
 let is_broker_live st v = st.is_broker v && st.down.(v) = 0
 
+(* A never-touched broker has held nothing, so it has no area to add. *)
 let touch st b t =
-  let lu = get st.last_change b in
-  Hashtbl.replace st.area b (get st.area b +. (get st.used b *. (t -. lu)));
-  Hashtbl.replace st.last_change b t
+  let lu = st.last_change.(b) in
+  if not (Float.is_nan lu) then st.area.(b) <- st.area.(b) +. (st.used.(b) *. (t -. lu));
+  st.last_change.(b) <- t
 
 let update_water st b t =
   match st.chaos.breaker with
@@ -320,12 +322,12 @@ let update_water st b t =
   | Some bp ->
       let cap = st.config.capacity_of b in
       if cap > 0.0 then
-        if not (get st.used b /. cap >= bp.high_water) then st.above_since.(b) <- nan
+        if not (st.used.(b) /. cap >= bp.high_water) then st.above_since.(b) <- nan
         else if Float.is_nan st.above_since.(b) then st.above_since.(b) <- t
 
 let adjust st b t delta =
   touch st b t;
-  Hashtbl.replace st.used b (get st.used b +. delta);
+  st.used.(b) <- st.used.(b) +. delta;
   update_water st b t
 
 let shedding st b t =
@@ -375,7 +377,7 @@ let reserve st t (s : Workload.session) ~shed =
   | Some path ->
       let pbs = filter_live_brokers st path in
       let demand = s.Workload.demand in
-      let fits b = get st.used b +. demand <= st.config.capacity_of b +. 1e-9 in
+      let fits b = st.used.(b) +. demand <= st.config.capacity_of b +. 1e-9 in
       if shed && Array.exists (fun b -> shedding st b t) pbs then Error Shed
       else if not (Array.for_all fits pbs) then Error Capacity
       else begin
@@ -585,18 +587,21 @@ let finalize st ~brokers : stats =
         st.down.(b) <- 0
       end)
     brokers;
+  (* Mean over the brokers that ever carried a reservation, summed in
+     increasing vertex id. *)
   let mean_utilization =
-    let touched = Hashtbl.fold (fun b _ acc -> b :: acc) st.last_change [] in
     let sum = ref 0.0 and count = ref 0 in
-    List.iter
-      (fun b ->
-        touch st b horizon;
-        let cap = st.config.capacity_of b in
-        if cap > 0.0 && horizon > 0.0 then begin
-          sum := !sum +. (get st.area b /. (cap *. horizon));
-          incr count
+    Array.iteri
+      (fun b lu ->
+        if not (Float.is_nan lu) then begin
+          touch st b horizon;
+          let cap = st.config.capacity_of b in
+          if cap > 0.0 && horizon > 0.0 then begin
+            sum := !sum +. (st.area.(b) /. (cap *. horizon));
+            incr count
+          end
         end)
-      touched;
+      st.last_change;
     if !count = 0 then 0.0 else !sum /. float_of_int !count
   in
   let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in

@@ -11,11 +11,14 @@
     Paths are hop-shortest dominated paths, computed once per distinct
     (src, dst) pair and cached in a {!Shard_cache} (strategy selectable
     via [?cache]; the default {!Shard_cache.Flush} reproduces the
-    historical flush-on-crash behavior exactly, so runs without churn are
-    byte-identical to older versions). Brokers earn
-    [2·price·demand·duration] per
-    admitted session (both endpoints pay, as in Fig. 6) and pay
-    [employee_cost] per non-broker transit hop used.
+    historical flush-on-crash behavior exactly: every strategy shares one
+    entry table layout and one validating lookup, and Flush's eviction
+    keeps its hits from ever needing repair). Brokers earn
+    [2·price·demand·duration] per admitted session (both endpoints pay,
+    as in Fig. 6) and pay [employee_cost] per non-broker transit hop
+    used. Per-broker usage, its time integral and the last change time
+    live in float arrays indexed by vertex; the mean utilization sums the
+    brokers that ever carried a reservation in increasing vertex id.
 
     Every run is one event-driven loop — arrivals, departures, failures,
     recoveries, retries and topology updates merged through one

@@ -20,7 +20,7 @@ let add t i =
   let w = i / bits_per_word in
   t.words.(w) <- t.words.(w) lor (1 lsl (i mod bits_per_word))
 
-let unsafe_mem t i =
+let[@inline] unsafe_mem t i =
   Array.unsafe_get t.words (i / bits_per_word)
   land (1 lsl (i mod bits_per_word))
   <> 0

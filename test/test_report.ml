@@ -88,6 +88,25 @@ let test_text_golden id () =
       Alcotest.(check string) (id ^ " text output") golden
         (render (E.All.report_of ctx e))
 
+(* JSON golden drift: the whole registry, in order, on one context built
+   like the CI reproduction point, diffed against goldens/json/<id>.json
+   the way the golden-diff job does (volatile cells never count). *)
+let test_json_goldens () =
+  let ctx = E.Ctx.create ~scale:0.02 ~sources:192 ~seed:42 () in
+  let drifts =
+    List.filter_map
+      (fun (e : E.All.experiment) ->
+        match Rjson.of_string (read_file ("goldens/json/" ^ e.id ^ ".json")) with
+        | Error msg -> Some (e.id ^ ": unreadable golden: " ^ msg)
+        | Ok golden ->
+            let o = Rdiff.compare golden (E.All.report_of ctx e) in
+            if Rdiff.ok o then None
+            else Some (Format.asprintf "%s:@\n%a" e.id Rdiff.pp o))
+      E.All.experiments
+  in
+  List.iter print_endline drifts;
+  check_int "experiments drifting from their JSON golden" 0 (List.length drifts)
+
 (* The committed BENCH_kernels.json (bench/main.exe --perf-smoke --json)
    is read by CI: it must stay a report document that carries the three
    gated speedups and the deterministic msbfs.* counter fingerprint. *)
@@ -215,6 +234,8 @@ let suite =
         Alcotest.test_case "ext_timeline" `Quick
           (test_text_golden "ext_timeline");
       ] );
+    ( "report.json-goldens",
+      [ Alcotest.test_case "registry" `Quick test_json_goldens ] );
     ( "report.diff",
       [
         Alcotest.test_case "equal" `Quick test_diff_equal;

@@ -625,19 +625,6 @@ let test_cache_validation () =
   Alcotest.check_raises "shard out of range"
     (Invalid_argument "Shard_cache.create: shard id out of range") (fun () ->
       ignore (Cache.create ~n:4 ~shards:[| 4 |] ()));
-  (match Cache.strategy_of_string "bogus" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown strategy accepted");
-  (match Cache.strategy_of_string ~vnodes:0 "ring" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "ring with vnodes=0 accepted");
-  check_bool "ring parses" true
-    (Cache.strategy_of_string "ring"
-    = Ok (Cache.Ring { vnodes = Cache.default_vnodes }));
-  check_bool "case-insensitive" true
-    (Cache.strategy_of_string "FLUSH" = Ok Cache.Flush);
-  check_bool "modulo parses" true
-    (Cache.strategy_of_string "modulo" = Ok Cache.Modulo);
   Alcotest.check_raises "phase duration zero"
     (Invalid_argument "Faults.phased: phase duration must be positive") (fun () ->
       ignore (Faults.phased [ (0.0, [||]) ]));
@@ -676,9 +663,10 @@ let test_faults_phased () =
   in
   check_bool "stay-down spans phases" true (ev2 = expect2)
 
-(* Satellite: the reverse index must never outlive the entries it points
-   at. Synthetic compute closures stand in for the path solver so each
-   cached path is chosen exactly. *)
+(* Flush eviction is exact: a crash drops precisely the entries whose
+   current path rides the broker, and a recovery drops what was computed
+   under an outage. Synthetic compute closures stand in for the path
+   solver so each cached path is chosen exactly. *)
 let test_cache_flush_invariant () =
   let c = Cache.create ~n:6 ~shards:[| 1; 3; 5 |] () in
   let find path src dst = Cache.find c ~compute:(fun () -> path) src dst in
@@ -687,13 +675,13 @@ let test_cache_flush_invariant () =
   check_int "two entries" 2 (Cache.size c);
   check_bool "invariant warm" true (Cache.invariant_ok c);
   Cache.crash c 1;
-  (* Both paths rode broker 1. Evicting (0,4) must also purge it from
-     broker 3's reverse set, not only from the store. *)
+  (* Both paths rode broker 1, so both go, (0,4) although it also rides
+     broker 3. *)
   check_int "all riders evicted" 0 (Cache.size c);
   check_int "evicted tally" 2 (Cache.stats c).Cache.evicted;
   check_bool "invariant after crash" true (Cache.invariant_ok c);
   (* Re-cache (0,4) along the surviving broker, then crash 3: exactly the
-     one current rider goes; a stale index would claim the old entry too. *)
+     one current rider goes; the path evicted earlier is not counted twice. *)
   ignore (find (Some [| 0; 3; 4 |]) 0 4);
   Cache.crash c 3;
   check_int "only the live rider evicted" 3 (Cache.stats c).Cache.evicted;
@@ -884,6 +872,146 @@ let test_cache_degraded_outcomes () =
   check_int "clean hit after refresh" 2 (stat ()).Cache.hits;
   check_int "lookup accounting" 7 (stat ()).Cache.lookups
 
+(* Random lookup/crash/recover/invalidate scripts through every strategy
+   on small generated graphs, with the paths computed by the real solver
+   under the cache's own liveness. After every step the cache invariant
+   must hold — for Flush that includes "every cached path is valid" and
+   "nothing is degraded while nothing is down", the two facts that let it
+   share the validating lookup without ever repairing — every served path
+   must be valid, and the outcome tallies must add up to the lookups. A
+   case whose crashes and recoveries never evict or flush a Flush entry
+   is discarded as vacuous. *)
+type cache_op =
+  | Find of int * int
+  | Set_down of int * bool  (* broker index: crash (true) or recover *)
+  | Invalidate_all
+
+let test_cache_script () =
+  let gen =
+    QCheck.Gen.(
+      int_range 4 24 >>= fun n ->
+      int_range 0 40 >>= fun m ->
+      int_range 1 5 >>= fun nbrokers ->
+      int_bound 1_000_000 >>= fun seed ->
+      list_size (int_range 10 60)
+        (frequency
+           [
+             (6, map2 (fun a b -> Find (a, b)) nat nat);
+             (4, map2 (fun i d -> Set_down (i, d)) nat bool);
+             (1, return Invalidate_all);
+           ])
+      >|= fun ops -> (n, m, nbrokers, seed, ops))
+  in
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 19 |]) ~n:300 gen in
+  let check (n, m, nbrokers, seed, ops) =
+    let g = random_graph (xr seed) ~n ~m in
+    let brokers = Array.init nbrokers (fun i -> ((i * 7) + seed) mod n) in
+    let is_shard = Broker_core.Connectivity.of_brokers ~n brokers in
+    (* Entries a crash evicted or a recovery flushed, or the failing step. *)
+    let run strategy =
+      let c = Cache.create ~strategy ~seed ~n ~shards:brokers () in
+      let down = Array.make n false in
+      let live v = is_shard v && not down.(v) in
+      let valid p =
+        Array.for_all Fun.id
+          (Array.init (Array.length p - 1) (fun i -> live p.(i) || live p.(i + 1)))
+      in
+      let churned = ref 0 in
+      let step op =
+        let served_ok =
+          match op with
+          | Find (a, b) -> (
+              let src = a mod n and dst = b mod n in
+              let compute () =
+                match Broker_core.Dominating.find_dominated_path g ~is_broker:live src dst with
+                | [] -> None
+                | p -> Some (Array.of_list p)
+              in
+              match Cache.find c ~compute src dst with Some p -> valid p | None -> true)
+          | Set_down (i, d) ->
+              let b = brokers.(i mod nbrokers) and s = Cache.stats c in
+              (if d then Cache.crash else Cache.recover) c b;
+              down.(b) <- d;
+              let s' = Cache.stats c in
+              churned := !churned + s'.Cache.evicted + s'.Cache.flushed - s.Cache.evicted - s.Cache.flushed;
+              true
+          | Invalidate_all ->
+              Cache.invalidate_all c;
+              true
+        in
+        let s = Cache.stats c in
+        served_ok && Cache.invariant_ok c
+        && s.Cache.lookups
+           = s.Cache.hits + s.Cache.served_degraded + s.Cache.repaired_lazily + s.Cache.recomputed
+        (* Flush never needs the repair branch. *)
+        && (strategy <> Cache.Flush || s.Cache.repaired_lazily = 0)
+      in
+      match List.find_index (fun op -> not (step op)) ops with
+      | Some i -> Error (Printf.sprintf "%s: step %d" (Cache.strategy_name strategy) i)
+      | None -> Ok !churned
+    in
+    let flush = run Cache.Flush in
+    match
+      List.find_map
+        (function Error e -> Some e | Ok _ -> None)
+        [ flush; run Cache.Modulo; run (Cache.Ring { vnodes = 8 }) ]
+    with
+    | Some e -> `Fail (Printf.sprintf "n=%d m=%d brokers=%d seed=%d: %s" n m nbrokers seed e)
+    | None -> if flush = Ok 0 then `Discard else `Pass
+  in
+  let outcomes = List.map check cases in
+  let count p = List.length (List.filter p outcomes) in
+  let passed = count (function `Pass -> true | `Discard | `Fail _ -> false) in
+  let discarded = count (function `Discard -> true | `Pass | `Fail _ -> false) in
+  let failures =
+    List.filter_map (function `Fail f -> Some f | `Pass | `Discard -> None) outcomes
+  in
+  Printf.printf "%d cache scripts: %d passed, %d failures, %d discarded (no flush eviction)\n"
+    (List.length outcomes) passed (List.length failures) discarded;
+  List.iter print_endline failures;
+  check_int "failing scripts" 0 (List.length failures);
+  check_bool "most scripts evict or flush" true (passed > 2 * discarded)
+
+(* Run brokerctl with [args]: its exit code and stderr. *)
+let brokerctl args =
+  let ((out, inp, err) as proc) =
+    Unix.open_process_args_full "../bin/brokerctl.exe"
+      (Array.of_list ("brokerctl" :: args))
+      (Unix.environment ())
+  in
+  close_out inp;
+  ignore (In_channel.input_all out);
+  let msg = In_channel.input_all err in
+  match Unix.close_process_full proc with
+  | Unix.WEXITED code -> (code, msg)
+  | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, msg)
+
+(* Cache flags are checked before the topology is read: the topology
+   path below does not exist, so reaching the loader would exit 1. *)
+let test_simulate_cache_flags () =
+  let simulate flags =
+    brokerctl ([ "simulate"; "-t"; "no-such-topology"; "-b"; "no-such-brokers" ] @ flags)
+  in
+  let expect what flags ~code ~needle =
+    let got, msg = simulate flags in
+    check_int (what ^ ": exit code") code got;
+    check_bool (what ^ ": message names the problem") true (contains ~needle msg)
+  in
+  List.iter
+    (fun strategy ->
+      expect ("--vnodes with " ^ strategy)
+        [ "--cache-strategy"; strategy; "--vnodes"; "8" ]
+        ~code:2
+        ~needle:"brokerctl simulate: --vnodes applies only to --cache-strategy ring")
+    [ "flush"; "modulo" ];
+  expect "--vnodes 0" [ "--cache-strategy"; "ring"; "--vnodes"; "0" ] ~code:2
+    ~needle:"--vnodes";
+  List.iter
+    (fun name ->
+      expect ("--cache-strategy " ^ name) [ "--cache-strategy"; name ] ~code:124
+        ~needle:("invalid value '" ^ name ^ "'"))
+    [ "bogus"; "FLUSH" ]
+
 (* ---------- Latency ---------- *)
 
 let test_latency_assign_all_edges () =
@@ -1027,6 +1155,9 @@ let suite =
         cache_qcheck_remap;
         Alcotest.test_case "degraded outcomes" `Quick
           test_cache_degraded_outcomes;
+        Alcotest.test_case "script invariants" `Quick test_cache_script;
+        Alcotest.test_case "simulate cache flags" `Quick
+          test_simulate_cache_flags;
       ] );
     ( "routing.latency",
       [
