@@ -46,11 +46,12 @@ let () =
         topo.Broker_topo.Topology.names.(src)
         topo.Broker_topo.Topology.names.(dst)
         s.Broker_routing.Stitch.hops
-        (List.length
-           (List.filter (fun v -> is_broker v) s.Broker_routing.Stitch.path))
+        (Array.fold_left
+           (fun acc v -> if is_broker v then acc + 1 else acc)
+           0 s.Broker_routing.Stitch.path)
         (List.length s.Broker_routing.Stitch.employees);
       Printf.printf "Path: %s\n"
         (String.concat " -> "
            (List.map
               (fun v -> topo.Broker_topo.Topology.names.(v))
-              s.Broker_routing.Stitch.path))
+              (Array.to_list s.Broker_routing.Stitch.path)))

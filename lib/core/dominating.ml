@@ -1,4 +1,5 @@
 module G = Broker_graph.Graph
+module View = Broker_graph.View
 
 let is_dominated_path ~is_broker path =
   let rec check = function
@@ -7,35 +8,92 @@ let is_dominated_path ~is_broker path =
   in
   check path
 
-let find_dominated_path_view vw ~is_broker u v =
-  let edge_ok = Connectivity.edge_ok ~is_broker in
-  let n = Broker_graph.View.n vw in
-  let parent = Array.make n (-1) in
-  let seen = Array.make n false in
-  let queue = Array.make n 0 in
-  let head = ref 0 and tail = ref 0 in
-  seen.(u) <- true;
-  queue.(!tail) <- u;
-  incr tail;
-  while !head < !tail && not seen.(v) do
-    let x = queue.(!head) in
+(* One search workspace per domain, reused by every call on that domain
+   and grown to the largest graph seen. A vertex [y] is discovered in the
+   current search iff [stamp.(y) = epoch], and [parent.(y)] is only
+   meaningful under that guard, so a search starts with an epoch bump
+   instead of clearing or allocating n-word arrays. *)
+type workspace = {
+  mutable epoch : int;
+  mutable stamp : int array;
+  mutable parent : int array;
+  mutable queue : int array;
+}
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      { epoch = 0; stamp = [||]; parent = [||]; queue = [||] })
+
+let ensure ws n =
+  if Array.length ws.stamp < n then begin
+    ws.stamp <- Array.make n 0;
+    ws.parent <- Array.make n 0;
+    ws.queue <- Array.make n 0;
+    (* Fresh stamps are all 0; the epoch bump of the next search makes
+       it 1, so no vertex starts out discovered. *)
+    ws.epoch <- 0
+  end
+
+(* FIFO breadth-first search over the dominated arcs (an arc is usable
+   when either endpoint is a broker) from [u], stopping once [v] has been
+   discovered; each vertex keeps its first discoverer as parent. The
+   segment of the dequeued vertex is selected inline as in
+   [Projected.project_view], so the loops allocate nothing; the only
+   allocation is the exact-length result. *)
+let[@brokercheck.noalloc] find_dominated_path_view vw ~is_broker u v =
+  let n = vw.View.n in
+  if u < 0 || u >= n || v < 0 || v >= n then
+    invalid_arg "Dominating.find_dominated_path: endpoint out of range";
+  let ws = Domain.DLS.get workspace_key in
+  ensure ws n;
+  ws.epoch <- ws.epoch + 1;
+  let epoch = ws.epoch in
+  let stamp = ws.stamp and parent = ws.parent and queue = ws.queue in
+  let off = vw.View.off and adj = vw.View.adj in
+  let ov = vw.View.overlaid in
+  let dirty = vw.View.dirty and xoff = vw.View.xoff and xadj = vw.View.xadj in
+  stamp.(u) <- epoch;
+  queue.(0) <- u;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail && stamp.(v) <> epoch do
+    let x = Array.unsafe_get queue !head in
     incr head;
-    Broker_graph.View.iter_neighbors vw x (fun y ->
-        if (not seen.(y)) && edge_ok x y then begin
-          seen.(y) <- true;
-          parent.(y) <- x;
-          queue.(!tail) <- y;
-          incr tail
-        end)
+    let bx = is_broker x in
+    let dx = ov && Array.unsafe_get dirty x in
+    let a = if dx then xadj else adj in
+    let lo = if dx then Array.unsafe_get xoff x else Array.unsafe_get off x in
+    let hi =
+      if dx then Array.unsafe_get xoff (x + 1)
+      else Array.unsafe_get off (x + 1)
+    in
+    for i = lo to hi - 1 do
+      let y = Array.unsafe_get a i in
+      if Array.unsafe_get stamp y <> epoch && (bx || is_broker y) then begin
+        Array.unsafe_set stamp y epoch;
+        Array.unsafe_set parent y x;
+        Array.unsafe_set queue !tail y;
+        incr tail
+      end
+    done
   done;
-  if not seen.(v) then []
+  if stamp.(v) <> epoch then [||]
   else begin
-    let rec walk x acc = if x = u then u :: acc else walk parent.(x) (x :: acc) in
-    walk v []
+    let len = ref 1 and x = ref v in
+    while !x <> u do
+      x := parent.(!x);
+      incr len
+    done;
+    let path = Array.make !len u in
+    x := v;
+    for i = !len - 1 downto 1 do
+      path.(i) <- !x;
+      x := parent.(!x)
+    done;
+    path
   end
 
 let find_dominated_path g ~is_broker u v =
-  find_dominated_path_view (Broker_graph.View.of_graph g) ~is_broker u v
+  Array.to_list (find_dominated_path_view (View.of_graph g) ~is_broker u v)
 
 type broker_only = {
   broker_only_pairs : float;

@@ -107,6 +107,7 @@ let compute ?(requests_per_phase = 4000) ctx =
   in
   let is_broker = Array.make n false in
   Array.iter (fun b -> is_broker.(b) <- true) brokers;
+  let vw = Broker_graph.View.of_graph g in
   let run_strategy (label, strategy) =
     let down = Array.make n false in
     let cache =
@@ -115,12 +116,12 @@ let compute ?(requests_per_phase = 4000) ctx =
     in
     let compute_path src dst =
       match
-        Broker_core.Dominating.find_dominated_path g
+        Broker_core.Dominating.find_dominated_path_view vw
           ~is_broker:(fun v -> is_broker.(v) && not down.(v))
           src dst
       with
-      | [] -> None
-      | path -> Some (Array.of_list path)
+      | [||] -> None
+      | path -> Some path
     in
     let run_phase idx name prev =
       for i = idx * requests_per_phase to ((idx + 1) * requests_per_phase) - 1

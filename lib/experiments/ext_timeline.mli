@@ -60,6 +60,9 @@ type result = {
 
 val compute : ?n_sessions:int -> Ctx.t -> result
 (** Run the scene (default 4000 sessions) and slice the timelines.
-    Deterministic in the context's seed; independent of domain count. *)
+    Deterministic in the context's seed; independent of domain count.
+    Once the result is built, every {!Broker_sim.Simulator.timeline_names}
+    series is restarted, so the run's windows and sketches do not outlive
+    the call. *)
 
 val report : Ctx.t -> Broker_report.Report.t

@@ -37,7 +37,10 @@ val width : t -> float
 
 val restart : ?window:float -> t -> unit
 (** Drop all recorded windows (and the flush cursor), optionally
-    changing the window width. Call at the start of each run.
+    changing the window width. Call at the start of each run. A run's
+    windows, sketches included, stay reachable from the global registry
+    until the next restart, so a caller that has read what it needs
+    should restart the series to release them.
     @raise Invalid_argument if [window] is not positive. *)
 
 val add : t -> time:float -> int -> unit

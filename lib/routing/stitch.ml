@@ -5,17 +5,19 @@ type segment =
   | Egress of int
 
 type stitched = {
-  path : int list;
+  path : int array;
   segments : segment list;
   employees : int list;
   hops : int;
 }
 
 let stitch g ~is_broker ~src ~dst =
-  match Broker_core.Dominating.find_dominated_path g ~is_broker src dst with
-  | [] -> None
-  | path ->
-      let arr = Array.of_list path in
+  match
+    Broker_core.Dominating.find_dominated_path_view
+      (Broker_graph.View.of_graph g) ~is_broker src dst
+  with
+  | [||] -> None
+  | arr ->
       let m = Array.length arr in
       let segments = ref [] in
       let employees = ref [] in
@@ -51,7 +53,7 @@ let stitch g ~is_broker ~src ~dst =
       done;
       Some
         {
-          path;
+          path = arr;
           segments = List.rev !segments;
           employees = List.rev !employees;
           hops = m - 1;

@@ -13,7 +13,7 @@ type segment =
   | Egress of int  (** last broker → destination *)
 
 type stitched = {
-  path : int list;  (** full vertex path, source to destination *)
+  path : int array;  (** full vertex path, source to destination *)
   segments : segment list;
   employees : int list;  (** distinct hired non-broker ASes *)
   hops : int;

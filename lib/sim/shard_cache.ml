@@ -306,11 +306,14 @@ let drop tbl doomed =
 (* After a membership change each shard sheds the keys it no longer owns
    (they would be unreachable garbage, and under sustained churn they
    would accumulate without bound). This is where the assignment
-   functions separate: removing a ring shard never moves a key between
-   two live shards, so [Ring] sheds nothing on a crash and ~1/n of the
-   keys on the recovery handback, while any change to the live count
-   reassigns ~(n−1)/n of [Modulo]'s keys — both transitions cost it
-   almost the whole cache. *)
+   functions separate: any change to the live count reassigns ~(n−1)/n
+   of [Modulo]'s keys, so both of its transitions compact and cost it
+   almost the whole cache. Removing a ring shard never moves a key
+   between two live shards — a key's owner is the first live shard on
+   its ring walk, and only the dead shard's own keys walk past it — so
+   a [Ring] crash has nothing to shed and skips the pass; only the
+   recovery handback compacts, shedding the ~1/n of the keys the
+   returning shard owns again. *)
 let compact t =
   Array.iteri
     (fun slot tbl ->
@@ -354,13 +357,15 @@ let crash t b =
                match e.path with
                | Some p -> Array.exists (Int.equal b) p
                | None -> false))
-    | Modulo | Ring _ ->
+    | Modulo | Ring _ -> (
         (* The shard's own entries died with the broker; everything else
            survives and is validated lazily on hit. *)
         let tbl = t.tables.(slot_of t b) in
         evict t (Hashtbl.length tbl);
         Hashtbl.reset tbl;
-        compact t
+        match t.strategy with
+        | Modulo -> compact t
+        | Flush | Ring _ -> ())
   end
 
 let recover t b =

@@ -85,12 +85,12 @@ val find :
 val crash : t -> int -> unit
 (** Shard [b] went down. {!Flush}: evict exactly the entries whose path
     rides [b], in one pass over its table. {!Modulo} and {!Ring}: drop
-    [b]'s own table, then compact — every live shard sheds the keys the
-    new assignment no longer maps to it. Removing a ring shard never
-    moves a key between two live shards, so {!Ring} sheds nothing extra;
-    a {!Modulo} live-count change reassigns ≈ (n−1)/n of the keys.
-    Surviving entries are validated on hit. No-op for an unknown or
-    already-down shard. *)
+    [b]'s own table. {!Modulo} then compacts — every live shard sheds the
+    keys the new assignment no longer maps to it, ≈ (n−1)/n of them.
+    Removing a ring shard never moves a key between two live shards, so
+    {!Ring} evicts exactly [b]'s entries and skips the pass. Surviving
+    entries are validated on hit. No-op for an unknown or already-down
+    shard. *)
 
 val recover : t -> int -> unit
 (** Shard [b] came back. {!Flush}: drop every entry computed while any

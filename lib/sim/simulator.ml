@@ -356,8 +356,8 @@ let path_for st t src dst =
         Broker_core.Dominating.find_dominated_path_view st.view
           ~is_broker:(is_broker_live st) src dst
       with
-      | [] -> None
-      | path -> Some (Array.of_list path))
+      | [||] -> None
+      | path -> Some path)
     src dst
 
 (* Single-pass broker filter over a path (no list round-trip). *)

@@ -173,7 +173,12 @@ val timeline_names : string list
     Latency series sketch their samples in
     {!Broker_obs.Timeseries.fixed_point} micro-units of sim-time. All
     series are keyed on sim-time and deterministic for a fixed
-    seed/scale. *)
+    seed/scale.
+
+    A run's windows, with every window's sketch, stay reachable from the
+    global registry until the next instrumented run restarts the series.
+    A caller that has read them should {!Broker_obs.Timeseries.restart}
+    each series to release them. *)
 
 val stats_equal : stats -> stats -> bool
 (** Field-wise equality, [Float.equal] on floats (no polymorphic compare). *)

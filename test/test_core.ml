@@ -11,6 +11,7 @@ module Mcbg = Broker_core.Mcbg
 module Baselines = Broker_core.Baselines
 module Conn = Broker_core.Connectivity
 module Dominating = Broker_core.Dominating
+module View = Broker_graph.View
 
 (* ---------- Coverage ---------- *)
 
@@ -329,7 +330,180 @@ let test_find_dominated_path () =
   check_bool "dominated" true (Dominating.is_dominated_path ~is_broker path);
   (* Broker 1 only: edge (2,3) and (3,4) undominated. *)
   let path2 = Dominating.find_dominated_path g ~is_broker:(fun v -> v = 1) 0 4 in
-  Alcotest.(check (list int)) "no path" [] path2
+  Alcotest.(check (list int)) "no path" [] path2;
+  (* The array search: u = v is the one-vertex path, broker or not,
+     isolated or not; no dominated path is [||]. *)
+  let vw = View.of_graph (G.of_edges ~n:4 [| (0, 1) |]) in
+  List.iter
+    (fun u ->
+      Alcotest.(check (array int))
+        (Printf.sprintf "u = v = %d" u)
+        [| u |]
+        (Dominating.find_dominated_path_view vw ~is_broker:(fun _ -> false) u u))
+    [ 0; 3 ];
+  Alcotest.(check (array int)) "unreachable" [||]
+    (Dominating.find_dominated_path_view vw ~is_broker:(fun _ -> true) 0 3);
+  Alcotest.(check (array int)) "one dominated hop" [| 1; 0 |]
+    (Dominating.find_dominated_path_view vw ~is_broker:(fun v -> v = 0) 1 0)
+
+let test_dominated_path_out_of_range () =
+  let g = path_graph 4 in
+  let expected =
+    Invalid_argument "Dominating.find_dominated_path: endpoint out of range"
+  in
+  List.iter
+    (fun (u, v) ->
+      Alcotest.check_raises (Printf.sprintf "view (%d, %d)" u v) expected (fun () ->
+          ignore
+            (Dominating.find_dominated_path_view (View.of_graph g)
+               ~is_broker:(fun _ -> true) u v));
+      Alcotest.check_raises (Printf.sprintf "graph (%d, %d)" u v) expected (fun () ->
+          ignore (Dominating.find_dominated_path g ~is_broker:(fun _ -> true) u v)))
+    [ (-1, 0); (0, -1); (4, 0); (0, 4); (4, 4) ]
+
+(* The list BFS [Dominating] ran before its workspace search, kept as
+   the oracle: three fresh n-word arrays per call, neighbours through
+   [View.iter_neighbors] and arcs through [Connectivity.edge_ok]. *)
+let oracle_dominated_path vw ~is_broker u v =
+  let edge_ok = Conn.edge_ok ~is_broker in
+  let n = View.n vw in
+  let parent = Array.make n (-1) in
+  let seen = Array.make n false in
+  let queue = Array.make n 0 in
+  let head = ref 0 and tail = ref 0 in
+  seen.(u) <- true;
+  queue.(!tail) <- u;
+  incr tail;
+  while !head < !tail && not seen.(v) do
+    let x = queue.(!head) in
+    incr head;
+    View.iter_neighbors vw x (fun y ->
+        if (not seen.(y)) && edge_ok x y then begin
+          seen.(y) <- true;
+          parent.(y) <- x;
+          queue.(!tail) <- y;
+          incr tail
+        end)
+  done;
+  if not seen.(v) then []
+  else begin
+    let rec walk x acc = if x = u then u :: acc else walk parent.(x) (x :: acc) in
+    walk v []
+  end
+
+type path_outcome = Same | No_dominated_path | Differs of string
+
+(* The workspace search against the oracle, the way SNIPPETS.md's
+   check_prop does it: a fixed seed, and a tally of the cases whose
+   precondition failed (no pair of distinct vertices is joined by a
+   dominated path, so both searches can only answer [||]). Each case
+   routes every ordered pair over the static view and over a Delta view
+   after random announcements and withdrawals, with brokers, a down set
+   and the liveness predicate [broker && not down]. All cases run one
+   after another on one fresh domain, twice: by increasing n, so its
+   workspace is regrown at every larger graph, and by decreasing n, so
+   one workspace sized by the first case serves every smaller graph,
+   epoch after epoch. *)
+let test_dominated_path_oracle () =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 32 >>= fun n ->
+      int_range 0 64 >>= fun m ->
+      int_range 0 100 >>= fun broker_pct ->
+      int_range 0 60 >>= fun down_pct ->
+      int_range 0 16 >>= fun edits ->
+      int_range 0 1_000_000 >|= fun seed -> (n, m, broker_pct, down_pct, edits, seed))
+  in
+  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 20 |]) ~n:300 gen in
+  let check (n, m, broker_pct, down_pct, edits, seed) =
+    let module X = Broker_util.Xrandom in
+    let rng = X.create seed in
+    let g = random_graph rng ~n ~m in
+    let broker = Array.init n (fun _ -> X.int rng 100 < broker_pct) in
+    let down = Array.init n (fun _ -> X.int rng 100 < down_pct) in
+    let is_broker v = broker.(v) && not down.(v) in
+    let d = Broker_graph.Delta.create g in
+    for _ = 1 to edits do
+      let u = X.int rng n and v = X.int rng n in
+      if Broker_graph.Delta.mem_edge d u v then ignore (Broker_graph.Delta.remove_edge d u v)
+      else ignore (Broker_graph.Delta.add_edge d u v)
+    done;
+    let dominated = ref false in
+    let differs =
+      List.find_map
+        (fun (label, vw) ->
+          let bad = ref None in
+          for u = 0 to n - 1 do
+            for v = 0 to n - 1 do
+              let want = oracle_dominated_path vw ~is_broker u v in
+              let got = Dominating.find_dominated_path_view vw ~is_broker u v in
+              if u <> v && want <> [] then dominated := true;
+              if Option.is_none !bad && not (List.equal Int.equal want (Array.to_list got))
+              then bad := Some (Printf.sprintf "%s view: %d -> %d" label u v)
+            done
+          done;
+          !bad)
+        [ ("static", View.of_graph g); ("delta", Broker_graph.Delta.view d) ]
+    in
+    match differs with
+    | Some what ->
+        Differs
+          (Printf.sprintf "n=%d m=%d brokers=%d%% down=%d%% edits=%d seed=%d: %s" n m
+             broker_pct down_pct edits seed what)
+    | None -> if !dominated then Same else No_dominated_path
+  in
+  (* Each pass runs on a domain of its own, whose workspace starts empty. *)
+  let on_fresh_domain cases = Domain.join (Domain.spawn (fun () -> List.map check cases)) in
+  let by_n =
+    List.stable_sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> Int.compare a b) cases
+  in
+  let outcomes = on_fresh_domain by_n @ on_fresh_domain (List.rev by_n) in
+  let regrows =
+    List.length (List.sort_uniq Int.compare (List.map (fun (n, _, _, _, _, _) -> n) cases))
+  in
+  let count p = List.length (List.filter p outcomes) in
+  let same = count (function Same -> true | No_dominated_path | Differs _ -> false) in
+  let vacuous = count (function No_dominated_path -> true | Same | Differs _ -> false) in
+  let failures =
+    List.filter_map (function Differs d -> Some d | Same | No_dominated_path -> None) outcomes
+  in
+  Printf.printf
+    "%d cases for the dominated-path oracle (%d workspace regrows by increasing n): %d \
+     agree, %d failures, %d discarded (no dominated path)\n"
+    (List.length outcomes) regrows same (List.length failures) vacuous;
+  List.iter print_endline failures;
+  check_int "disagreements" 0 (List.length failures);
+  check_bool "most cases route a dominated path" true (same > 4 * vacuous)
+
+(* Allocation gate: after one warm-up search has sized the workspace, a
+   search allocates its result and nothing else, so 1,000 of them on a
+   scale-0.05 graph put fewer than n words directly on the major heap
+   (the three fresh n-word arrays of the list BFS put 3n there per
+   search). Direct major words are [major_words - promoted_words]. *)
+let test_dominated_path_noalloc () =
+  let g = (small_internet ~scale:0.05 ()).Broker_topo.Topology.graph in
+  let n = G.n g in
+  let brokers = Array.sub (Baselines.degree_order g) 0 (n / 20) in
+  let is_broker = Conn.of_brokers ~n brokers in
+  let vw = View.of_graph g in
+  let rng = Broker_util.Xrandom.create 2026 in
+  let us = Array.init 1000 (fun _ -> Broker_util.Xrandom.int rng n) in
+  let vs = Array.init 1000 (fun _ -> Broker_util.Xrandom.int rng n) in
+  ignore (Dominating.find_dominated_path_view vw ~is_broker us.(0) vs.(0));
+  let found = ref 0 in
+  let s0 = Gc.quick_stat () in
+  for i = 0 to 999 do
+    if Array.length (Dominating.find_dominated_path_view vw ~is_broker us.(i) vs.(i)) > 0
+    then incr found
+  done;
+  let s1 = Gc.quick_stat () in
+  let direct =
+    s1.Gc.major_words -. s0.Gc.major_words -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+  in
+  Printf.printf "1000 searches, %d paths found, n = %d: %.0f direct major words\n" !found n
+    direct;
+  check_bool "most pairs are routed" true (!found > 500);
+  check_bool "fewer than n direct major words" true (direct < float_of_int n)
 
 let test_broker_only_star () =
   let g = star_graph 6 in
@@ -438,6 +612,9 @@ let suite =
       [
         Alcotest.test_case "predicate" `Quick test_is_dominated_path;
         Alcotest.test_case "find path" `Quick test_find_dominated_path;
+        Alcotest.test_case "out-of-range endpoint" `Quick test_dominated_path_out_of_range;
+        Alcotest.test_case "workspace = list oracle" `Quick test_dominated_path_oracle;
+        Alcotest.test_case "no allocation per search" `Quick test_dominated_path_noalloc;
         Alcotest.test_case "broker-only star" `Quick test_broker_only_star;
         Alcotest.test_case "broker-only partial" `Quick test_broker_only_partial;
       ] );

@@ -265,6 +265,26 @@ let test_all_experiments_run () =
         = [ ("scale", 0.008); ("sources", 24.0); ("seed", 99.0) ]))
     E.All.experiments
 
+(* X10 reads its numbers off the simulator's timeline series, then
+   restarts them: once its report is built no window, and so no window
+   sketch, is left in the global registry. *)
+let test_ext_timeline_releases_series () =
+  match E.All.find "ext_timeline" with
+  | None -> Alcotest.fail "ext_timeline not registered"
+  | Some e ->
+      ignore (E.All.report_of (tiny_ctx ()) e);
+      let series = Broker_obs.Timeseries.all () in
+      List.iter
+        (fun name ->
+          match
+            List.find_opt (fun ts -> String.equal (Broker_obs.Timeseries.name ts) name) series
+          with
+          | None -> Alcotest.fail (name ^ " not registered")
+          | Some ts ->
+              check_int (name ^ " released") 0
+                (Array.length (Broker_obs.Timeseries.points ts)))
+        Broker_sim.Simulator.timeline_names
+
 let test_lookup_unknown () =
   check_bool "unknown id" true (E.All.find "nonsense" = None);
   check_bool "empty id" true (E.All.find "" = None)
@@ -312,6 +332,8 @@ let suite =
         Alcotest.test_case "ext_chaos" `Quick test_ext_chaos_rows;
         Alcotest.test_case "ext_churn_cache" `Quick test_ext_churn_cache_rows;
         Alcotest.test_case "ext_timeline" `Quick test_ext_timeline_rows;
+        Alcotest.test_case "ext_timeline releases its series" `Quick
+          test_ext_timeline_releases_series;
         Alcotest.test_case "lookup unknown" `Quick test_lookup_unknown;
         Alcotest.test_case "find" `Quick test_find;
       ] );

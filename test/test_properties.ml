@@ -73,7 +73,7 @@ let stitch_shortest =
       | Some s ->
           s.Broker_routing.Stitch.hops = dist.(dst)
           && Broker_core.Dominating.is_dominated_path ~is_broker
-               s.Broker_routing.Stitch.path)
+               (Array.to_list s.Broker_routing.Stitch.path))
 
 (* Components agree with union-find over the edge list. *)
 let components_match_union_find =

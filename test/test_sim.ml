@@ -878,9 +878,14 @@ let test_cache_degraded_outcomes () =
    must hold — for Flush that includes "every cached path is valid" and
    "nothing is degraded while nothing is down", the two facts that let it
    share the validating lookup without ever repairing — every served path
-   must be valid, and the outcome tallies must add up to the lookups. A
-   case whose crashes and recoveries never evict or flush a Flush entry
-   is discarded as vacuous. *)
+   must be valid, and the outcome tallies must add up to the lookups.
+   For Modulo and Ring a model of the cached keys (a lookup stores its
+   key while some shard owns it; a crash or recovery drops exactly the
+   keys whose owner it changes) must match the cache's size after every
+   step and its eviction count after every crash and recovery, and a
+   Ring crash must evict exactly the keys the crashed shard held: no
+   other key changes owner. A case whose crashes and recoveries never
+   evict or flush a Flush entry is discarded as vacuous. *)
 type cache_op =
   | Find of int * int
   | Set_down of int * bool  (* broker index: crash (true) or recover *)
@@ -907,6 +912,7 @@ let test_cache_script () =
     let g = random_graph (xr seed) ~n ~m in
     let brokers = Array.init nbrokers (fun i -> ((i * 7) + seed) mod n) in
     let is_shard = Broker_core.Connectivity.of_brokers ~n brokers in
+    let vw = Broker_graph.View.of_graph g in
     (* Entries a crash evicted or a recovery flushed, or the failing step. *)
     let run strategy =
       let c = Cache.create ~strategy ~seed ~n ~shards:brokers () in
@@ -917,30 +923,49 @@ let test_cache_script () =
           (Array.init (Array.length p - 1) (fun i -> live p.(i) || live p.(i + 1)))
       in
       let churned = ref 0 in
+      let sharded = strategy <> Cache.Flush in
+      let model = Hashtbl.create 64 in
       let step op =
         let served_ok =
           match op with
           | Find (a, b) -> (
               let src = a mod n and dst = b mod n in
               let compute () =
-                match Broker_core.Dominating.find_dominated_path g ~is_broker:live src dst with
-                | [] -> None
-                | p -> Some (Array.of_list p)
+                match
+                  Broker_core.Dominating.find_dominated_path_view vw ~is_broker:live src dst
+                with
+                | [||] -> None
+                | p -> Some p
               in
-              match Cache.find c ~compute src dst with Some p -> valid p | None -> true)
+              let served = Cache.find c ~compute src dst in
+              if Option.is_some (Cache.owner c src dst) then Hashtbl.replace model (src, dst) ();
+              match served with Some p -> valid p | None -> true)
           | Set_down (i, d) ->
               let b = brokers.(i mod nbrokers) and s = Cache.stats c in
+              let owners =
+                Hashtbl.fold (fun (src, dst) () acc -> ((src, dst), Cache.owner c src dst) :: acc) model []
+              in
               (if d then Cache.crash else Cache.recover) c b;
               down.(b) <- d;
               let s' = Cache.stats c in
-              churned := !churned + s'.Cache.evicted + s'.Cache.flushed - s.Cache.evicted - s.Cache.flushed;
-              true
+              let evicted = s'.Cache.evicted - s.Cache.evicted in
+              churned := !churned + evicted + s'.Cache.flushed - s.Cache.flushed;
+              let moved =
+                List.filter (fun ((src, dst), o) -> o <> Cache.owner c src dst) owners
+              in
+              List.iter (fun (key, _) -> Hashtbl.remove model key) moved;
+              let held_by_b = List.length (List.filter (fun (_, o) -> o = Some b) owners) in
+              (not sharded)
+              || evicted = List.length moved
+                 && (match strategy with Cache.Ring _ when d -> evicted = held_by_b | _ -> true)
           | Invalidate_all ->
               Cache.invalidate_all c;
+              Hashtbl.reset model;
               true
         in
         let s = Cache.stats c in
         served_ok && Cache.invariant_ok c
+        && ((not sharded) || Cache.size c = Hashtbl.length model)
         && s.Cache.lookups
            = s.Cache.hits + s.Cache.served_degraded + s.Cache.repaired_lazily + s.Cache.recomputed
         (* Flush never needs the repair branch. *)
