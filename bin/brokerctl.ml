@@ -197,6 +197,38 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
   let guard f = try f () with Invalid_argument msg -> usage_error msg in
   (* [not (w >= 0)] also rejects NaN. *)
   if not (stats_window >= 0.0) then usage_error "--stats-window must be positive";
+  (* A flag of a mode that is off would be silently ignored: refuse it,
+     as --vnodes is refused without the ring strategy. *)
+  let only_with mode on flags =
+    List.iter
+      (fun (flag, given) ->
+        if given && not on then
+          usage_error (Printf.sprintf "--%s applies only to --%s" flag mode))
+      flags
+  in
+  only_with "chaos" chaos_on
+    [
+      ("mtbf", Option.is_some mtbf);
+      ("mttr", Option.is_some mttr);
+      ("fault-scenario", Option.is_some scenario);
+      ("no-failover", no_failover);
+      ("retries", Option.is_some retries);
+    ];
+  only_with "topo-updates" (topo_updates > 0)
+    [
+      ("topo-propagation", Option.is_some topo_propagation);
+      ("topo-delay", Option.is_some topo_delay);
+      ("topo-per-hop", Option.is_some topo_per_hop);
+      ("topo-at", Option.is_some topo_at);
+    ];
+  let mtbf = Option.value mtbf ~default:300.0 in
+  let mttr = Option.value mttr ~default:20.0 in
+  let scenario = Option.value scenario ~default:"independent" in
+  let retries = Option.value retries ~default:3 in
+  let topo_propagation = Option.value topo_propagation ~default:"centralized" in
+  let topo_delay = Option.value topo_delay ~default:5.0 in
+  let topo_per_hop = Option.value topo_per_hop ~default:1.0 in
+  let topo_at = Option.value topo_at ~default:0.5 in
   let cache =
     match (cache_strategy, vnodes) with
     | _, Some v when v < 1 -> usage_error "--vnodes must be >= 1"
@@ -224,11 +256,7 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
       let chaos =
         if not chaos_on then None
         else
-          let horizon =
-            (if Array.length sessions = 0 then 0.0
-             else sessions.(Array.length sessions - 1).Broker_sim.Workload.arrival)
-            +. 20.0
-          in
+          let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
           let scen =
             match scenario with
             | "independent" -> Broker_sim.Faults.Independent { mtbf; mttr }
@@ -254,10 +282,7 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
       let topo_churn =
         if topo_updates <= 0 then None
         else begin
-          let horizon =
-            if Array.length sessions = 0 then 0.0
-            else sessions.(Array.length sessions - 1).Broker_sim.Workload.arrival
-          in
+          let horizon = Broker_sim.Workload.last_arrival sessions in
           let ops =
             guard (fun () ->
                 Broker_sim.Topo_stream.burst
@@ -287,11 +312,7 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
            across the arrival horizon. *)
         if stats_window > 0.0 then Some stats_window
         else if Option.is_some timeline then begin
-          let horizon =
-            (if Array.length sessions = 0 then 0.0
-             else sessions.(Array.length sessions - 1).Broker_sim.Workload.arrival)
-            +. 20.0
-          in
+          let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
           Some (Float.max 1e-6 (horizon /. 40.0))
         end
         else None
@@ -382,25 +403,46 @@ let simulate_cmd =
   let chaos =
     Arg.(value & flag & info [ "chaos" ] ~doc:"Inject broker crash/recover faults.")
   in
+  (* The chaos and topology-update flags default to [None] so that
+     [simulate] can refuse one given without its mode; the defaults the
+     docs name are applied there. *)
   let mtbf =
-    Arg.(value & opt float 300.0 & info [ "mtbf" ] ~doc:"Mean time between broker failures.")
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "mtbf" ]
+          ~doc:"Mean time between broker failures (--chaos only; default 300).")
   in
   let mttr =
-    Arg.(value & opt float 20.0 & info [ "mttr" ] ~doc:"Mean time to recover.")
+    Arg.(
+      value
+      & opt (some float) None
+      & info [ "mttr" ] ~doc:"Mean time to recover (--chaos only; default 20).")
   in
   let scenario =
     let alts = [ "independent"; "degree"; "ixp" ] in
     Arg.(
       value
-      & opt (enum (List.map (fun a -> (a, a)) alts)) "independent"
+      & opt (some (enum (List.map (fun a -> (a, a)) alts))) None
       & info [ "fault-scenario" ]
-          ~doc:"Fault scenario: independent, degree (hub-targeted), ixp (correlated).")
+          ~doc:
+            "Fault scenario: independent (default), degree (hub-targeted), \
+             ixp (correlated); --chaos only.")
   in
   let no_failover =
-    Arg.(value & flag & info [ "no-failover" ] ~doc:"Drop in-flight sessions of a crashed broker instead of rerouting.")
+    Arg.(
+      value & flag
+      & info [ "no-failover" ]
+          ~doc:
+            "Drop in-flight sessions of a crashed broker instead of \
+             rerouting (--chaos only).")
   in
   let retries =
-    Arg.(value & opt int 3 & info [ "retries" ] ~doc:"Retry budget for blocked arrivals (chaos mode).")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "retries" ]
+          ~doc:"Retry budget for blocked arrivals (--chaos only; default 3).")
   in
   let cache_strategy =
     let module C = Broker_sim.Shard_cache in
@@ -436,30 +478,37 @@ let simulate_cmd =
     let alts = [ "centralized"; "bgp" ] in
     Arg.(
       value
-      & opt (enum (List.map (fun a -> (a, a)) alts)) "centralized"
+      & opt (some (enum (List.map (fun a -> (a, a)) alts))) None
       & info [ "topo-propagation" ]
           ~doc:
-            "Update propagation model: centralized (constant delay) or bgp \
-             (base + per-hop crawl to the nearest broker).")
+            "Update propagation model: centralized (constant delay, the \
+             default) or bgp (base + per-hop crawl to the nearest broker); \
+             --topo-updates only.")
   in
   let topo_delay =
     Arg.(
-      value & opt float 5.0
+      value
+      & opt (some float) None
       & info [ "topo-delay" ]
-          ~doc:"Centralized delivery delay, or the bgp base delay.")
+          ~doc:
+            "Centralized delivery delay, or the bgp base delay \
+             (--topo-updates only; default 5).")
   in
   let topo_per_hop =
     Arg.(
-      value & opt float 1.0
-      & info [ "topo-per-hop" ] ~doc:"Per-hop delay of the bgp model.")
+      value
+      & opt (some float) None
+      & info [ "topo-per-hop" ]
+          ~doc:"Per-hop delay of the bgp model (--topo-updates only; default 1).")
   in
   let topo_at =
     Arg.(
-      value & opt float 0.5
+      value
+      & opt (some float) None
       & info [ "topo-at" ]
           ~doc:
             "Burst origin time as a fraction of the arrival horizon \
-             (default 0.5).")
+             (--topo-updates only; default 0.5).")
   in
   let stats_window =
     Arg.(

@@ -25,7 +25,3 @@ let estimate ?(l_max = 16) ~rng ~sources g ~alpha =
      done
    with Exit -> ());
   { beta = !beta; alpha = cdf.(!beta); cdf }
-
-let alpha_at ~rng ~sources g ~beta =
-  let cdf = distance_cdf ~l_max:(max beta 1) ~rng ~sources g in
-  cdf.(beta)

@@ -21,11 +21,3 @@ val estimate :
     reaches [alpha]; when none does, [beta = l_max] with its measured
     alpha. Distances are pooled from [sources] BFS runs (reachable pairs
     only, matching the paper's use on the giant component). *)
-
-val alpha_at :
-  rng:Broker_util.Xrandom.t ->
-  sources:int ->
-  Broker_graph.Graph.t ->
-  beta:int ->
-  float
-(** Measured [Prob(d <= beta)]. *)

@@ -4,7 +4,7 @@
     give every budget at once; set-producing baselines (SC, IXPB, Tier1Only)
     return the set the strategy defines. *)
 
-val degree_order : Broker_graph.Graph.t -> int array
+val degree_order : Broker_graph.Graph.t -> int array [@@brokercheck.test_only]
 (** DB: all vertices by decreasing degree (ties by id). *)
 
 val db : Broker_graph.Graph.t -> k:int -> int array

@@ -18,6 +18,6 @@ val run : Broker_graph.Graph.t -> k:int -> radius:int -> int array
     phase, pushing the dominated-path connectivity up). [radius >= 1];
     [radius = 1] coincides with {!Maxsg.run}'s objective. *)
 
-val covered_within : Broker_graph.Graph.t -> brokers:int array -> radius:int -> int
+val covered_within : Broker_graph.Graph.t -> brokers:int array -> radius:int -> int [@@brokercheck.test_only]
 (** Number of vertices within [radius] hops of some broker (brokers
     included). *)

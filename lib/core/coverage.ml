@@ -29,9 +29,6 @@ let graph t = t.graph
 let f t = t.n_covered
 let size t = t.n_brokers
 let brokers t = Array.sub t.order 0 t.n_brokers
-let nth_broker t i =
-  if i < 0 || i >= t.n_brokers then invalid_arg "Coverage.nth_broker";
-  t.order.(i)
 
 let is_broker t v = Bitset.mem t.broker v
 let is_covered t v = Bitset.mem t.covered_set v

@@ -21,10 +21,6 @@ val size : t -> int
 val brokers : t -> int array
 (** Brokers in insertion order (fresh array, O(|B|)). *)
 
-val nth_broker : t -> int -> int
-(** [nth_broker t i]: the [i]-th broker added, O(1).
-    @raise Invalid_argument unless [0 <= i < size t]. *)
-
 val is_broker : t -> int -> bool
 val is_covered : t -> int -> bool
 (** Member of [B ∪ N(B)]. *)

@@ -16,7 +16,7 @@ type upgrades
 (** A set of undirected edges upgraded to free traversal, held as bits
     over the arc indices of the graph it was drawn on. *)
 
-val no_upgrades : upgrades
+val no_upgrades : upgrades [@@brokercheck.test_only]
 (** The empty set; fits every graph. *)
 
 val upgrade_broker_edges :
@@ -31,7 +31,7 @@ val upgrade_broker_edges :
 val upgrade_count : upgrades -> int
 (** Number of upgraded edges. *)
 
-val is_upgraded : upgrades -> int -> int -> bool
+val is_upgraded : upgrades -> int -> int -> bool [@@brokercheck.test_only]
 (** [is_upgraded up u v] iff [uv] is an upgraded edge (either
     orientation). O(log d). *)
 
@@ -40,7 +40,7 @@ val distances :
   Broker_topo.Topology.t ->
   is_broker:(int -> bool) ->
   int ->
-  int array
+  int array [@@brokercheck.test_only]
 (** [distances topo ~is_broker src]: hop count of the shortest
     valley-free, B-dominated path from [src] to every vertex, [-1] when
     there is none. Same engine and exceptions as {!curve_sampled}. *)
@@ -53,7 +53,7 @@ val curve_sampled :
   sources:int ->
   Broker_topo.Topology.t ->
   is_broker:(int -> bool) ->
-  Connectivity.curve
+  Connectivity.curve [@@brokercheck.test_only]
 (** l-hop E2E connectivity where paths must be valley-free (modulo upgraded
     edges) and B-dominated. Edges without a recorded relation are treated as
     peering. [source_set] pins the BFS sources (common random numbers when

@@ -148,21 +148,15 @@ let broker_only_fraction ~rng ~sources g ~brokers =
         end
       done)
     srcs;
-  (* Every sampled source runs over the same dominated subgraph: project
-     once and count reached vertices straight off the engine workspace. *)
-  let pg =
-    Broker_graph.Projected.graph (Broker_graph.Projected.project g ~is_broker)
+  (* Pairs with any dominated path, over the same sources and the same
+     [k * (n - 1)] pair total: the connectivity engine's saturated
+     fraction. *)
+  let saturated_pairs =
+    (Connectivity.eval_sources ~l_max:1 g ~is_broker srcs).Connectivity.saturated
   in
-  let ws = Broker_graph.Bfs.workspace () in
-  let saturated = ref 0 in
-  Array.iter
-    (fun u ->
-      Broker_graph.Bfs.run ws pg u;
-      saturated := !saturated + (Broker_graph.Bfs.reached ws - 1))
-    srcs;
-  let ftotal = float_of_int (max 1 !total) in
-  let broker_only_pairs = float_of_int !broker_only /. ftotal in
-  let saturated_pairs = float_of_int !saturated /. ftotal in
+  let broker_only_pairs =
+    float_of_int !broker_only /. float_of_int (max 1 !total)
+  in
   {
     broker_only_pairs;
     saturated_pairs;

@@ -2,7 +2,7 @@
     Fig. 5a "90% of E2E connections only use nodes in the broker set"
     analysis. *)
 
-val is_dominated_path : is_broker:(int -> bool) -> int list -> bool
+val is_dominated_path : is_broker:(int -> bool) -> int list -> bool [@@brokercheck.test_only]
 (** Every hop of the path has at least one broker endpoint. Paths of fewer
     than 2 vertices are vacuously dominated. *)
 

@@ -16,7 +16,7 @@ val naive : Broker_graph.Graph.t -> k:int -> int array
 val celf : Broker_graph.Graph.t -> k:int -> int array
 (** Same output as [naive]. *)
 
-val celf_into : Coverage.t -> k:int -> unit
+val celf_into : Coverage.t -> k:int -> unit [@@brokercheck.test_only]
 (** Run CELF on an existing coverage state until it holds [k] brokers (or
     coverage is complete), e.g. to top up Algorithm 2's budget remainder. *)
 

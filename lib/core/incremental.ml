@@ -58,19 +58,7 @@ type t = {
   reached : int array;  (* per source: vertices settled at depth >= 1 *)
   tot_hist : int array;  (* column sums of [hist] *)
   mutable tot_reached : int;  (* sum of [reached] *)
-  mutable last : stats;
 }
-
-let no_stats =
-  {
-    applied = 0;
-    noops = 0;
-    ignored = 0;
-    sources_affected = 0;
-    batches_reevaluated = 0;
-    batches_total = 0;
-    fallback = false;
-  }
 
 (* Re-sweep the sources at indices [idx] against [vw], packed [lanes] to
    a batch in index order, and patch their rows into the totals. Returns
@@ -156,15 +144,10 @@ let create ?(l_max = 10) g ~is_broker ~sources =
       reached = Array.make nsrc 0;
       tot_hist = Array.make (l_max + 1) 0;
       tot_reached = 0;
-      last = no_stats;
     }
   in
   ignore (resweep t t.cur_view (Array.init nsrc Fun.id));
   t
-
-let l_max t = t.l_max
-let batches t = t.nbatch
-let last_stats t = t.last
 
 (* The exact test. Adding edges to a graph changes d(s,.) iff one of
    them is far apart for s: its endpoints sit at least 2 levels apart,
@@ -285,17 +268,15 @@ let apply t ops =
   Obs.Metrics.add m_sources_affected (Array.length idx);
   if fallback then Obs.Metrics.incr m_fallbacks
   else Obs.Metrics.add m_endpoint_bfs runs;
-  t.last <-
-    {
-      applied = !applied;
-      noops = !noops;
-      ignored = !ignored;
-      sources_affected = Array.length idx;
-      batches_reevaluated = swept;
-      batches_total = t.nbatch;
-      fallback;
-    };
-  t.last
+  {
+    applied = !applied;
+    noops = !noops;
+    ignored = !ignored;
+    sources_affected = Array.length idx;
+    batches_reevaluated = swept;
+    batches_total = t.nbatch;
+    fallback;
+  }
 
 let curve t =
   if t.n < 2 then

@@ -20,8 +20,8 @@
     the new one. One scalar BFS per distinct endpoint gives the
     distances of every source at once, by symmetry. A scalar BFS costs
     about a sixth of a batch, so when a burst would need more of those
-    runs than [3 *] {!batches} — half of a full re-sweep — the tracker
-    skips the test and re-sweeps every source instead ([fallback]).
+    runs than 3 × the MS-BFS batches of a full sweep (half of a
+    re-sweep), the tracker skips the test and re-sweeps every source instead ([fallback]).
     The rule depends on the burst alone.
 
     Equivalence guarantee: {!curve} is bitwise identical to running
@@ -47,9 +47,11 @@ type stats = {
       (** sources whose distance vector changed; every source on a
           [fallback] *)
   batches_reevaluated : int;  (** batches the affected sources packed into *)
-  batches_total : int;  (** batches of a full sweep ({!batches}) *)
+  batches_total : int;
+      (** MS-BFS batches of a full sweep
+          ([ceil (sources / Msbfs.lanes)]) *)
   fallback : bool;
-      (** the burst needed more endpoint BFS runs than [3 *] {!batches},
+      (** the burst needed more endpoint BFS runs than 3 × [batches_total],
           so every source was re-swept untested *)
 }
 
@@ -66,7 +68,7 @@ val create :
 
 val apply : t -> op array -> stats
 (** Apply an update burst and re-sweep the affected sources. Returns the
-    burst's statistics (also readable via {!last_stats}). The burst is
+    burst's statistics. The burst is
     atomic: every endpoint is checked before any op is applied.
     @raise Invalid_argument when an endpoint is out of range; the
     tracker is then unchanged. *)
@@ -77,11 +79,3 @@ val curve : t -> Connectivity.curve
 
 val saturated : t -> float
 (** [saturated] of {!curve}. *)
-
-val last_stats : t -> stats
-(** Statistics of the most recent {!apply} (zeros before the first). *)
-
-val l_max : t -> int
-
-val batches : t -> int
-(** MS-BFS batches of a full sweep ([ceil (sources / Msbfs.lanes)]). *)

@@ -29,10 +29,10 @@ val run :
     (see bench [ablation_beta]).
     @raise Invalid_argument when [k < 1] or [beta < 1]. *)
 
-val x_star : k:int -> beta:int -> int
+val x_star : k:int -> beta:int -> int [@@brokercheck.test_only]
 (** The coverage-broker budget for a given [k] and [beta]. *)
 
-val theta : beta:int -> int
+val theta : beta:int -> int [@@brokercheck.test_only]
 (** [θ = β] for even β, [β + 1] for odd — the approximation-ratio
     denominator of Theorem 3. *)
 

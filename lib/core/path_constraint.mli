@@ -15,6 +15,6 @@ val max_deviation : Connectivity.curve -> target:Connectivity.curve -> float * i
     counts 1 .. min of the two l_max, plus the saturated values). *)
 
 val feasible :
-  epsilon:float -> Connectivity.curve -> target:Connectivity.curve -> verdict
+  epsilon:float -> Connectivity.curve -> target:Connectivity.curve -> verdict [@@brokercheck.test_only]
 (** Eq. (4) with the free-path-selection curve of the same topology as the
     natural [target]. *)

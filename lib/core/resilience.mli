@@ -38,6 +38,6 @@ val survivors :
   brokers:int array ->
   model:failure_model ->
   fraction:float ->
-  int array
+  int array [@@brokercheck.test_only]
 (** The broker subset remaining after failures (deterministic for
     [Targeted]). *)

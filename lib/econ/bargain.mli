@@ -24,6 +24,6 @@ val solve : ?cross_check:bool -> broker_price:float -> hops:int -> float -> outc
     [cross_check] (default false) verifies the closed form against a
     golden-section maximization and asserts agreement to 1e-6. *)
 
-val feasible : broker_price:float -> hops:int -> cost:float -> bool
+val feasible : broker_price:float -> hops:int -> cost:float -> bool [@@brokercheck.test_only]
 (** Non-empty bargaining set: [2·p_B > h·(2c)]... i.e. some price leaves
     both sides positive surplus. *)

@@ -33,7 +33,7 @@ val group_rational :
 (** [Σ_{j∈M} φ_j >= v(M)] on sampled coalitions [M] (Theorem 8's
     conclusion; exhaustive for small [n]). *)
 
-val marginal_curve : float array -> float array
+val marginal_curve : float array -> float array [@@brokercheck.test_only]
 (** [marginal_curve values]: first differences of a value-per-prefix-size
     sequence; the index after which differences stop growing marks where
     supermodularity — and hence the incentive to keep adding brokers —

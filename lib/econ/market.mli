@@ -29,7 +29,7 @@ val customer :
   ?p_scale:float ->
   ?a0:float ->
   unit ->
-  customer
+  customer [@@brokercheck.test_only]
 (** Defaults: [v_scale = 10], [v_curvature = 4], [p_peak = 0.6],
     [p_scale = 2], [a0 = 0.05].
     @raise Invalid_argument on out-of-range parameters. *)
@@ -39,8 +39,8 @@ val random_population :
 (** Heterogeneous customers with jittered parameters, for the adoption
     experiments. *)
 
-val v : customer -> float -> float
-val p : customer -> float -> float
+val v : customer -> float -> float [@@brokercheck.test_only]
+val p : customer -> float -> float [@@brokercheck.test_only]
 
 val utility : customer -> price:float -> float -> float
 (** [utility c ~price a] = [V(a) + P(a) - price·a]. *)

@@ -21,7 +21,7 @@ val aggregate_response : Market.customer array -> price:float -> float
 (** [α(p) = Σ_i a_i(p)]. *)
 
 val broker_utility :
-  Market.customer array -> cost:Market.broker_cost -> price:float -> float
+  Market.customer array -> cost:Market.broker_cost -> price:float -> float [@@brokercheck.test_only]
 
 val solve :
   ?p_max:float ->

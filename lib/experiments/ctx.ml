@@ -7,6 +7,8 @@ type t = {
   mutable rng_counter : int;
   mutable topo : T.t option;
   mutable maxsg : int array option;
+  mutable sim_topo : T.t option;
+  mutable sim_maxsg : int array option;
   mutable greedy : int array option;
   mutable free : Broker_core.Connectivity.curve option;
   mutable source_sample : int array option;
@@ -23,6 +25,8 @@ let create ?(scale = 1.0) ?(sources = 192) ?(seed = 42) () =
     rng_counter = 0;
     topo = None;
     maxsg = None;
+    sim_topo = None;
+    sim_maxsg = None;
     greedy = None;
     free = None;
     source_sample = None;
@@ -82,6 +86,34 @@ let maxsg_order t =
       let order = Broker_core.Maxsg.run_to_saturation (graph t) in
       t.maxsg <- Some order;
       order
+
+(* The simulator experiments cap the topology at scale 0.05. At or below
+   the cap that is [params t] itself, so they reuse {!topo} and
+   {!maxsg_order}; above it the capped scene is generated once. *)
+let sim_scale t = Float.min t.scale 0.05
+
+let sim_topo t =
+  if t.scale <= 0.05 then topo t
+  else
+    match t.sim_topo with
+    | Some topo -> topo
+    | None ->
+        let topo =
+          Broker_topo.Internet.generate
+            { (Broker_topo.Internet.scaled (sim_scale t)) with seed = t.seed }
+        in
+        t.sim_topo <- Some topo;
+        topo
+
+let sim_maxsg_order t =
+  if t.scale <= 0.05 then maxsg_order t
+  else
+    match t.sim_maxsg with
+    | Some order -> order
+    | None ->
+        let order = Broker_core.Maxsg.run_to_saturation (sim_topo t).T.graph in
+        t.sim_maxsg <- Some order;
+        order
 
 let greedy_order t =
   match t.greedy with

@@ -25,7 +25,6 @@ val seed : t -> int
 val rng : t -> Broker_util.Xrandom.t
 (** A fresh deterministic RNG stream (distinct per call). *)
 
-val params : t -> Broker_topo.Internet.params
 val topo : t -> Broker_topo.Topology.t
 (** Generated once and cached. *)
 
@@ -33,6 +32,18 @@ val graph : t -> Broker_graph.Graph.t
 
 val maxsg_order : t -> int array
 (** MaxSG run to saturation (cached); prefixes give every budget. *)
+
+val sim_scale : t -> float
+(** The simulator experiments' topology scale: [min (scale t) 0.05]. *)
+
+val sim_topo : t -> Broker_topo.Topology.t
+(** The simulator experiments' topology, at {!sim_scale}: {!topo} itself
+    when [scale t <= 0.05], else generated once at the same seed and
+    cached. *)
+
+val sim_maxsg_order : t -> int array
+(** MaxSG run to saturation on {!sim_topo} (cached; {!maxsg_order} when
+    the two topologies coincide). *)
 
 val greedy_order : t -> int array
 (** CELF greedy MCB ordering up to the saturation size of MaxSG (cached). *)

@@ -1,7 +1,6 @@
 module Report = Broker_report.Report
 
 type result = {
-  players : int;
   shapley : float array;
   efficiency_gap : float;
   superadditive : Broker_econ.Coalition.check;
@@ -9,9 +8,12 @@ type result = {
   individually_rational : bool;
   group_rational : Broker_econ.Coalition.check;
   supermodularity_break : int option;
+      (** prefix size where marginal contributions start decaying, over the
+          MaxSG growth sequence *)
 }
 
-let compute ?(players = 10) ctx =
+let compute ctx =
+  let players = 10 in
   (* Small dedicated topology: exact 2^players enumeration of v. *)
   let params = { (Broker_topo.Internet.scaled 0.02) with seed = Ctx.seed ctx } in
   let topo = Broker_topo.Internet.generate params in
@@ -58,7 +60,6 @@ let compute ?(players = 10) ctx =
       order
   in
   {
-    players;
     shapley;
     efficiency_gap = Broker_econ.Shapley.efficiency_gap ~v ~n:players shapley;
     superadditive = Broker_econ.Coalition.superadditive ~rng ~n:players ~v ~trials;

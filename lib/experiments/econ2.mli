@@ -8,18 +8,4 @@
     (the signal to stop growing B). Runs on a small (~1,000-node) topology
     so the 2^n subset enumeration stays exact. *)
 
-type result = {
-  players : int;
-  shapley : float array;
-  efficiency_gap : float;
-  superadditive : Broker_econ.Coalition.check;
-  supermodular : Broker_econ.Coalition.check;
-  individually_rational : bool;
-  group_rational : Broker_econ.Coalition.check;
-  supermodularity_break : int option;
-      (** prefix size where marginal contributions start decaying, over the
-          MaxSG growth sequence *)
-}
-
-val compute : ?players:int -> Ctx.t -> result
 val report : Ctx.t -> Broker_report.Report.t

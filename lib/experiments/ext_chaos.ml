@@ -25,24 +25,17 @@ let availability_of ~k ~horizon downtime =
   else 1.0 -. (downtime /. (float_of_int k *. horizon))
 
 let compute ?(n_sessions = 4000) ctx =
-  let sim_scale = Float.min (Ctx.scale ctx) 0.05 in
-  let params =
-    { (Broker_topo.Internet.scaled sim_scale) with seed = Ctx.seed ctx }
-  in
-  let topo = Broker_topo.Internet.generate params in
+  let sim_scale = Ctx.sim_scale ctx in
+  let topo = Ctx.sim_topo ctx in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Broker_core.Maxsg.run_to_saturation g in
+  let order = Ctx.sim_maxsg_order ctx in
   let model = Broker_core.Traffic.gravity ~rng:(Ctx.rng ctx) g in
   let sessions =
     Broker_sim.Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions
       Broker_sim.Workload.default_params
   in
   (* Slack past the last arrival so outages also hit in-flight tails. *)
-  let horizon =
-    (if Array.length sessions = 0 then 0.0
-     else sessions.(Array.length sessions - 1).Broker_sim.Workload.arrival)
-    +. 20.0
-  in
+  let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
   let config = Sim.degree_capacity g ~factor:0.25 in
   List.concat_map
     (fun k0 ->
@@ -118,13 +111,10 @@ let report ctx =
     "Fault rate is the kept fraction of a max-rate per-broker failure\nprocess (MTBF = horizon/8, MTTR = 20). Failover reroutes in-flight\nsessions of a crashed broker onto alternate dominated paths.\n";
   (* Circuit-breaker ablation under deliberate overload: tight uniform
      capacity so the hub brokers sit above the high-water mark. *)
-  let sim_scale = Float.min (Ctx.scale ctx) 0.05 in
-  let params =
-    { (Broker_topo.Internet.scaled sim_scale) with seed = Ctx.seed ctx }
-  in
-  let topo = Broker_topo.Internet.generate params in
+  let sim_scale = Ctx.sim_scale ctx in
+  let topo = Ctx.sim_topo ctx in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Broker_core.Maxsg.run_to_saturation g in
+  let order = Ctx.sim_maxsg_order ctx in
   let k =
     min (Array.length order) (max 4 (int_of_float (1000.0 *. sim_scale)))
   in

@@ -18,10 +18,10 @@ type row = {
   dropped_off : int;  (** mid-flight drops in the no-failover run *)
 }
 
-val keeps : float list
+val keeps : float list [@@brokercheck.test_only]
 (** The fault-rate sweep: kept fractions, ascending, starting at 0. *)
 
-val compute : ?n_sessions:int -> Ctx.t -> row list
+val compute : ?n_sessions:int -> Ctx.t -> row list [@@brokercheck.test_only]
 (** Rows grouped by k (in {!keeps} order within each k). Deterministic in
     the context's seed. *)
 

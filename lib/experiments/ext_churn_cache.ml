@@ -61,13 +61,10 @@ let hit_rate_of (s : Cache.stats) =
    lowest-ranked alliance members, so dominated paths mostly survive and
    the experiment isolates cache policy rather than reachability. *)
 let scene ctx =
-  let sim_scale = Float.min (Ctx.scale ctx) 0.05 in
-  let params =
-    { (Broker_topo.Internet.scaled sim_scale) with seed = Ctx.seed ctx }
-  in
-  let topo = Broker_topo.Internet.generate params in
+  let sim_scale = Ctx.sim_scale ctx in
+  let topo = Ctx.sim_topo ctx in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Broker_core.Maxsg.run_to_saturation g in
+  let order = Ctx.sim_maxsg_order ctx in
   let k =
     min (Array.length order) (max 8 (int_of_float (1000.0 *. sim_scale)))
   in
@@ -202,11 +199,7 @@ let compute_sim ?(n_sessions = 4000) ctx =
     Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions
       Workload.default_params
   in
-  let horizon =
-    (if Array.length sessions = 0 then 0.0
-     else sessions.(Array.length sessions - 1).Workload.arrival)
-    +. 20.0
-  in
+  let horizon = Workload.last_arrival sessions +. 20.0 in
   let faults = phase_schedule ~horizon ~crashed in
   let config = Sim.degree_capacity g ~factor:0.25 in
   List.map
@@ -228,7 +221,8 @@ let compute_sim ?(n_sessions = 4000) ctx =
 
 let rate_keeps = [ 0.25; 1.0 ]
 
-let compute_rates ?(n_sessions = 3000) ctx =
+let compute_rates ctx =
+  let n_sessions = 3000 in
   let topo, g, brokers, _crashed = scene ctx in
   let n = Broker_graph.Graph.n g in
   let model = Workload.zipf ~n () in
@@ -236,11 +230,7 @@ let compute_rates ?(n_sessions = 3000) ctx =
     Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions
       Workload.default_params
   in
-  let horizon =
-    (if Array.length sessions = 0 then 0.0
-     else sessions.(Array.length sessions - 1).Workload.arrival)
-    +. 20.0
-  in
+  let horizon = Workload.last_arrival sessions +. 20.0 in
   let fault_seed = Ctx.seed ctx + 131 in
   let base =
     Faults.generate ~rng:(X.create fault_seed) topo ~brokers ~horizon

@@ -15,7 +15,7 @@
     [Ring] holds a strictly higher hit rate than [Modulo]; the remap
     fraction is ≈ m/n for [Ring] vs ≈ 1 for [Modulo]. *)
 
-val strategies : (string * Broker_sim.Shard_cache.strategy) list
+val strategies : (string * Broker_sim.Shard_cache.strategy) list [@@brokercheck.test_only]
 (** [flush], [modulo], [ring] (with {!Broker_sim.Shard_cache.default_vnodes}),
     in report order. *)
 
@@ -49,33 +49,18 @@ type sim_row = {
   flushed : int;
 }
 
-type rate_row = {
-  strategy : string;
-  keep : float;
-  rate_delivered : float;
-  rate_hit_rate : float;
-  rate_recomputed : int;
-}
-
-val phase_names : string list
+val phase_names : string list [@@brokercheck.test_only]
 (** [["warm"; "churn"; "recovered"]], in schedule order. *)
 
 val compute :
-  ?requests_per_phase:int -> Ctx.t -> phase_row list * remap_row list
+  ?requests_per_phase:int -> Ctx.t -> phase_row list * remap_row list [@@brokercheck.test_only]
 (** Direct cache exercise (no simulator): per-strategy phase rows in
     {!phase_names} order, grouped by strategy in {!strategies} order, plus
     one remap row per strategy. Every strategy replays the identical
     request stream. Deterministic in the context's seed. *)
 
-val compute_sim : ?n_sessions:int -> Ctx.t -> sim_row list
+val compute_sim : ?n_sessions:int -> Ctx.t -> sim_row list [@@brokercheck.test_only]
 (** The same three-phase schedule through {!Broker_sim.Simulator.run}
     (one run per strategy, identical sessions and fault stream). *)
-
-val rate_keeps : float list
-(** Kept fractions of the independent-churn stream for the rate sweep. *)
-
-val compute_rates : ?n_sessions:int -> Ctx.t -> rate_row list
-(** X7-style thinned [Independent] churn × strategies, grouped by kept
-    fraction in {!rate_keeps} order. *)
 
 val report : Ctx.t -> Broker_report.Report.t

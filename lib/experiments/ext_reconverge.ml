@@ -28,15 +28,15 @@ let sample_sources ctx g =
     ~n ~k
 
 type incr_row = {
-  k : int;
-  burst : int;
+  k : int;  (** broker budget *)
+  burst : int;  (** ops actually generated (may be < requested) *)
   applied : int;
-  ignored : int;
-  affected : int;
-  reevaluated : int;
+  ignored : int;  (** ops with no broker endpoint *)
+  affected : int;  (** sources whose reachable set may have changed *)
+  reevaluated : int;  (** source batches re-swept *)
   batches : int;
   saturated : float;
-  oracle_ok : bool;
+  oracle_ok : bool;  (** curve bitwise-equal to from-scratch rebuild *)
 }
 
 (* Table A: one burst through the incremental tracker per (broker
@@ -98,10 +98,10 @@ type conv_row = {
   model : string;
   cburst : int;
   events : int;
-  t_first : float;
-  t_last : float;
-  t_stable : float;
-  final : float;
+  t_first : float;  (** earliest delivery time *)
+  t_last : float;  (** latest delivery time *)
+  t_stable : float;  (** re-convergence time (see above) *)
+  final : float;  (** saturated coverage after the last delivery *)
 }
 
 let propagations =
@@ -174,26 +174,24 @@ let compute_reconverge ctx =
     burst_sizes
 
 type sim_row = {
-  smodel : string;
+  smodel : string;  (** ["static"] baseline or a propagation label *)
   updates : int;
   applied : int;
   ignored : int;
   delivered : float;
-  recomputed : int;
-  evicted : int;
+  recomputed : int;  (** path-cache recomputations *)
+  evicted : int;  (** cache evictions (full flush per applied update) *)
 }
 
 (* Table C: the full flow-level simulator with a mid-run update burst.
    Every applied update flushes the path cache, so the cache columns
    price the recomputation churn the propagation model causes. *)
-let compute_sim ?(n_sessions = 3000) ctx =
-  let sim_scale = Float.min (Ctx.scale ctx) 0.05 in
-  let params =
-    { (Broker_topo.Internet.scaled sim_scale) with seed = Ctx.seed ctx }
-  in
-  let topo = Broker_topo.Internet.generate params in
+let compute_sim ctx =
+  let n_sessions = 3000 in
+  let sim_scale = Ctx.sim_scale ctx in
+  let topo = Ctx.sim_topo ctx in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Broker_core.Maxsg.run_to_saturation g in
+  let order = Ctx.sim_maxsg_order ctx in
   let k =
     min (Array.length order) (max 8 (int_of_float (1000.0 *. sim_scale)))
   in
@@ -203,10 +201,7 @@ let compute_sim ?(n_sessions = 3000) ctx =
     Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions
       Workload.default_params
   in
-  let horizon =
-    if Array.length sessions = 0 then 0.0
-    else sessions.(Array.length sessions - 1).Workload.arrival
-  in
+  let horizon = Workload.last_arrival sessions in
   let ops = Stream.burst ~rng:(Ctx.rng ctx) g ~size:64 in
   let updates =
     Array.map (fun op -> { Stream.time = 0.3 *. horizon; op }) ops

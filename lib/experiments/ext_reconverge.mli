@@ -20,56 +20,4 @@
       every applied update flushes the whole path cache, so the cache
       columns price the recomputation churn per propagation model. *)
 
-val burst_sizes : int list
-(** [[8; 32; 128]], in report order. *)
-
-val propagations : (string * Broker_sim.Topo_stream.propagation) list
-(** [centralized] (delay 1.0) and [bgp-like] (base 0.5, per-hop 1.0),
-    in report order. *)
-
-type incr_row = {
-  k : int;  (** broker budget *)
-  burst : int;  (** ops actually generated (may be < requested) *)
-  applied : int;
-  ignored : int;  (** ops with no broker endpoint *)
-  affected : int;  (** sources whose reachable set may have changed *)
-  reevaluated : int;  (** source batches re-swept *)
-  batches : int;
-  saturated : float;
-  oracle_ok : bool;  (** curve bitwise-equal to from-scratch rebuild *)
-}
-
-type conv_row = {
-  model : string;
-  cburst : int;
-  events : int;
-  t_first : float;  (** earliest delivery time *)
-  t_last : float;  (** latest delivery time *)
-  t_stable : float;  (** re-convergence time (see above) *)
-  final : float;  (** saturated coverage after the last delivery *)
-}
-
-type sim_row = {
-  smodel : string;  (** ["static"] baseline or a propagation label *)
-  updates : int;
-  applied : int;
-  ignored : int;
-  delivered : float;
-  recomputed : int;  (** path-cache recomputations *)
-  evicted : int;  (** cache evictions (full flush per applied update) *)
-}
-
-val compute_incremental : Ctx.t -> incr_row list
-(** Rows grouped by broker budget in ascending order, burst sizes in
-    {!burst_sizes} order within each. Deterministic in the context. *)
-
-val compute_reconverge : Ctx.t -> conv_row list
-(** Rows grouped by burst size, propagation models in {!propagations}
-    order within each; all at the largest broker budget. *)
-
-val compute_sim : ?n_sessions:int -> Ctx.t -> sim_row list
-(** The static baseline followed by one row per propagation model,
-    identical sessions and update burst across rows. Runs at a capped
-    simulation scale like [ext_sim]. *)
-
 val report : Ctx.t -> Broker_report.Report.t

@@ -7,9 +7,7 @@ let report ctx =
   in
   (* Simulation scale is capped: per-session path queries on the full graph
      would dominate runtime without changing the story. *)
-  let sim_scale = Float.min (Ctx.scale ctx) 0.05 in
-  let params = { (Broker_topo.Internet.scaled sim_scale) with seed = Ctx.seed ctx } in
-  let topo = Broker_topo.Internet.generate params in
+  let topo = Ctx.sim_topo ctx in
   let g = topo.Broker_topo.Topology.graph in
   let brokers = Broker_core.Maxsg.run g ~k:(max 30 (Broker_graph.Graph.n g / 20)) in
   let model = Broker_core.Traffic.gravity ~rng:(Ctx.rng ctx) g in

@@ -56,13 +56,10 @@ type result = {
    wants a fault that visibly dents admission and stretches latency, and
    dominated paths lean on the top brokers. *)
 let scene ctx =
-  let sim_scale = Float.min (Ctx.scale ctx) 0.05 in
-  let params =
-    { (Broker_topo.Internet.scaled sim_scale) with seed = Ctx.seed ctx }
-  in
-  let topo = Broker_topo.Internet.generate params in
+  let sim_scale = Ctx.sim_scale ctx in
+  let topo = Ctx.sim_topo ctx in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Broker_core.Maxsg.run_to_saturation g in
+  let order = Ctx.sim_maxsg_order ctx in
   let k =
     min (Array.length order) (max 8 (int_of_float (1000.0 *. sim_scale)))
   in
@@ -113,11 +110,7 @@ let compute ?(n_sessions = 4000) ctx =
     Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions
       Workload.default_params
   in
-  let horizon =
-    (if Array.length sessions = 0 then 0.0
-     else sessions.(Array.length sessions - 1).Workload.arrival)
-    +. 20.0
-  in
+  let horizon = Workload.last_arrival sessions +. 20.0 in
   let faults =
     Faults.phased
       [

@@ -16,7 +16,7 @@
     repeated runs at a fixed seed/scale (asserted by the tests and the
     CI determinism-replay job). *)
 
-val phase_names : string list
+val phase_names : string list [@@brokercheck.test_only]
 (** [["warm"; "fault"; "recovered"]], in schedule order. The fault
     phase spans the middle \[0.35, 0.65) of the horizon. *)
 
@@ -58,7 +58,7 @@ type result = {
       (** per-window p99 queue wait in sim-time units *)
 }
 
-val compute : ?n_sessions:int -> Ctx.t -> result
+val compute : ?n_sessions:int -> Ctx.t -> result [@@brokercheck.test_only]
 (** Run the scene (default 4000 sessions) and slice the timelines.
     Deterministic in the context's seed; independent of domain count.
     Once the result is built, every {!Broker_sim.Simulator.timeline_names}

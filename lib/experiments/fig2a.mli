@@ -8,5 +8,5 @@ type result = {
   mean_fraction : float;  (** mean set size / |V| *)
 }
 
-val compute : ?runs:int -> Ctx.t -> result
+val compute : ?runs:int -> Ctx.t -> result [@@brokercheck.test_only]
 val report : Ctx.t -> Broker_report.Report.t

@@ -1,7 +1,11 @@
 module Report = Broker_report.Report
 module Conn = Broker_core.Connectivity
 
-type row = { name : string; brokers : int; curve : Conn.curve }
+type row = {
+  name : string;
+  brokers : int;
+  curve : Broker_core.Connectivity.curve;
+}
 
 let compute ctx =
   let topo = Ctx.topo ctx in

@@ -3,11 +3,4 @@
     paper's main algorithm comparison. MCBG-approx and MaxSG dominate; DB
     and PRB suffer the marginal effect; IXPB and Tier1Only stall under 16%. *)
 
-type row = {
-  name : string;
-  brokers : int;
-  curve : Broker_core.Connectivity.curve;
-}
-
-val compute : Ctx.t -> row list
 val report : Ctx.t -> Broker_report.Report.t

@@ -11,5 +11,5 @@ type result = {
   points : point array;
 }
 
-val compute : ?candidates:int -> Ctx.t -> base_k:int -> result
+val compute : ?candidates:int -> Ctx.t -> base_k:int -> result [@@brokercheck.test_only]
 val report : Ctx.t -> Broker_report.Report.t

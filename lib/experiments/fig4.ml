@@ -5,9 +5,9 @@ type row = {
   name : string;
   mean_coreness : float;
   median_coreness : float;
-  deep_core_share : float;
-  edge_share : float;
-  covered_fraction : float;
+  deep_core_share : float;  (** fraction with coreness in the top quartile *)
+  edge_share : float;  (** fraction with coreness <= 2 *)
+  covered_fraction : float;  (** f(B)/|V| — how much of the network is touched *)
 }
 
 let compute ctx =

@@ -2,14 +2,4 @@
     the edge uncovered; MaxSG spreads over core and outer ring. Quantified
     here by the coreness distribution of each selected set. *)
 
-type row = {
-  name : string;
-  mean_coreness : float;
-  median_coreness : float;
-  deep_core_share : float;  (** fraction with coreness in the top quartile *)
-  edge_share : float;  (** fraction with coreness <= 2 *)
-  covered_fraction : float;  (** f(B)/|V| — how much of the network is touched *)
-}
-
-val compute : Ctx.t -> row list
 val report : Ctx.t -> Broker_report.Report.t

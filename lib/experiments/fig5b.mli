@@ -3,7 +3,4 @@
     mutual transit. Paper: at p = 0.3, a 1,000-broker set reaches 72.5%
     and the full alliance 84.68%. *)
 
-type row = { k : int; fraction : float; upgraded_links : int; connectivity : float }
-
-val compute : Ctx.t -> row list
 val report : Ctx.t -> Broker_report.Report.t

@@ -2,7 +2,4 @@
     routing across broker-set sizes — sharply below the bidirectional
     assumption, motivating the Fig. 5b upgrades. *)
 
-type row = { k : int; directional : float; bidirectional : float }
-
-val compute : Ctx.t -> row list
 val report : Ctx.t -> Broker_report.Report.t

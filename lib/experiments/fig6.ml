@@ -9,7 +9,8 @@ type result = {
   full_adoption_price : float option;
 }
 
-let compute ?(customers = 200) ctx =
+let compute ctx =
+  let customers = 200 in
   let rng = Ctx.rng ctx in
   let population = Broker_econ.Market.random_population ~rng ~n:customers in
   let cost = Broker_econ.Market.default_cost in

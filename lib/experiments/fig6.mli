@@ -2,14 +2,4 @@
     bargaining with a hired employee AS, and the Stackelberg pricing game
     against a heterogeneous customer population. *)
 
-type result = {
-  bargain : Broker_econ.Bargain.outcome;
-  equilibrium : Broker_econ.Stackelberg.equilibrium;
-  mean_adoption : float;
-  full_adopters : int;
-  customers : int;
-  full_adoption_price : float option;
-}
-
-val compute : ?customers:int -> Ctx.t -> result
 val report : Ctx.t -> Broker_report.Report.t

@@ -10,5 +10,5 @@ type row = {
   paper_coverage : float option;
 }
 
-val compute : Ctx.t -> row list
+val compute : Ctx.t -> row list [@@brokercheck.test_only]
 val report : Ctx.t -> Broker_report.Report.t

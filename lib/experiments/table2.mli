@@ -1,7 +1,4 @@
 (** Table 2: summary of the (synthetic) dataset against the paper's
     collected-dataset numbers. *)
 
-type row = { description : string; measured : int; paper : int option }
-
-val compute : Ctx.t -> row list
 val report : Ctx.t -> Broker_report.Report.t

@@ -6,5 +6,5 @@
 
 type row = { name : string; curve : Broker_core.Connectivity.curve }
 
-val compute : Ctx.t -> row list
+val compute : Ctx.t -> row list [@@brokercheck.test_only]
 val report : Ctx.t -> Broker_report.Report.t

@@ -3,9 +3,9 @@ module Conn = Broker_core.Connectivity
 
 type result = {
   alliance_size : int;
-  alliance : Conn.curve;
-  free : Conn.curve;
-  max_inflation : float;
+  alliance : Broker_core.Connectivity.curve;
+  free : Broker_core.Connectivity.curve;
+  max_inflation : float;  (** sup_l (free(l) - alliance(l)) *)
 }
 
 let compute ctx =

@@ -2,12 +2,4 @@
     the full MaxSG alliance (bidirectional internal links) nearly overlaps
     the free-path-selection curve of the whole topology. *)
 
-type result = {
-  alliance_size : int;
-  alliance : Broker_core.Connectivity.curve;
-  free : Broker_core.Connectivity.curve;
-  max_inflation : float;  (** sup_l (free(l) - alliance(l)) *)
-}
-
-val compute : Ctx.t -> result
 val report : Ctx.t -> Broker_report.Report.t

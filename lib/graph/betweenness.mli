@@ -10,7 +10,7 @@
     which is irrelevant for ranking. *)
 
 val compute :
-  ?samples:int -> rng:Broker_util.Xrandom.t -> Graph.t -> float array
+  ?samples:int -> rng:Broker_util.Xrandom.t -> Graph.t -> float array [@@brokercheck.test_only]
 (** Estimated betweenness per vertex from [samples] (default 256) sampled
     single-source shortest-path DAGs. Exact (full Brandes) when the graph
     has no more than [samples] vertices. *)

@@ -48,18 +48,6 @@ let reachable_count g src =
   let dist = distances g src in
   Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) 0 dist
 
-let farthest g src =
-  let dist = distances g src in
-  let best_v = ref src and best_d = ref 0 in
-  Array.iteri
-    (fun v d ->
-      if d > !best_d then begin
-        best_v := v;
-        best_d := d
-      end)
-    dist;
-  (!best_v, !best_d)
-
 let parents g src =
   let n = Graph.n g in
   let parent = Array.make n (-1) in

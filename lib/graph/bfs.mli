@@ -17,7 +17,7 @@ val distances : Graph.t -> int -> int array
 (** [distances g src] gives hop distances from [src]; [-1] marks unreachable
     vertices. *)
 
-val distances_bounded : Graph.t -> max_depth:int -> int -> int array
+val distances_bounded : Graph.t -> max_depth:int -> int -> int array [@@brokercheck.test_only]
 (** Stop expanding beyond [max_depth] hops. *)
 
 val distances_filtered :
@@ -29,12 +29,8 @@ val distances_filtered :
 val distances_multi : Graph.t -> int list -> int array
 (** Distance to the nearest of several sources. *)
 
-val reachable_count : Graph.t -> int -> int
+val reachable_count : Graph.t -> int -> int [@@brokercheck.test_only]
 (** Vertices reachable from [src], including [src]. *)
-
-val farthest : Graph.t -> int -> int * int
-(** [(vertex, distance)] of a farthest reachable vertex — one arm of the
-    double-sweep diameter estimate. *)
 
 val parents : Graph.t -> int -> int array
 (** BFS tree parents from [src] ([-1] for the source and unreachable
@@ -85,19 +81,19 @@ val run_view : workspace -> View.t -> ?max_depth:int -> int -> unit
 val distance : workspace -> int -> int
 (** Distance of a vertex in the last run; [-1] when unreached. *)
 
-val reached : workspace -> int
+val reached : workspace -> int [@@brokercheck.test_only]
 (** Vertices settled by the last run, source included. *)
 
-val max_level : workspace -> int
+val max_level : workspace -> int [@@brokercheck.test_only]
 (** Deepest level settled by the last run (0 when only the source). *)
 
-val level_count : workspace -> int -> int
+val level_count : workspace -> int -> int [@@brokercheck.test_only]
 (** [level_count ws d]: vertices settled at depth exactly [d], for
     [d] in [0 .. max_level ws] — the per-hop histogram the connectivity
     curves are built from, with no O(n) distance scan.
     @raise Invalid_argument outside that range. *)
 
-val distances_into : workspace -> int array -> unit
+val distances_into : workspace -> int array -> unit [@@brokercheck.test_only]
 (** Materialize the last run's distances ([-1] = unreached) into a caller
     array, [Array.length]-clamped — the bridge back to the
     [distances_filtered]-style API for tests and one-off callers. *)

@@ -56,16 +56,6 @@ let create base =
     cache = None;
   }
 
-let base t = t.base
-let n t = t.n
-let edits t = t.edits
-let added_edges t = t.added_arcs / 2
-let removed_edges t = t.tombed_arcs / 2
-
-let is_dirty t u =
-  if u < 0 || u >= t.n then invalid_arg "Delta.is_dirty: vertex out of range";
-  t.dirty.(u)
-
 (* Arc position of [v] inside [u]'s base segment, or -1. *)
 let base_pos t u v =
   let off = Graph.csr_off t.base and adj = Graph.csr_adj t.base in

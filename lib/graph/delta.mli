@@ -21,9 +21,6 @@ type t
 val create : Graph.t -> t
 (** Empty diff over [base]; O(n). *)
 
-val base : t -> Graph.t
-val n : t -> int
-
 val add_edge : t -> int -> int -> bool
 (** Announce edge [(u, v)]. Returns [true] iff the edge set changed —
     self-loops and already-present edges are no-ops. @raise
@@ -32,30 +29,16 @@ val add_edge : t -> int -> int -> bool
 val remove_edge : t -> int -> int -> bool
 (** Withdraw edge [(u, v)]; [true] iff the edge set changed. *)
 
-val mem_edge : t -> int -> int -> bool
+val mem_edge : t -> int -> int -> bool [@@brokercheck.test_only]
 (** Effective adjacency test (base minus withdrawals plus announces). *)
 
-val degree : t -> int -> int
+val degree : t -> int -> int [@@brokercheck.test_only]
 (** Effective degree; O(1). *)
 
-val is_dirty : t -> int -> bool
-(** [true] once vertex [u]'s segment has ever been touched by an
-    applied operation (it stays dirty even if later operations cancel
-    out). *)
-
-val edits : t -> int
-(** Count of successful (edge-set-changing) operations so far. *)
-
-val added_edges : t -> int
-(** Announced edges currently live (not in the base). *)
-
-val removed_edges : t -> int
-(** Base edges currently withdrawn. *)
-
-val edges : t -> int
+val edges : t -> int [@@brokercheck.test_only]
 (** Effective undirected edge count; O(1). *)
 
-val arcs : t -> int
+val arcs : t -> int [@@brokercheck.test_only]
 (** Effective directed arc count; O(1). *)
 
 val view : t -> View.t

@@ -9,7 +9,7 @@ val shortest_paths :
   Graph.t ->
   weight:(int -> int -> float) ->
   int ->
-  float array * int array
+  float array * int array [@@brokercheck.test_only]
 (** [shortest_paths g ~weight src] returns [(dist, parent)]. Unreachable
     vertices have [dist = infinity] and [parent = -1]. [edge_ok] filters
     traversable arcs (e.g. the broker-domination predicate), defaulting to

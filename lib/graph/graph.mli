@@ -23,7 +23,7 @@ val degree : t -> int -> int
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-val neighbors : t -> int -> int array
+val neighbors : t -> int -> int array [@@brokercheck.test_only]
 (** Fresh array of the (sorted) neighbors. *)
 
 val mem_edge : t -> int -> int -> bool
@@ -38,11 +38,11 @@ val find_arc : t -> int -> int -> int
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Each undirected edge exactly once, with [u < v]. *)
 
-val edges : t -> (int * int) array
+val edges : t -> (int * int) array [@@brokercheck.test_only]
 (** All undirected edges, [u < v], fresh array. *)
 
-val max_degree : t -> int
-val degrees : t -> int array
+val max_degree : t -> int [@@brokercheck.test_only]
+val degrees : t -> int array [@@brokercheck.test_only]
 (** Fresh array of all vertex degrees. *)
 
 val degrees_into : t -> int array -> unit
@@ -51,7 +51,7 @@ val degrees_into : t -> int array -> unit
     reuse a scratch array. @raise Invalid_argument when the buffer is
     shorter than [n]. *)
 
-val is_empty : t -> bool
+val is_empty : t -> bool [@@brokercheck.test_only]
 
 val arcs : t -> int
 (** Number of directed arcs, i.e. [2 * m t]; O(1). *)

@@ -47,15 +47,3 @@ let coreness g =
         end)
   done;
   core
-
-let degeneracy g =
-  let core = coreness g in
-  Array.fold_left max 0 core
-
-let core_members g ~k =
-  let core = coreness g in
-  let out = ref [] in
-  for v = Graph.n g - 1 downto 0 do
-    if core.(v) >= k then out := v :: !out
-  done;
-  Array.of_list !out

@@ -7,9 +7,3 @@
 
 val coreness : Graph.t -> int array
 (** Largest [k] such that the vertex belongs to the k-core. *)
-
-val degeneracy : Graph.t -> int
-(** Maximum coreness over all vertices (0 for the empty graph). *)
-
-val core_members : Graph.t -> k:int -> int array
-(** Vertices with coreness at least [k], ascending. *)

@@ -64,19 +64,6 @@ let clustering_coefficient ?(samples = 2000) ~rng g =
     sum /. float_of_int (Array.length chosen)
   end
 
-let diameter_lower_bound g =
-  if Graph.n g < 2 then 0
-  else begin
-    (* Double sweep from the max-degree vertex. *)
-    let start = ref 0 in
-    for u = 1 to Graph.n g - 1 do
-      if Graph.degree g u > Graph.degree g !start then start := u
-    done;
-    let far, _ = Bfs.farthest g !start in
-    let _, d = Bfs.farthest g far in
-    d
-  end
-
 let hop_distance_sample ~rng ~sources g =
   let n = Graph.n g in
   if n = 0 then [||]

@@ -2,7 +2,7 @@
     against the paper's dataset (Section 3) and to instantiate the
     (α,β)-graph property (Definition 2). *)
 
-val degree_distribution : Graph.t -> (int * int) list
+val degree_distribution : Graph.t -> (int * int) list [@@brokercheck.test_only]
 (** Sorted [(degree, count)] pairs. *)
 
 val average_degree : Graph.t -> float
@@ -16,10 +16,6 @@ val clustering_coefficient : ?samples:int -> rng:Broker_util.Xrandom.t -> Graph.
 (** Mean local clustering coefficient, estimated on [samples] random vertices
     of degree >= 2 (default 2000). Exact when the graph has fewer qualifying
     vertices than [samples]. *)
-
-val diameter_lower_bound : Graph.t -> int
-(** Double-sweep BFS bound, exact on trees and tight in practice on
-    small-world graphs. 0 for graphs with under 2 vertices. *)
 
 val hop_distance_sample :
   rng:Broker_util.Xrandom.t -> sources:int -> Graph.t -> int array

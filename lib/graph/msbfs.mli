@@ -61,7 +61,7 @@ val run_view :
     base-or-overlay segment selector, so dynamic-topology callers
     traverse a {!Delta} overlay without compacting it first. *)
 
-val batch_lanes : workspace -> int
+val batch_lanes : workspace -> int [@@brokercheck.test_only]
 (** Lanes of the last run ([len]). *)
 
 val max_level : workspace -> int
@@ -84,11 +84,11 @@ val lane_level : workspace -> int -> int -> int
     [~per_lane:true], [b] is in [0 .. batch_lanes ws - 1] and [d] in
     [0 .. max_level ws]. *)
 
-val reached_pairs : workspace -> int
+val reached_pairs : workspace -> int [@@brokercheck.test_only]
 (** Total (lane, vertex) pairs settled at depth [>= 1] — the batched
     sum of per-source reached counts, sources themselves excluded. *)
 
-val settled_bits : workspace -> int -> int
+val settled_bits : workspace -> int -> int [@@brokercheck.test_only]
 (** [settled_bits ws v]: the lanes whose traversal settled [v] (any
     depth, source included), as a bit word; [0] when untouched. The
     word-level view tests and word-parallel callers consume directly.

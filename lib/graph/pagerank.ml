@@ -31,9 +31,3 @@ let compute ?(damping = 0.85) ?(tol = 1e-10) ?(max_iter = 200) g =
     done;
     rank
   end
-
-let top g ~k =
-  let rank = compute g in
-  let idx = Array.init (Graph.n g) (fun i -> i) in
-  Array.sort (fun a b -> Float.compare rank.(b) rank.(a)) idx;
-  Array.sub idx 0 (min k (Array.length idx))

@@ -7,6 +7,3 @@ val compute :
 (** [compute g] returns scores summing to 1. Defaults: damping 0.85,
     tolerance 1e-10 (L1 change per iteration), at most 200 iterations.
     Isolated vertices receive the teleport mass only. *)
-
-val top : Graph.t -> k:int -> int array
-(** Indices of the [k] highest-PageRank vertices, best first. *)

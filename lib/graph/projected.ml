@@ -1,7 +1,7 @@
 module B = Broker_util.Bitset
 module Obs = Broker_obs
 
-type t = { graph : Graph.t; brokers : B.t; broker_count : int }
+type t = { graph : Graph.t; broker_count : int }
 
 let m_builds = Obs.Metrics.counter "projected.builds"
 let m_arcs_kept = Obs.Metrics.counter "projected.arcs_kept"
@@ -85,7 +85,7 @@ let[@brokercheck.noalloc] project_view vw ~is_broker =
     Obs.Metrics.add m_broker_verts !broker_count
   end;
   Obs.Trace.leave t_build tr0;
-  { graph = Graph.of_csr_unchecked ~n ~off:poff ~adj:padj; brokers; broker_count = !broker_count }
+  { graph = Graph.of_csr_unchecked ~n ~off:poff ~adj:padj; broker_count = !broker_count }
 
 (* Static-graph entry point: the view record is the only extra setup
    allocation, built once before the passes. *)
@@ -93,6 +93,5 @@ let[@brokercheck.noalloc] project g ~is_broker =
   project_view (View.of_graph g) ~is_broker
 
 let graph t = t.graph
-let is_broker t v = B.mem t.brokers v
 let broker_count t = t.broker_count
 let arcs t = 2 * Graph.m t.graph

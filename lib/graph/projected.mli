@@ -22,20 +22,13 @@ val project : Graph.t -> is_broker:(int -> bool) -> t
     exactly the edges with a broker endpoint. Sorted/deduplicated/symmetric
     CSR invariants are inherited from [g], not recomputed. *)
 
-val project_view : View.t -> is_broker:(int -> bool) -> t
-(** {!project} over a {!View.t}: projects a {!Delta} overlay directly,
-    without compacting it into a fresh CSR first. *)
-
 val graph : t -> Graph.t
 (** The dominated subgraph, on the same vertex ids as the source graph.
     BFS distances over it equal [Bfs.distances_filtered] distances over the
     source graph under the dominated-edge predicate (the property the
     qcheck suite pins down). *)
 
-val is_broker : t -> int -> bool
-(** The broker membership snapshot the projection was built from. *)
+val broker_count : t -> int [@@brokercheck.test_only]
 
-val broker_count : t -> int
-
-val arcs : t -> int
+val arcs : t -> int [@@brokercheck.test_only]
 (** Directed arcs kept by the projection (2x its undirected edge count). *)

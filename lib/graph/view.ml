@@ -85,12 +85,3 @@ let mem_edge t u v =
     done;
     !found
   end
-
-let iter_edges t f =
-  for u = 0 to t.n - 1 do
-    let a, lo, hi = seg t u in
-    for i = lo to hi - 1 do
-      let v = a.(i) in
-      if u < v then f u v
-    done
-  done

@@ -2,7 +2,7 @@
     sparse delta overlay.
 
     Every traversal kernel ({!Bfs.run_view}, {!Msbfs.run_view},
-    {!Projected.project_view}, [Dominating.find_dominated_path_view])
+    {!Projected.project}, [Dominating.find_dominated_path_view])
     consumes a view, so dynamic-topology callers pay for the overlay
     only on the vertices it actually touched. {!of_graph} is O(1) and
     allocation is a single record, which keeps the [Graph.t] wrappers of
@@ -28,16 +28,13 @@ type t = {
 val of_graph : Graph.t -> t
 (** O(1) base view sharing the graph's own CSR arrays. *)
 
-val n : t -> int
-val arcs : t -> int
+val n : t -> int [@@brokercheck.test_only]
+val arcs : t -> int [@@brokercheck.test_only]
 (** Directed arcs, i.e. [2 *] edge count; O(1). *)
 
-val degree : t -> int -> int
-val iter_neighbors : t -> int -> (int -> unit) -> unit
-val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
+val degree : t -> int -> int [@@brokercheck.test_only]
+val iter_neighbors : t -> int -> (int -> unit) -> unit [@@brokercheck.test_only]
+val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a [@@brokercheck.test_only]
 
 val mem_edge : t -> int -> int -> bool
 (** O(log degree) adjacency test against the effective segment. *)
-
-val iter_edges : t -> (int -> int -> unit) -> unit
-(** Each undirected edge exactly once, with [u < v]. *)

@@ -42,10 +42,10 @@ val gauge_max : gauge -> int -> unit
 
 val observe : histogram -> int -> unit
 
-val bucket_of : int -> int
+val bucket_of : int -> int [@@brokercheck.test_only]
 (** The bucket index {!observe} files [v] under (exposed for tests). *)
 
-val bucket_count : int
+val bucket_count : int [@@brokercheck.test_only]
 
 (** {1 Snapshots} *)
 

@@ -6,24 +6,6 @@ type gc_delta = {
   major_collections : int;
 }
 
-let zero =
-  {
-    minor_words = 0.;
-    major_words = 0.;
-    promoted_words = 0.;
-    minor_collections = 0;
-    major_collections = 0;
-  }
-
-let add a b =
-  {
-    minor_words = a.minor_words +. b.minor_words;
-    major_words = a.major_words +. b.major_words;
-    promoted_words = a.promoted_words +. b.promoted_words;
-    minor_collections = a.minor_collections + b.minor_collections;
-    major_collections = a.major_collections + b.major_collections;
-  }
-
 let measure f =
   let a = Gc.quick_stat () in
   let x = f () in

@@ -14,9 +14,6 @@ type gc_delta = {
   major_collections : int;
 }
 
-val zero : gc_delta
-val add : gc_delta -> gc_delta -> gc_delta
-
 val measure : (unit -> 'a) -> 'a * gc_delta
 (** [measure f] is [f ()] together with the GC counter movement it
     caused on the calling domain. Runs [f] unconditionally — callers

@@ -20,7 +20,6 @@ let create ?(sub_bits = default_sub_bits) () =
     invalid_arg "Broker_obs.Sketch.create: sub_bits out of range";
   { sb = sub_bits; cells = Array.init (cell_count sub_bits) (fun _ -> Atomic.make 0) }
 
-let sub_bits t = t.sb
 let cells t = Array.length t.cells
 
 (* Branch-free bit length (position of the highest set bit, plus one):

@@ -32,32 +32,24 @@
 
 type t
 
-val default_sub_bits : int
-(** 5: 32 sub-buckets per octave, relative error below 1/32. *)
-
-val max_sub_bits : int
-(** 8 — caps a sketch at [(63 - 8) * 256] cells. *)
-
 val create : ?sub_bits:int -> unit -> t
 (** A fresh sketch of [(63 - sub_bits) * 2^sub_bits] zero cells
-    ([sub_bits] defaults to {!default_sub_bits}).
-    @raise Invalid_argument if [sub_bits] is outside
-    [0 .. max_sub_bits]. *)
+    ([sub_bits] defaults to 5: 32 sub-cells per octave, relative error
+    below 1/32).
+    @raise Invalid_argument if [sub_bits] is outside [0 .. 8]. *)
 
-val sub_bits : t -> int
-
-val cells : t -> int
+val cells : t -> int [@@brokercheck.test_only]
 (** Number of cells (fixed at creation). *)
 
 val record : t -> int -> unit
 (** Count one observation of [v] (clamped to 0 when negative).
     Allocation-free and safe from any domain. *)
 
-val count : t -> int
+val count : t -> int [@@brokercheck.test_only]
 (** Total observations recorded (cell sum; reads are atomic per cell
     but not across cells — take totals after parallel work joins). *)
 
-val index : t -> int -> int
+val index : t -> int -> int [@@brokercheck.test_only]
 (** The cell {!record} files [v] under (exposed for tests). *)
 
 val index_at : sub_bits:int -> int -> int
@@ -65,7 +57,7 @@ val index_at : sub_bits:int -> int -> int
     is exactly the historical [Metrics.bucket_of]: 0 for [v <= 0],
     otherwise the position of the highest set bit plus one. *)
 
-val lower_bound : t -> int -> int
+val lower_bound : t -> int -> int [@@brokercheck.test_only]
 (** Smallest value filed under cell [i] — the value {!quantile}
     reports for a rank landing in that cell. *)
 
@@ -76,7 +68,7 @@ val quantile : t -> float -> int
     on an empty sketch.
     @raise Invalid_argument if [q] is outside [0, 1]. *)
 
-val percentiles_into : t -> float array -> int array -> unit
+val percentiles_into : t -> float array -> int array -> unit [@@brokercheck.test_only]
 (** [percentiles_into t qs out] fills [out.(i)] with [quantile t
     qs.(i)] in one cumulative pass.
     @raise Invalid_argument if lengths differ or [qs] is not ascending

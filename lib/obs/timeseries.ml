@@ -151,8 +151,6 @@ let all () =
   Mutex.unlock lock;
   List.sort (fun a b -> String.compare a.ts_name b.ts_name) ts
 
-let reset_all () = List.iter (fun t -> restart t) (all ())
-
 let fixed_point = 1e6
 
 let to_fp x =

@@ -18,8 +18,8 @@
 
     {b Fixed-point convention.} Sketches hold integers; latencies
     measured in (float) sim-time are recorded as
-    [to_fp latency = round (latency * fixed_point)] micro-units and
-    divided back by {!fixed_point} for reporting. *)
+    [to_fp latency = round (latency * 1e6)] micro-units and divided
+    back by {!of_fp} for reporting. *)
 
 type t
 
@@ -51,7 +51,8 @@ val add : t -> time:float -> int -> unit
 
 val observe : t -> time:float -> int -> unit
 (** {!add}, and additionally record [v] into the window's sketch
-    (created on first observation, at {!Sketch.default_sub_bits}). *)
+    (created on first observation, at {!Sketch.create}'s default
+    shape). *)
 
 val flush : t -> unit
 (** Emit any not-yet-emitted windows (including the last, still-open
@@ -77,17 +78,10 @@ val values : t -> (float * float) array
 val all : unit -> t list
 (** Every registered series, sorted by name. *)
 
-val reset_all : unit -> unit
-(** {!restart} every registered series (widths are kept;
-    registrations persist). *)
-
 (** {1 Fixed-point sim-time} *)
 
-val fixed_point : float
-(** 1e6: sketches store sim-time latencies in integer micro-units. *)
-
 val to_fp : float -> int
-(** [round (x * fixed_point)], clamped to 0 for negative [x]. *)
+(** [round (x * 1e6)], clamped to 0 for negative [x]. *)
 
 val of_fp : int -> float
-(** [float v / fixed_point]. *)
+(** [float v / 1e6]. *)

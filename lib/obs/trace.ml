@@ -75,9 +75,6 @@ let disarm () =
   armed_flag := false;
   ring := None
 
-let reset () =
-  match !ring with None -> () | Some r -> Atomic.set r.cursor 0
-
 (* The emit path — [record] and its [leave]/[sample] wrappers — is
    checked [@brokercheck.noalloc]: a span end costs one atomic
    reservation and four int stores, so probes stay cheap enough to

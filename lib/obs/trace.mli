@@ -28,8 +28,6 @@ val disarm : unit -> unit
 (** Stop recording and release the ring. *)
 
 val armed : unit -> bool
-val reset : unit -> unit
-(** Forget all recorded events; the ring stays armed. *)
 
 val enter : unit -> int
 (** Start a span: the current timestamp, or 0 when not armed. *)

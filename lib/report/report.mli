@@ -140,5 +140,5 @@ val cell_value : cell -> float option
 val cell_volatile : cell -> bool
 val cell_decimals : cell -> int option
 
-val equal : t -> t -> bool
+val equal : t -> t -> bool [@@brokercheck.test_only]
 (** Structural equality; NaN equals NaN (round-trip tests). *)

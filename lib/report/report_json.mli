@@ -7,9 +7,6 @@
     NaN and infinities are written as the strings ["NaN"] /
     ["Infinity"] / ["-Infinity"] and parse back losslessly. *)
 
-val schema : string
-(** ["brokerset-report/1"] *)
-
 val to_string : Report.t -> string
 (** Serialize (stable key order, trailing newline). *)
 

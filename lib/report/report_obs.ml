@@ -18,8 +18,8 @@ let scalar_cell (e : Metrics.entry) v =
 
 let histogram_total buckets = Array.fold_left ( + ) 0 buckets
 
-let report ?(name = "obs_metrics") snap =
-  let rep = Report.create ~name () in
+let report snap =
+  let rep = Report.create ~name:"obs_metrics" () in
   let s = Report.section rep "Observability - metrics snapshot" in
   let t =
     Report.table s ~key:"metrics"
@@ -75,8 +75,15 @@ let quantile_points quantile pts =
     pts;
   Array.of_list (List.rev !out)
 
-let timeline_report ?(name = "obs_timeline") () =
-  let rep = Report.create ~name () in
+(* Every registered series that holds data, as one section: a [Series |
+   Window | Windows | Count | Sum] table, one [ts.<series>] series of
+   per-window [(t, sum)] points each, and [ts.<series>.p50]/[.p99]
+   timelines for windows carrying a latency sketch (values in
+   [Timeseries.to_fp] micro-units of sim-time). Everything is keyed on
+   sim-time, hence deterministic and gated by [report diff]; wall-clock
+   stays in the volatile trace/metrics channels. *)
+let timeline_report () =
+  let rep = Report.create ~name:"obs_timeline" () in
   let s = Report.section rep "Observability - sim-time timelines" in
   let with_data =
     List.filter (fun ts -> Array.length (Ts.points ts) > 0) (Ts.all ())

@@ -9,9 +9,6 @@
     while volatile values are emitted through the [Report.seconds]
     volatility channel and never gate a diff. *)
 
-val report : ?name:string -> Broker_obs.Metrics.snapshot -> Report.t
-(** Build the report ([name] defaults to ["obs_metrics"]). *)
-
 val to_text : Broker_obs.Metrics.snapshot -> string
 (** The text summary ([--obs-summary]), rendered through
     [Broker_util.Table] via {!Report_text}. *)
@@ -19,17 +16,7 @@ val to_text : Broker_obs.Metrics.snapshot -> string
 val to_json : Broker_obs.Metrics.snapshot -> string
 (** The [brokerset-report/1] JSON artifact ([--metrics FILE]). *)
 
-val timeline_report : ?name:string -> unit -> Report.t
-(** Snapshot every registered {!Broker_obs.Timeseries} that holds data
-    into a one-section report ([name] defaults to ["obs_timeline"]):
-    a [Series | Window | Windows | Count | Sum] table, one
-    [ts.<series>] series of per-window [(t, sum)] points each, and
-    [ts.<series>.p50]/[.p99] timelines for windows carrying a latency
-    sketch (values in {!Broker_obs.Timeseries.fixed_point} micro-units
-    of sim-time). Everything is keyed on sim-time, hence deterministic
-    and gated by [report diff] — wall-clock stays in the volatile
-    trace/metrics channels. *)
-
 val timeline_to_json : unit -> string
-(** [timeline_report] as a [brokerset-report/1] JSON artifact
-    ([brokerctl simulate --timeline FILE]). *)
+(** Every registered {!Broker_obs.Timeseries} that holds data, as a
+    one-section [brokerset-report/1] JSON artifact named
+    ["obs_timeline"] ([brokerctl simulate --timeline FILE]). *)

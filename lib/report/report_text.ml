@@ -41,11 +41,7 @@ let render r =
 
 let pp ppf r = Format.pp_print_string ppf (render r)
 
-(* The redirectable output channel: all terminal-facing experiment text
-   funnels through here so library code never touches stdout directly
-   (brokercheck: no-stdout-in-lib) and harnesses can capture a run. *)
-let out_ppf = ref Format.std_formatter
-let set_out ppf = out_ppf := ppf
-let out () = !out_ppf
-let print r = pp !out_ppf r
-let flush () = Format.pp_print_flush !out_ppf ()
+(* All terminal-facing experiment text funnels through here, so library
+   code never prints directly (brokercheck: no-stdout-in-lib). *)
+let print r = pp Format.std_formatter r
+let flush () = Format.pp_print_flush Format.std_formatter ()

@@ -11,16 +11,8 @@ val render : Report.t -> string
 val pp : Format.formatter -> Report.t -> unit
 
 val print : Report.t -> unit
-(** Render to the current output formatter (see {!set_out}). *)
-
-val out : unit -> Format.formatter
-(** The formatter report text goes to ({!Format.std_formatter} unless
-    {!set_out} changed it). *)
-
-val set_out : Format.formatter -> unit
-(** Redirect all report text — e.g. into a buffer for tests or a per-run
-    log file. This is the only mutable output state in the library. *)
+(** Render to {!Format.std_formatter}. *)
 
 val flush : unit -> unit
-(** Flush the current output formatter (called between experiments so
+(** Flush {!Format.std_formatter} (called between experiments so
     channel- and formatter-level output interleave correctly). *)

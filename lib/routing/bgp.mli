@@ -17,7 +17,7 @@ type route_class = Via_customer | Via_peer | Via_provider
 
 type route = { hops : int; via : route_class }
 
-val routes_to : Broker_topo.Topology.t -> int -> route option array
+val routes_to : Broker_topo.Topology.t -> int -> route option array [@@brokercheck.test_only]
 (** [routes_to topo d] gives every vertex's selected route toward [d]
     ([None] when no policy-compliant route exists; the destination itself
     has [hops = 0, via = Via_customer]). IXP nodes participate as

@@ -14,11 +14,11 @@ val assign : rng:Broker_util.Xrandom.t -> Broker_topo.Topology.t -> t
 (** Draw a latency for every edge. Bases (ms): IXP membership 2, peering
     5, customer-provider 10, unknown 8; jitter multiplies by U[0.5, 1.5]. *)
 
-val edge_latency : t -> int -> int -> float
+val edge_latency : t -> int -> int -> float [@@brokercheck.test_only]
 (** Latency of an edge in ms, O(log degree).
     @raise Invalid_argument when [(u,v)] is not an edge. *)
 
-val path_latency : t -> int list -> float
+val path_latency : t -> int list -> float [@@brokercheck.test_only]
 (** Sum over consecutive hops. 0 for paths shorter than 2 vertices. *)
 
 val min_latency_path :

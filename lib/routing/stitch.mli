@@ -29,4 +29,4 @@ val stitch :
     when no dominated path exists. Adjacent [src]-[dst] pairs where either
     endpoint is a broker yield a direct 1-hop result. *)
 
-val total_employee_hops : stitched -> int
+val total_employee_hops : stitched -> int [@@brokercheck.test_only]

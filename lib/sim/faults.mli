@@ -12,7 +12,7 @@
 
 type kind = Crash | Recover
 
-val kind_equal : kind -> kind -> bool
+val kind_equal : kind -> kind -> bool [@@brokercheck.test_only]
 
 type event = { time : float; broker : int; kind : kind }
 

@@ -110,13 +110,13 @@ val owner : t -> int -> int -> int option
     shard is live. Deterministic; the remap-fraction measurements of X8
     and the qcheck bound sample this across a crash. *)
 
-val size : t -> int
+val size : t -> int [@@brokercheck.test_only]
 (** Total cached entries across shards. *)
 
 val stats : t -> stats
 (** Cumulative outcome tallies since {!create}. *)
 
-val invariant_ok : t -> bool
+val invariant_ok : t -> bool [@@brokercheck.test_only]
 (** Internal consistency, for tests, over every table: each holds only
     keys it currently owns, a down shard's table is empty, and the live
     and ring views match the down flags. For {!Flush} also the two facts

@@ -25,10 +25,6 @@ type propagation =
   | Centralized of { delay : float }
   | Bgp_like of { base : float; per_hop : float }
 
-val delay_of : propagation -> hops:int -> float
-(** Delivery lag of a single update. [hops] is clamped at 0 and ignored
-    by {!Centralized}. *)
-
 val burst :
   ?withdraw_fraction:float ->
   rng:Broker_util.Xrandom.t ->

@@ -49,3 +49,7 @@ let generate ~rng model ~n_sessions params =
           Broker_util.Xrandom.exponential rng (1.0 /. params.mean_duration);
         demand = params.demand;
       })
+
+let last_arrival sessions =
+  let n = Array.length sessions in
+  if n = 0 then 0.0 else sessions.(n - 1).arrival

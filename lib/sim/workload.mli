@@ -40,3 +40,7 @@ val generate :
   params ->
   session array
 (** Sessions sorted by arrival time; [src <> dst] always. *)
+
+val last_arrival : session array -> float
+(** Arrival time of the last of [generate]'s sorted sessions; [0.] for
+    none. *)

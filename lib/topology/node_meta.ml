@@ -9,7 +9,6 @@ let kind_to_string = function
   | Ixp -> "IXP"
 
 let kind_equal (a : kind) b = a = b
-let is_as = function Ixp -> false | Tier1 | Transit | Access | Content | Enterprise -> true
 let all_kinds = [ Tier1; Transit; Access; Content; Enterprise; Ixp ]
 
 type relation = Customer_provider | Peer | Ixp_member

@@ -16,8 +16,6 @@ type kind =
 
 val kind_to_string : kind -> string
 val kind_equal : kind -> kind -> bool
-val is_as : kind -> bool
-(** Every kind except [Ixp]. *)
 
 val all_kinds : kind list
 

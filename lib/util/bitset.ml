@@ -6,8 +6,6 @@ let create n =
   if n < 0 then invalid_arg "Bitset.create";
   { words = Array.make ((n + bits_per_word - 1) / bits_per_word + 1) 0; n }
 
-let capacity t = t.n
-
 let check t i =
   if i < 0 || i >= t.n then invalid_arg "Bitset: index out of bounds"
 
@@ -24,11 +22,6 @@ let[@inline] unsafe_mem t i =
   Array.unsafe_get t.words (i / bits_per_word)
   land (1 lsl (i mod bits_per_word))
   <> 0
-
-let[@brokercheck.noalloc] unsafe_add t i =
-  let w = i / bits_per_word in
-  Array.unsafe_set t.words w
-    (Array.unsafe_get t.words w lor (1 lsl (i mod bits_per_word)))
 
 let remove t i =
   check t i;
@@ -88,8 +81,6 @@ let of_list n l =
   List.iter (add t) l;
   t
 
-let to_array t = Array.of_list (to_list t)
-
 let union_into ~into s =
   if into.n <> s.n then invalid_arg "Bitset.union_into: capacity mismatch";
   for w = 0 to Array.length s.words - 1 do
@@ -103,5 +94,3 @@ let inter_cardinal a b =
     acc := !acc + popcount (a.words.(w) land b.words.(w))
   done;
   !acc
-
-let equal a b = a.n = b.n && a.words = b.words

@@ -8,9 +8,6 @@ type t
 val create : int -> t
 (** [create n] is the empty set over universe size [n]. *)
 
-val capacity : t -> int
-(** Universe size the set was created with. *)
-
 val mem : t -> int -> bool
 val add : t -> int -> unit
 val remove : t -> int -> unit
@@ -20,35 +17,28 @@ val unsafe_mem : t -> int -> bool
     already known to be in [0 .. capacity-1] (e.g. a CSR neighbor id). Out
     of range is undefined behavior. *)
 
-val unsafe_add : t -> int -> unit
-(** {!add} without the bounds check; same contract as {!unsafe_mem}. *)
-
 val cardinal : t -> int
 (** Number of members; O(words). *)
 
-val is_empty : t -> bool
+val is_empty : t -> bool [@@brokercheck.test_only]
 
-val clear : t -> unit
+val clear : t -> unit [@@brokercheck.test_only]
 (** Remove all members. *)
 
-val copy : t -> t
+val copy : t -> t [@@brokercheck.test_only]
 
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in increasing order. *)
 
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-val to_list : t -> int list
-val of_list : int -> int list -> t
-val to_array : t -> int array
+val to_list : t -> int list [@@brokercheck.test_only]
+val of_list : int -> int list -> t [@@brokercheck.test_only]
 
-val union_into : into:t -> t -> unit
+val union_into : into:t -> t -> unit [@@brokercheck.test_only]
 (** [union_into ~into s] adds every member of [s] to [into]. Capacities must
     match. *)
 
-val inter_cardinal : t -> t -> int
+val inter_cardinal : t -> t -> int [@@brokercheck.test_only]
 (** Size of the intersection; capacities must match. *)
-
-val equal : t -> t -> bool
 
 (** {1 Word-level access}
 
@@ -65,12 +55,12 @@ val popcount : int -> int
     included — [popcount (-1) = 63]). Branch-free SWAR, constant time;
     the building block of every per-level tally in the MS-BFS engine. *)
 
-val num_words : t -> int
+val num_words : t -> int [@@brokercheck.test_only]
 (** Words backing the set ([capacity]-derived, never 0). *)
 
-val word : t -> int -> int
+val word : t -> int -> int [@@brokercheck.test_only]
 (** [word t w]: the [w]-th packed word.
     @raise Invalid_argument outside [0 .. num_words t - 1]. *)
 
-val unsafe_word : t -> int -> int
+val unsafe_word : t -> int -> int [@@brokercheck.test_only]
 (** {!word} without the bounds check; same contract as {!unsafe_mem}. *)

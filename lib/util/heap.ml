@@ -12,7 +12,6 @@ let create ?(initial_capacity = 16) order =
   { order; prio = Array.make cap 0.0; data = Array.make cap 0; size = 0 }
 
 let size t = t.size
-let is_empty t = t.size = 0
 
 (* [before t a b]: should priority [a] sit above priority [b]? *)
 let before t a b = match t.order with Min -> a < b | Max -> a > b
@@ -59,8 +58,6 @@ let push t ~priority payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some (t.prio.(0), t.data.(0))
-
 let pop t =
   if t.size = 0 then None
   else begin
@@ -76,5 +73,3 @@ let pop t =
 
 let pop_exn t =
   match pop t with Some x -> x | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let clear t = t.size <- 0

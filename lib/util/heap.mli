@@ -10,19 +10,13 @@ type t
 
 val create : ?initial_capacity:int -> order -> t
 
-val size : t -> int
-val is_empty : t -> bool
+val size : t -> int [@@brokercheck.test_only]
 
 val push : t -> priority:float -> int -> unit
-
-val peek : t -> (float * int) option
-(** Best (priority, payload) without removing it. *)
 
 val pop : t -> (float * int) option
 (** Remove and return the best entry: smallest priority for [Min], largest for
     [Max]. *)
 
-val pop_exn : t -> float * int
+val pop_exn : t -> float * int [@@brokercheck.test_only]
 (** @raise Invalid_argument on an empty heap. *)
-
-val clear : t -> unit

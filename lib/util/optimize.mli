@@ -8,12 +8,12 @@ val golden_section_max : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:f
     (default [1e-9]).
     @raise Invalid_argument when [hi < lo]. *)
 
-val bisect_root : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float
+val bisect_root : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float [@@brokercheck.test_only]
 (** Root of a continuous [f] with [f lo] and [f hi] of opposite signs.
     @raise Invalid_argument when the bracket does not straddle a sign
     change. *)
 
-val grid_max : (float -> float) -> lo:float -> hi:float -> steps:int -> float * float
+val grid_max : (float -> float) -> lo:float -> hi:float -> steps:int -> float * float [@@brokercheck.test_only]
 (** Coarse grid search; robust against non-unimodal objectives, typically
     followed by [golden_section_max] on the winning cell. *)
 

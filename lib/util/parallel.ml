@@ -83,26 +83,3 @@ let strided ?domains ~n ~worker ~merge init =
        needs the merge to be insensitive to how items were partitioned. *)
     List.fold_left (fun acc h -> merge acc (Domain.join h)) init handles
   end
-
-let map_array ?domains f arr =
-  let n = Array.length arr in
-  if n = 0 then [||]
-  else begin
-    (* [f arr.(0)] seeds the output array and is evaluated exactly once,
-       on the calling domain; the workers then fill slots 1..n-1 (the
-       chunked range is shifted up by one). [out] is shared across the
-       workers by construction, but each writes a disjoint [lo+1..hi]
-       slice — the strided-disjoint-writes pattern brokercheck's
-       domain-safety rule blesses via the owned annotation. *)
-    let[@brokercheck.owned] out = Array.make n (f arr.(0)) in
-    let _ =
-      chunked ?domains ~n:(n - 1)
-        ~worker:(fun ~lo ~hi ->
-          for i = lo + 1 to hi do
-            out.(i) <- f arr.(i)
-          done)
-        ~merge:(fun () () -> ())
-        ()
-    in
-    out
-  end

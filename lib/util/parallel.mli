@@ -49,6 +49,3 @@ val strided :
     additionally require the per-item accumulation to be commutative and
     associative — integer counters and histograms qualify, float sums do
     not. [worker] must not mutate shared state. *)
-
-val map_array : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map]; [f] must be pure w.r.t. shared state. *)

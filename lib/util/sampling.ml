@@ -17,23 +17,6 @@ let without_replacement rng ~n ~k =
   Array.sort Int.compare out;
   out
 
-let reservoir rng ~k seq =
-  if k <= 0 then invalid_arg "Sampling.reservoir";
-  let buf = Array.make k None in
-  let seen = ref 0 in
-  Seq.iter
-    (fun x ->
-      if !seen < k then buf.(!seen) <- Some x
-      else begin
-        let j = Xrandom.int rng (!seen + 1) in
-        if j < k then buf.(j) <- Some x
-      end;
-      incr seen)
-    seq;
-  let size = min !seen k in
-  Array.init size (fun i ->
-      match buf.(i) with Some x -> x | None -> assert false)
-
 let weighted_index rng weights =
   let total =
     Array.fold_left

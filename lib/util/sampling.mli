@@ -6,10 +6,7 @@ val without_replacement : Xrandom.t -> n:int -> k:int -> int array
     [0..n-1], in increasing order (Floyd's algorithm).
     @raise Invalid_argument if [k > n] or either is negative. *)
 
-val reservoir : Xrandom.t -> k:int -> 'a Seq.t -> 'a array
-(** Reservoir sampling of up to [k] items from a sequence of unknown length. *)
-
-val weighted_index : Xrandom.t -> float array -> int
+val weighted_index : Xrandom.t -> float array -> int [@@brokercheck.test_only]
 (** Draw an index proportionally to the (non-negative) weights.
     @raise Invalid_argument if all weights are zero or any is negative. *)
 

@@ -46,26 +46,6 @@ let pearson xs ys =
     if !sxx = 0.0 || !syy = 0.0 then 0.0 else !sxy /. sqrt (!sxx *. !syy)
   end
 
-let ranks xs =
-  let n = Array.length xs in
-  let idx = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Float.compare xs.(a) xs.(b)) idx;
-  let r = Array.make n 0.0 in
-  let i = ref 0 in
-  while !i < n do
-    (* Find the extent of the tie group starting at !i. *)
-    let j = ref !i in
-    while !j + 1 < n && xs.(idx.(!j + 1)) = xs.(idx.(!i)) do incr j done;
-    let avg = float_of_int (!i + !j + 2) /. 2.0 in
-    for k = !i to !j do
-      r.(idx.(k)) <- avg
-    done;
-    i := !j + 1
-  done;
-  r
-
-let spearman xs ys = pearson (ranks xs) (ranks ys)
-
 type histogram = { lo : float; hi : float; counts : int array }
 
 let histogram ~bins xs =
@@ -82,37 +62,6 @@ let histogram ~bins xs =
     in
     Array.iter (fun x -> counts.(bin_of x) <- counts.(bin_of x) + 1) xs;
     { lo; hi; counts }
-  end
-
-let cdf xs =
-  let sorted = Array.copy xs in
-  Array.sort Float.compare sorted;
-  let n = Array.length sorted in
-  List.init n (fun i -> (sorted.(i), float_of_int (i + 1) /. float_of_int n))
-
-let cdf_at xs x =
-  let n = Array.length xs in
-  if n = 0 then 0.0
-  else begin
-    let count = Array.fold_left (fun acc v -> if v <= x then acc + 1 else acc) 0 xs in
-    float_of_int count /. float_of_int n
-  end
-
-let linear_fit xs ys =
-  let n = Array.length xs in
-  if n <> Array.length ys then invalid_arg "Stats.linear_fit: length mismatch";
-  if n < 2 then invalid_arg "Stats.linear_fit: need at least 2 points";
-  let mx = mean xs and my = mean ys in
-  let sxy = ref 0.0 and sxx = ref 0.0 in
-  for i = 0 to n - 1 do
-    let dx = xs.(i) -. mx in
-    sxy := !sxy +. (dx *. (ys.(i) -. my));
-    sxx := !sxx +. (dx *. dx)
-  done;
-  if !sxx = 0.0 then (0.0, my)
-  else begin
-    let slope = !sxy /. !sxx in
-    (slope, my -. (slope *. mx))
   end
 
 type summary = {
@@ -138,8 +87,3 @@ let summarize xs =
     p90 = quantile xs 0.9;
     p99 = quantile xs 0.99;
   }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d min=%.4g max=%.4g mean=%.4g sd=%.4g p50=%.4g p90=%.4g p99=%.4g" s.n
-    s.min s.max s.mean s.stddev s.p50 s.p90 s.p99

@@ -1,13 +1,13 @@
 (** Descriptive statistics used by the evaluation harness: moments,
-    quantiles, correlation coefficients, histograms and empirical CDFs. *)
+    quantiles, Pearson correlation and histograms. *)
 
 val mean : float array -> float
 (** Arithmetic mean; 0 on an empty array. *)
 
-val variance : float array -> float
+val variance : float array -> float [@@brokercheck.test_only]
 (** Population variance; 0 on arrays shorter than 2. *)
 
-val stddev : float array -> float
+val stddev : float array -> float [@@brokercheck.test_only]
 
 val quantile : float array -> float -> float
 (** [quantile xs q] with [q] in [\[0,1\]], linear interpolation between order
@@ -19,26 +19,10 @@ val pearson : float array -> float array -> float
 (** Pearson product-moment correlation; 0 when either side is constant.
     @raise Invalid_argument on length mismatch. *)
 
-val spearman : float array -> float array -> float
-(** Spearman rank correlation (Pearson on mid-ranks). *)
-
-val ranks : float array -> float array
-(** Mid-ranks (ties averaged), 1-based. *)
-
 type histogram = { lo : float; hi : float; counts : int array }
 
-val histogram : bins:int -> float array -> histogram
+val histogram : bins:int -> float array -> histogram [@@brokercheck.test_only]
 (** Equal-width histogram over the data range. *)
-
-val cdf : float array -> (float * float) list
-(** Empirical CDF as sorted [(x, F(x))] points, [F] in [\[0,1\]]. *)
-
-val cdf_at : float array -> float -> float
-(** [cdf_at xs x] = fraction of samples [<= x]. *)
-
-val linear_fit : float array -> float array -> float * float
-(** Least-squares [(slope, intercept)].
-    @raise Invalid_argument on length mismatch or fewer than 2 points. *)
 
 type summary = {
   n : int;
@@ -53,5 +37,3 @@ type summary = {
 
 val summarize : float array -> summary
 (** @raise Invalid_argument on an empty array. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -2,7 +2,6 @@ type t = {
   parent : int array;
   comp_size : int array;
   mutable count : int;
-  mutable max_size : int;
 }
 
 let create n =
@@ -10,7 +9,6 @@ let create n =
     parent = Array.init n (fun i -> i);
     comp_size = Array.make n 1;
     count = n;
-    max_size = min n 1;
   }
 
 let rec find t x =
@@ -33,9 +31,7 @@ let union t a b =
     t.parent.(small) <- big;
     t.comp_size.(big) <- t.comp_size.(big) + t.comp_size.(small);
     t.count <- t.count - 1;
-    if t.comp_size.(big) > t.max_size then t.max_size <- t.comp_size.(big);
     true
   end
 
 let count t = t.count
-let max_component_size t = t.max_size

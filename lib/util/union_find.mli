@@ -1,7 +1,6 @@
 (** Disjoint-set forest with union by size and path compression.
 
-    Tracks component sizes, the number of components and the largest
-    component, which the MaxSubGraph-Greedy heuristic queries each step. *)
+    Tracks component sizes and the number of components. *)
 
 type t
 
@@ -14,11 +13,9 @@ val find : t -> int -> int
 val union : t -> int -> int -> bool
 (** Merge the two components. Returns [true] if they were distinct. *)
 
-val same : t -> int -> int -> bool
-val size : t -> int -> int
+val same : t -> int -> int -> bool [@@brokercheck.test_only]
+val size : t -> int -> int [@@brokercheck.test_only]
 (** Size of the component containing the element. *)
 
-val count : t -> int
+val count : t -> int [@@brokercheck.test_only]
 (** Number of components. *)
-
-val max_component_size : t -> int

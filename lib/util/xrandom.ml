@@ -52,16 +52,11 @@ let int t bound =
     in
     loop ()
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Xrandom.int_in: empty range";
-  lo + int t (hi - lo + 1)
-
 let float t x =
   (* 53 uniform mantissa bits. *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   x *. (float_of_int v /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = float t 1.0 < p
 
 let exponential t lambda =

@@ -14,26 +14,21 @@ type t
 val create : int -> t
 (** [create seed] builds a fresh generator deterministically from [seed]. *)
 
-val copy : t -> t
+val copy : t -> t [@@brokercheck.test_only]
 (** [copy t] is an independent generator with the same current state. *)
 
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; streams of the
     parent and child are (statistically) independent. *)
 
-val bits64 : t -> int64
+val bits64 : t -> int64 [@@brokercheck.test_only]
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be positive. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform in [\[lo, hi\]] inclusive. *)
-
 val float : t -> float -> float
 (** [float t x] is uniform in [\[0, x)]. *)
-
-val bool : t -> bool
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p]. *)
@@ -51,7 +46,7 @@ val geometric : t -> float -> int
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val pick : t -> 'a array -> 'a
+val pick : t -> 'a array -> 'a [@@brokercheck.test_only]
 (** Uniform element of a non-empty array. *)
 
 val permutation : t -> int -> int array

@@ -52,6 +52,15 @@ let graph_arbitrary =
       int_range 0 1_000_000 >|= fun seed ->
       random_graph (Broker_util.Xrandom.create seed) ~n ~m)
 
+(* Every property test is registered through [qcheck]. It runs at a
+   pinned seed, so a failure replays on every rerun, unless qcheck's own
+   [QCHECK_SEED] variable is set: then qcheck-alcotest draws from that
+   seed (and prints it), which is how CI explores fresh seeds. *)
+let qcheck ?(seed = 42) test =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some _ -> QCheck_alcotest.to_alcotest test
+  | None -> QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]) test
+
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in

@@ -10,7 +10,7 @@ module Projected = Broker_graph.Projected
 module Conn = Broker_core.Connectivity
 
 let q ?(count = 60) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+  qcheck (QCheck.Test.make ~count ~name arb law)
 
 let seed_arb = QCheck.int_range 0 100_000
 

@@ -1,10 +1,10 @@
 (* Drives the brokercheck executable (tools/check) over the compiled
-   fixture library in tools/check/fixtures/. Each identifier rule R1-R9
+   fixture library in tools/check/fixtures/. Each identifier rule R1-R10
    has one violating and one clean fixture; the C1/C2 bad fixtures seed
    one violation per rule construct (a data race per shared-state class
    for C1, an allocation per construct class for C2). Violating fixtures
    must fail with [file:line:col: [rule]] diagnostics; clean and
-   suppressed ones must pass silently. Final cases check the real lib/
+   suppressed ones must pass silently. Final cases check the real
    artifacts, pinning "the repo as shipped checks clean".
 
    The checker reads .cmt files, so every target here is a build
@@ -144,6 +144,28 @@ let r9 =
    library-only (tests/bench may hash ad hoc). *)
 let r9_scope () = check_scope ~file:"r9_bad" ~flagged:[ 3; 4 ] ~silent:[ 5; 6; 7 ]
 
+(* R10's bad fixture exports a value nothing references; the good one
+   exports one value that r10_user.ml references and one test hook that
+   carries [@@brokercheck.test_only]. Findings point into the .mli. *)
+let r10 () =
+  check_bad ~rule:"export-has-user" ~file:"r10_bad.mli" ~lines:[ 3 ]
+    (run_check [ "--lib"; fixture "r10_bad" ]);
+  check_clean ~file:"r10_good.mli"
+    (run_check [ "--lib"; fixture "r10_good"; fixture "r10_user" ])
+
+(* A user counts only if the scan reaches it: without r10_user.ml the
+   good fixture's [used] is flagged, and the attributed hook never is. *)
+let r10_scope () =
+  let r = run_check [ "--lib"; fixture "r10_good" ] in
+  Alcotest.(check int) "r10_good alone exits 1" 1 r.code;
+  check_contains r.output "R10_good.used";
+  check_absent r.output "R10_good.oracle";
+  let src = "../tools/check/fixtures/r10_good.mli" in
+  let contents = In_channel.with_open_bin src In_channel.input_all in
+  Alcotest.(check bool)
+    "r10_good.mli uses [@@brokercheck.test_only]" true
+    (contains contents "[@@brokercheck.test_only]")
+
 let c1 () =
   (* One diagnostic per shared-state class: global ref (both in the
      worker closure and in the reachable [bump]), global array, global
@@ -184,7 +206,9 @@ let c2_construct_classes () =
 let suppression () =
   check_clean ~file:"r1_suppressed.ml"
     (run_check [ "--lib"; fixture "r1_suppressed" ]);
-  check_clean ~file:"c1_suppressed.ml" (run_check [ fixture "c1_suppressed" ])
+  check_clean ~file:"c1_suppressed.ml" (run_check [ fixture "c1_suppressed" ]);
+  check_clean ~file:"r10_suppressed.mli"
+    (run_check [ "--lib"; fixture "r10_suppressed" ])
 
 let whole_directory () =
   (* Directory mode scans every .cmt under the path (including the
@@ -197,19 +221,24 @@ let whole_directory () =
     (fun f -> check_contains r.output (f ^ ".ml:"))
     [ "r1_bad"; "r2_bad"; "r3_bad"; "r4_bad"; "r5_bad"; "r6_bad"; "r8_bad";
       "r9_bad"; "c1_bad"; "c2_bad" ];
+  check_contains r.output "r10_bad.mli:";
   List.iter
-    (fun f -> check_absent r.output (f ^ ".ml:"))
+    (fun f -> check_absent r.output (f ^ ".ml"))
     [ "r1_good"; "r2_good"; "r3_good"; "r4_good"; "r5_good"; "r6_good";
-      "r7_good"; "r7_bad"; "r8_good"; "r9_good"; "r1_suppressed"; "c1_good";
-      "c1_suppressed"; "c2_good" ]
+      "r7_good"; "r7_bad"; "r8_good"; "r9_good"; "r10_good"; "r10_user";
+      "r1_suppressed"; "c1_good"; "c1_suppressed"; "c2_good";
+      "r10_suppressed" ]
 
 let repo_lib_clean () =
-  (* The repo as shipped checks clean under every rule: lib/ is the
-     strictest subtree, and its artifacts are dependencies of this
-     suite. *)
-  let r = run_check [ "../lib" ] in
-  Alcotest.(check string) "lib/ check output" "" r.output;
-  Alcotest.(check int) "lib/ checks clean" 0 r.code
+  (* The repo as shipped checks clean under every rule, over the same
+     five trees as [dune build @check]: R10 counts users of lib/'s
+     exports in all of them, and their artifacts are dependencies of
+     this suite. *)
+  let r =
+    run_check [ "../lib"; "../bin"; "../bench"; "../e2ebench"; "../examples" ]
+  in
+  Alcotest.(check string) "repo check output" "" r.output;
+  Alcotest.(check int) "repo checks clean" 0 r.code
 
 let repo_lib_lints_clean () =
   (* The identifier rules R1-R9 one by one over lib/: a finding names
@@ -280,6 +309,8 @@ let () =
           Alcotest.test_case "R8 scope" `Quick r8_scope;
           Alcotest.test_case "R9 no-unsafe-obj" `Quick r9;
           Alcotest.test_case "R9 scope" `Quick r9_scope;
+          Alcotest.test_case "R10 export-has-user" `Quick r10;
+          Alcotest.test_case "R10 scope" `Quick r10_scope;
           Alcotest.test_case "C1 domain-safety" `Quick c1;
           Alcotest.test_case "C1 owned escape hatch" `Quick c1_owned;
           Alcotest.test_case "C2 noalloc" `Quick c2;

@@ -43,7 +43,7 @@ let test_coverage_order () =
   Alcotest.(check (array int)) "insertion order" [| 3; 0; 5 |] (Coverage.brokers cov)
 
 let coverage_qcheck_gain_consistent =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:100 ~name:"gain v = f(B+v) - f(B)" graph_arbitrary
        (fun g ->
          let r = Broker_util.Xrandom.create 5 in
@@ -72,7 +72,7 @@ let test_greedy_respects_k () =
   check_bool "at most k" true (Array.length brokers <= 5)
 
 let greedy_qcheck_naive_eq_celf =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:80 ~name:"naive greedy = CELF" graph_arbitrary
        (fun g ->
          Greedy.naive g ~k:6 = Greedy.celf g ~k:6))
@@ -116,7 +116,7 @@ let test_maxsg_prefix_property () =
   Alcotest.(check (array int)) "prefix" k5 (Array.sub k10 0 (Array.length k5))
 
 let maxsg_qcheck_dominating_guarantee =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:80 ~name:"MaxSG output is mutually dominated"
        graph_arbitrary (fun g ->
          let brokers = Maxsg.run g ~k:8 in
@@ -161,7 +161,7 @@ let test_mcbg_respects_k () =
     (Array.length r.Mcbg.coverage_brokers <= r.Mcbg.x_star)
 
 let mcbg_qcheck_guarantee =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:60 ~name:"MCBG output satisfies dominating paths"
        graph_arbitrary (fun g ->
          let r = Mcbg.run g ~k:6 ~beta:4 in
@@ -265,7 +265,7 @@ let test_connectivity_monotone_in_l () =
   check_bool "below saturated" true (Conn.value_at c 8 <= c.Conn.saturated +. 1e-12)
 
 let conn_qcheck_broker_monotone =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:50 ~name:"more brokers never hurt connectivity"
        graph_arbitrary (fun g ->
          let n = G.n g in

@@ -18,7 +18,7 @@ module Cache = Broker_sim.Shard_cache
 module Workload = Broker_sim.Workload
 
 let q ?(count = 80) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+  qcheck (QCheck.Test.make ~count ~name arb law)
 
 (* A base graph plus a random announce/withdraw script (endpoints may
    collide or repeat: self-loops and duplicate ops must be no-ops). *)

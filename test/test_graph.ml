@@ -54,7 +54,7 @@ let test_graph_max_degree () =
     (G.degrees g)
 
 let graph_qcheck_symmetric =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:100 ~name:"adjacency is symmetric" graph_arbitrary
        (fun g ->
          let ok = ref true in
@@ -64,7 +64,7 @@ let graph_qcheck_symmetric =
          !ok))
 
 let graph_qcheck_degree_sum =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:100 ~name:"sum of degrees = 2m" graph_arbitrary
        (fun g ->
          Array.fold_left ( + ) 0 (G.degrees g) = 2 * G.m g))
@@ -103,12 +103,6 @@ let test_bfs_multi_source () =
   check_int "near left" 1 d.(1);
   check_int "near right" 1 d.(8);
   check_int "middle" 4 d.(4)
-
-let test_bfs_farthest () =
-  let g = path_graph 7 in
-  let v, d = Bfs.farthest g 0 in
-  check_int "vertex" 6 v;
-  check_int "distance" 6 d
 
 let test_bfs_parents_path () =
   let g = barbell_graph () in
@@ -183,8 +177,7 @@ let test_pagerank_star_center () =
   let pr = Pagerank.compute g in
   for v = 1 to 9 do
     check_bool "center dominates" true (pr.(0) > pr.(v))
-  done;
-  Alcotest.(check int) "top is center" 0 (Pagerank.top g ~k:1).(0)
+  done
 
 (* ---------- Kcore ---------- *)
 
@@ -201,9 +194,7 @@ let test_kcore_clique_with_pendant () =
   let g = G.of_edges ~n:5 [| (0, 1); (0, 2); (0, 3); (1, 2); (1, 3); (2, 3); (0, 4) |] in
   let core = Kcore.coreness g in
   check_int "clique member" 3 core.(1);
-  check_int "pendant" 1 core.(4);
-  check_int "degeneracy" 3 (Kcore.degeneracy g);
-  Alcotest.(check (array int)) "3-core members" [| 0; 1; 2; 3 |] (Kcore.core_members g ~k:3)
+  check_int "pendant" 1 core.(4)
 
 (* ---------- Metrics ---------- *)
 
@@ -223,10 +214,6 @@ let test_metrics_clustering_triangle () =
 let test_metrics_clustering_star () =
   let g = star_graph 6 in
   check_float "star" 0.0 (Metrics.clustering_coefficient ~samples:10 ~rng:(rng ()) g)
-
-let test_metrics_diameter () =
-  let g = path_graph 9 in
-  check_int "path diameter" 8 (Metrics.diameter_lower_bound g)
 
 let test_metrics_hop_sample () =
   let g = path_graph 5 in
@@ -273,7 +260,6 @@ let suite =
         Alcotest.test_case "bounded" `Quick test_bfs_bounded;
         Alcotest.test_case "filtered" `Quick test_bfs_filtered;
         Alcotest.test_case "multi-source" `Quick test_bfs_multi_source;
-        Alcotest.test_case "farthest" `Quick test_bfs_farthest;
         Alcotest.test_case "parents & path" `Quick test_bfs_parents_path;
         Alcotest.test_case "reachable count" `Quick test_bfs_reachable_count;
       ] );
@@ -302,7 +288,6 @@ let suite =
         Alcotest.test_case "average degree" `Quick test_metrics_average_degree;
         Alcotest.test_case "clustering triangle" `Quick test_metrics_clustering_triangle;
         Alcotest.test_case "clustering star" `Quick test_metrics_clustering_star;
-        Alcotest.test_case "diameter" `Quick test_metrics_diameter;
         Alcotest.test_case "hop sample" `Quick test_metrics_hop_sample;
         Alcotest.test_case "assortativity" `Quick test_metrics_assortativity_star;
       ] );

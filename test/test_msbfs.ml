@@ -11,7 +11,7 @@ module Msbfs = Broker_graph.Msbfs
 module Conn = Broker_core.Connectivity
 
 let q ?(count = 60) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+  qcheck (QCheck.Test.make ~count ~name arb law)
 
 (* A graph, a random broker set, and a seed for drawing sources. *)
 let graph_brokers_arb =

@@ -217,7 +217,7 @@ let test_sketch_index () =
     [ 31; 32; 33; 100; 1000; 65535; 65536; 123_456_789; max_int / 2; max_int ]
 
 let q_test ?(count = 60) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+  qcheck (QCheck.Test.make ~count ~name arb law)
 
 (* The documented bound against the exact oracle: pick integral ranks
    (q = j/(n-1)) so Broker_util.Stats.quantile degenerates to the exact

@@ -6,7 +6,7 @@ module G = Broker_graph.Graph
 module Conn = Broker_core.Connectivity
 
 let q ?(count = 60) name arb law =
-  QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
+  qcheck (QCheck.Test.make ~count ~name arb law)
 
 let seed_arb = QCheck.int_range 0 100_000
 
@@ -99,12 +99,13 @@ let kcore_invariants =
       let core = Broker_graph.Kcore.coreness g in
       let ok = ref true in
       Array.iteri (fun v c -> if c > G.degree g v then ok := false) core;
-      let k = Broker_graph.Kcore.degeneracy g in
+      let k = Array.fold_left max 0 core in
       if k > 0 then begin
-        let members = Broker_graph.Kcore.core_members g ~k in
-        let in_core = Array.make (G.n g) false in
-        Array.iter (fun v -> in_core.(v) <- true) members;
-        Array.iter
+        let in_core = Array.map (fun c -> c >= k) core in
+        let members =
+          List.filter (fun v -> in_core.(v)) (List.init (G.n g) Fun.id)
+        in
+        List.iter
           (fun v ->
             let internal =
               G.fold_neighbors g v (fun acc w -> if in_core.(w) then acc + 1 else acc) 0

@@ -1,5 +1,6 @@
-(* Tests for valley-free policy machinery: Broker_routing.Policy, Bgp,
-   Stitch, and Broker_core.Directional. Uses a small hand-built topology
+(* Tests for valley-free policy machinery: Bgp, Stitch, and
+   Broker_core.Directional, against a brute-force valley-free path
+   predicate kept here as the oracle. Uses a small hand-built topology
    with known business relationships. *)
 
 open Helpers
@@ -7,7 +8,6 @@ module G = Broker_graph.Graph
 module Nm = Broker_topo.Node_meta
 module Rel = Broker_topo.Relations
 module T = Broker_topo.Topology
-module Policy = Broker_routing.Policy
 module Bgp = Broker_routing.Bgp
 module Directional = Broker_core.Directional
 module Conn = Broker_core.Connectivity
@@ -52,7 +52,45 @@ let fixture () =
   Rel.add_peer relations 3 4;
   { T.graph; kinds; tiers; names; relations }
 
-(* ---------- Policy ---------- *)
+(* ---------- Valley-free oracle ---------- *)
+
+(* The Gao–Rexford path rule stated hop by hop, independent of
+   [Directional]'s two-phase sweep: it is the oracle that engine is
+   checked against below. *)
+module Policy = struct
+  type hop_class = Up | Down | Flat | Into_fabric | Out_of_fabric
+
+  let classify topo u v =
+    if not (G.mem_edge topo.T.graph u v) then
+      invalid_arg "Policy.classify: not an edge";
+    if T.is_ixp topo v then Into_fabric
+    else if T.is_ixp topo u then Out_of_fabric
+    else if Rel.customer_of topo.T.relations u v then Up
+    else if Rel.provider_of topo.T.relations u v then Down
+    else Flat
+
+  (* State machine: 0 = ascending, 1 = descending. The single permitted
+     "peak" is a Flat hop or an AS→IXP→AS fabric crossing. *)
+  let valley_free topo path =
+    let rec walk state = function
+      | u :: (v :: _ as rest) ->
+          if not (G.mem_edge topo.T.graph u v) then false
+          else begin
+            match (classify topo u v, state) with
+            | Up, 0 -> walk 0 rest
+            | Up, _ -> false
+            | Down, _ -> walk 1 rest
+            | Flat, 0 -> walk 1 rest
+            | Flat, _ -> false
+            | Into_fabric, 0 -> walk 0 rest
+            | Into_fabric, _ -> false
+            | Out_of_fabric, 0 -> walk 1 rest
+            | Out_of_fabric, _ -> false
+          end
+      | [ _ ] | [] -> true
+    in
+    walk 0 path
+end
 
 let test_policy_classify () =
   let t = fixture () in
@@ -96,19 +134,6 @@ let test_policy_valley_free_rejects () =
   check_bool "up after down is a valley" false (Policy.valley_free t [ 0; 2; 0 ]);
   (* Non-edge path invalid. *)
   check_bool "non-edge" false (Policy.valley_free t [ 5; 6 ])
-
-let test_policy_exports () =
-  let t = fixture () in
-  (* Routes learned from a customer (Down neighbor) export to everyone. *)
-  check_bool "customer->peer" true
-    (Policy.exports_to t ~learned_from:Policy.Down ~toward:Policy.Flat);
-  (* Routes learned from a peer export only to customers. *)
-  check_bool "peer->peer" false
-    (Policy.exports_to t ~learned_from:Policy.Flat ~toward:Policy.Flat);
-  check_bool "peer->customer" true
-    (Policy.exports_to t ~learned_from:Policy.Flat ~toward:Policy.Down);
-  check_bool "provider->provider" false
-    (Policy.exports_to t ~learned_from:Policy.Up ~toward:Policy.Up)
 
 (* ---------- Bgp ---------- *)
 
@@ -158,16 +183,59 @@ let test_bgp_reachability_full_on_tree () =
 
 (* ---------- Directional ---------- *)
 
+(* Every simple path of a small graph, as vertex lists from source to
+   destination (the single-vertex paths included). *)
+let simple_paths g =
+  let n = G.n g in
+  let acc = ref [] in
+  let on_path = Array.make n false in
+  let rec extend rev_path u =
+    acc := List.rev rev_path :: !acc;
+    on_path.(u) <- true;
+    G.iter_neighbors g u (fun v ->
+        if not on_path.(v) then extend (v :: rev_path) v);
+    on_path.(u) <- false
+  in
+  for s = 0 to n - 1 do
+    extend [ s ] s
+  done;
+  !acc
+
 let test_directional_matches_policy () =
   let t = fixture () in
-  (* With every node a broker, directional connectivity counts exactly the
-     valley-free-reachable ordered pairs. Cross-check a few pairs against
-     Policy.valley_free path existence. *)
-  let sat =
-    Directional.saturated_sampled ~rng:(rng ()) ~sources:10 t
-      ~is_broker:(fun _ -> true)
+  let n = G.n t.T.graph in
+  (* Directional's distance from [s] to [d] must be the length of the
+     shortest simple path that the hop-by-hop oracle calls valley-free
+     and that every hop of which touches a broker, for every broker
+     subset of the fixture and every ordered pair. *)
+  let vf_paths =
+    List.filter (Policy.valley_free t) (simple_paths t.T.graph)
+    |> List.map Array.of_list
   in
-  check_bool "most pairs valley-free reachable" true (sat > 0.8)
+  let pairs = ref 0 in
+  for mask = 0 to (1 lsl n) - 1 do
+    let is_broker v = mask land (1 lsl v) <> 0 in
+    let best = Array.make_matrix n n (-1) in
+    List.iter
+      (fun p ->
+        if Broker_core.Dominating.is_dominated_path ~is_broker (Array.to_list p)
+        then begin
+          let s = p.(0) and d = p.(Array.length p - 1) in
+          let len = Array.length p - 1 in
+          if best.(s).(d) < 0 || len < best.(s).(d) then best.(s).(d) <- len
+        end)
+      vf_paths;
+    for s = 0 to n - 1 do
+      let dist = Directional.distances t ~is_broker s in
+      for d = 0 to n - 1 do
+        incr pairs;
+        if dist.(d) <> best.(s).(d) then
+          Alcotest.failf "brokers %#x, %d -> %d: Directional %d, oracle %d" mask
+            s d dist.(d) best.(s).(d)
+      done
+    done
+  done;
+  check_int "ordered pairs checked" (1024 * 100) !pairs
 
 let test_directional_broker_restriction () =
   let t = fixture () in
@@ -449,7 +517,6 @@ let suite =
         Alcotest.test_case "classify non-edge" `Quick test_policy_classify_non_edge;
         Alcotest.test_case "valley-free accepts" `Quick test_policy_valley_free_accepts;
         Alcotest.test_case "valley-free rejects" `Quick test_policy_valley_free_rejects;
-        Alcotest.test_case "export rules" `Quick test_policy_exports;
       ] );
     ( "routing.bgp",
       [

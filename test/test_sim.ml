@@ -39,7 +39,7 @@ let test_eq_interleaved () =
   check_bool "reorder" true (snd (Option.get (Eq.pop q)) = 0)
 
 let eq_qcheck_sorted =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:200 ~name:"event queue pops sorted"
        QCheck.(small_list (float_range 0.0 1000.0))
        (fun times ->
@@ -289,7 +289,7 @@ let test_eq_high_water () =
 let eq_qcheck_fifo_ties =
   (* Times drawn from a 3-value set so ties are common: the popped sequence
      must equal a stable sort by time (FIFO within equal times). *)
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:300 ~name:"event queue FIFO on ties"
        QCheck.(small_list (int_bound 2))
        (fun raw ->
@@ -699,7 +699,7 @@ let test_cache_flush_invariant () =
    under Ring and nearly everything under Modulo. Owners are hash-derived
    and deterministic, so the property is exact per (nshards, seed). *)
 let cache_qcheck_remap =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:60 ~name:"ring remap bounded, modulo near-total"
        QCheck.(pair (int_range 4 12) (int_bound 1000))
        (fun (nshards, seed) ->
@@ -746,7 +746,7 @@ let sim_qcheck_option_matrix =
   let g = t.Broker_topo.Topology.graph in
   let brokers = Broker_core.Maxsg.run g ~k:12 in
   let model = Broker_core.Traffic.gravity ~rng:(xr 31) g in
-  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |])
+  qcheck ~seed:12
     (QCheck.Test.make ~count:20 ~name:"option matrix invariants"
        QCheck.(pair (int_bound 120) (int_bound 3))
        (fun (n_sessions, fi) ->
@@ -1035,7 +1035,32 @@ let test_simulate_cache_flags () =
     (fun name ->
       expect ("--cache-strategy " ^ name) [ "--cache-strategy"; name ] ~code:124
         ~needle:("invalid value '" ^ name ^ "'"))
-    [ "bogus"; "FLUSH" ]
+    [ "bogus"; "FLUSH" ];
+  (* A flag of a mode left off is refused, not silently ignored, before
+     the (missing) topology is read; with its mode on it passes. *)
+  List.iter
+    (fun (mode, flag) ->
+      let flag_name = List.hd flag in
+      expect (flag_name ^ " without --" ^ mode) flag ~code:2
+        ~needle:
+          (Printf.sprintf "brokerctl simulate: %s applies only to --%s"
+             flag_name mode))
+    [
+      ("chaos", [ "--mtbf"; "100" ]);
+      ("chaos", [ "--mttr"; "5" ]);
+      ("chaos", [ "--fault-scenario"; "ixp" ]);
+      ("chaos", [ "--no-failover" ]);
+      ("chaos", [ "--retries"; "1" ]);
+      ("topo-updates", [ "--topo-propagation"; "bgp" ]);
+      ("topo-updates", [ "--topo-delay"; "2" ]);
+      ("topo-updates", [ "--topo-per-hop"; "0.5" ]);
+      ("topo-updates", [ "--topo-at"; "0.25" ]);
+    ];
+  expect "--mtbf with --chaos" [ "--chaos"; "--mtbf"; "100" ] ~code:1
+    ~needle:"no-such-topology";
+  expect "--topo-at with --topo-updates"
+    [ "--topo-updates"; "4"; "--topo-at"; "0.25" ]
+    ~code:1 ~needle:"no-such-topology"
 
 (* ---------- Latency ---------- *)
 

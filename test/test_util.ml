@@ -39,13 +39,6 @@ let test_xrandom_int_bounds () =
     check_bool "in [0,7)" true (v >= 0 && v < 7)
   done
 
-let test_xrandom_int_in () =
-  let r = rng () in
-  for _ = 1 to 1_000 do
-    let v = R.int_in r (-5) 5 in
-    check_bool "in [-5,5]" true (v >= -5 && v <= 5)
-  done
-
 let test_xrandom_float_mean () =
   let r = rng () in
   let n = 20_000 in
@@ -105,7 +98,7 @@ let test_xrandom_geometric () =
   check_int "p=1 -> 0" 0 (R.geometric r 1.0)
 
 let xrandom_qcheck =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:500 ~name:"Xrandom.int in range"
        QCheck.(pair (int_range 1 1000) small_nat)
        (fun (bound, seed) ->
@@ -154,7 +147,7 @@ let test_bitset_clear_copy () =
   check_int "copy intact" 2 (Bitset.cardinal c)
 
 let bitset_qcheck =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:200 ~name:"Bitset matches list-set semantics"
        QCheck.(small_list (int_range 0 255))
        (fun items ->
@@ -183,7 +176,7 @@ let test_popcount_edges () =
     (Bitset.popcount 0x1555555555555555)
 
 let popcount_qcheck =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:500 ~name:"SWAR popcount = naive bit loop"
        QCheck.(triple int int int)
        (fun (a, b, c) ->
@@ -229,7 +222,6 @@ let test_heap_sorts_max () =
 let test_heap_empty () =
   let h = Heap.create Heap.Min in
   check_bool "pop empty" true (Heap.pop h = None);
-  check_bool "peek empty" true (Heap.peek h = None);
   Alcotest.check_raises "pop_exn" (Invalid_argument "Heap.pop_exn: empty heap")
     (fun () -> ignore (Heap.pop_exn h))
 
@@ -244,7 +236,7 @@ let test_heap_grow () =
   done
 
 let heap_qcheck =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:200 ~name:"Heap sort = List.sort"
        QCheck.(small_list (float_range (-1000.0) 1000.0))
        (fun floats ->
@@ -264,16 +256,6 @@ let test_uf_basic () =
   check_bool "not same" false (Uf.same uf 0 2);
   check_int "size" 2 (Uf.size uf 1);
   check_int "count" 9 (Uf.count uf)
-
-let test_uf_max_component () =
-  let uf = Uf.create 8 in
-  ignore (Uf.union uf 0 1);
-  ignore (Uf.union uf 1 2);
-  ignore (Uf.union uf 3 4);
-  check_int "max size" 3 (Uf.max_component_size uf);
-  ignore (Uf.union uf 3 5);
-  ignore (Uf.union uf 5 6);
-  check_int "max size moves" 4 (Uf.max_component_size uf)
 
 (* ---------- Stats ---------- *)
 
@@ -295,34 +277,9 @@ let test_stats_pearson () =
   check_float "anti" (-1.0) (Stats.pearson xs [| 3.0; 2.0; 1.0 |]);
   check_float "constant" 0.0 (Stats.pearson xs [| 5.0; 5.0; 5.0 |])
 
-let test_stats_spearman () =
-  (* Monotone but nonlinear: Spearman 1, Pearson < 1. *)
-  let xs = [| 1.0; 2.0; 3.0; 4.0 |] in
-  let ys = [| 1.0; 10.0; 100.0; 1000.0 |] in
-  check_float "spearman" 1.0 (Stats.spearman xs ys);
-  check_bool "pearson below" true (Stats.pearson xs ys < 1.0)
-
-let test_stats_ranks_ties () =
-  Alcotest.(check (array (float 1e-9)))
-    "mid-ranks" [| 1.5; 1.5; 3.0 |]
-    (Stats.ranks [| 7.0; 7.0; 9.0 |])
-
 let test_stats_histogram () =
   let h = Stats.histogram ~bins:4 [| 0.0; 1.0; 2.0; 3.0; 4.0 |] in
   check_int "total preserved" 5 (Array.fold_left ( + ) 0 h.Stats.counts)
-
-let test_stats_cdf () =
-  let pts = Stats.cdf [| 3.0; 1.0; 2.0 |] in
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "cdf points"
-    [ (1.0, 1.0 /. 3.0); (2.0, 2.0 /. 3.0); (3.0, 1.0) ]
-    pts;
-  check_float "cdf_at" (2.0 /. 3.0) (Stats.cdf_at [| 3.0; 1.0; 2.0 |] 2.5)
-
-let test_stats_linear_fit () =
-  let slope, intercept = Stats.linear_fit [| 0.0; 1.0; 2.0 |] [| 1.0; 3.0; 5.0 |] in
-  check_float "slope" 2.0 slope;
-  check_float "intercept" 1.0 intercept
 
 let test_stats_summary () =
   let s = Stats.summarize [| 1.0; 2.0; 3.0 |] in
@@ -331,7 +288,7 @@ let test_stats_summary () =
   check_float "max" 3.0 s.Stats.max
 
 let stats_qcheck_quantile =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:200 ~name:"quantile within [min,max]"
        QCheck.(pair (list_of_size Gen.(int_range 1 50) (float_range (-100.) 100.)) (float_range 0.0 1.0))
        (fun (l, q) ->
@@ -357,13 +314,6 @@ let test_sampling_full () =
   let r = rng () in
   let s = Sampling.without_replacement r ~n:10 ~k:10 in
   Alcotest.(check (array int)) "all items" (Array.init 10 (fun i -> i)) s
-
-let test_sampling_reservoir () =
-  let r = rng () in
-  let s = Sampling.reservoir r ~k:5 (List.to_seq (List.init 100 (fun i -> i))) in
-  check_int "k items" 5 (Array.length s);
-  let s2 = Sampling.reservoir r ~k:50 (List.to_seq [ 1; 2; 3 ]) in
-  check_int "short stream" 3 (Array.length s2)
 
 let test_sampling_weighted_index () =
   let r = rng () in
@@ -492,7 +442,7 @@ let test_parallel_boundaries () =
     [ 1; 3; 4 ]
 
 let parallel_qcheck =
-  QCheck_alcotest.to_alcotest
+  qcheck
     (QCheck.Test.make ~count:60
        ~name:"Parallel.strided/chunked visit every index exactly once"
        QCheck.(pair (int_range 0 97) (oneofl [ 1; 3; 4 ]))
@@ -523,7 +473,6 @@ let suite =
         Alcotest.test_case "seed sensitivity" `Quick test_xrandom_different_seeds;
         Alcotest.test_case "copy independence" `Quick test_xrandom_copy_independent;
         Alcotest.test_case "int bounds" `Quick test_xrandom_int_bounds;
-        Alcotest.test_case "int_in bounds" `Quick test_xrandom_int_in;
         Alcotest.test_case "float mean" `Quick test_xrandom_float_mean;
         Alcotest.test_case "bernoulli rate" `Quick test_xrandom_bernoulli;
         Alcotest.test_case "shuffle permutes" `Quick test_xrandom_shuffle_permutes;
@@ -557,18 +506,13 @@ let suite =
     ( "util.union_find",
       [
         Alcotest.test_case "basic" `Quick test_uf_basic;
-        Alcotest.test_case "max component" `Quick test_uf_max_component;
       ] );
     ( "util.stats",
       [
         Alcotest.test_case "moments" `Quick test_stats_moments;
         Alcotest.test_case "quantiles" `Quick test_stats_quantiles;
         Alcotest.test_case "pearson" `Quick test_stats_pearson;
-        Alcotest.test_case "spearman" `Quick test_stats_spearman;
-        Alcotest.test_case "rank ties" `Quick test_stats_ranks_ties;
         Alcotest.test_case "histogram" `Quick test_stats_histogram;
-        Alcotest.test_case "cdf" `Quick test_stats_cdf;
-        Alcotest.test_case "linear fit" `Quick test_stats_linear_fit;
         Alcotest.test_case "summary" `Quick test_stats_summary;
         stats_qcheck_quantile;
       ] );
@@ -576,7 +520,6 @@ let suite =
       [
         Alcotest.test_case "without replacement" `Quick test_sampling_without_replacement;
         Alcotest.test_case "k = n" `Quick test_sampling_full;
-        Alcotest.test_case "reservoir" `Quick test_sampling_reservoir;
         Alcotest.test_case "weighted index" `Quick test_sampling_weighted_index;
         Alcotest.test_case "alias method" `Quick test_sampling_alias;
       ] );

@@ -39,13 +39,19 @@
    - R9 [no-unsafe-obj]: [Obj.magic]/[Obj.repr]/[Obj.obj] are banned
      everywhere; in library code so are [Hashtbl.hash]/[hash_param]/
      [seeded_hash]/[randomize] and [Hashtbl.create ~random].
+   - R10 [export-has-user]: every [val] in a library unit's [.mli] is
+     referenced from another scanned unit (by default lib/, bin/,
+     bench/, e2ebench/ and examples/). A hook only tests reach — an
+     oracle or an inspection function over code the library does run —
+     carries [[@@brokercheck.test_only]] on its [val] instead; tests are
+     not scanned, so they count as no user.
 
    Whole-program rules:
 
    C1 [domain-safety]
      Compute the set of code reachable from the closures handed to the
      parallel fan-out points ([Parallel.strided], [Parallel.chunked],
-     [Parallel.map_array], [Domain.spawn]) and, inside that set, flag
+     [Domain.spawn]) and, inside that set, flag
      writes to shared non-[Atomic] mutable state:
        - module-level [ref]s (and [incr]/[decr] on them),
        - mutable record fields of module-level values,
@@ -59,8 +65,8 @@
      mutate; writes through function parameters are the call site's
      responsibility (the spawning closure is where locality is checked).
      The strided-disjoint-writes idiom — every worker writes a distinct
-     index of one shared array, as [Parallel.map_array] does — is
-     blessed by annotating the binding [@brokercheck.owned].
+     index of one shared array — is blessed by annotating the binding
+     [@brokercheck.owned].
 
    C2 [noalloc]
      For functions annotated [let[@brokercheck.noalloc] f ... = ...],
@@ -96,6 +102,7 @@ module Rule = struct
     | Report_pure
     | Clock_discipline
     | No_unsafe_obj
+    | Export_has_user
     | Domain_safety
     | Noalloc
 
@@ -109,6 +116,7 @@ module Rule = struct
     | Report_pure -> "report-pure"
     | Clock_discipline -> "clock-discipline"
     | No_unsafe_obj -> "no-unsafe-obj"
+    | Export_has_user -> "export-has-user"
     | Domain_safety -> "domain-safety"
     | Noalloc -> "noalloc"
 end
@@ -408,7 +416,7 @@ let check_ident s ~in_loop comps loc =
   | "Stdlib.Domain.spawn" when not s.spawn_exempt ->
       flag Domain_confinement
         "Domain.spawn outside lib/util/parallel.ml; use Parallel.chunked / \
-         Parallel.map_array"
+         Parallel.strided"
   | _ when s.in_experiments && ends_in_ctx_output comps ->
       flag Report_pure
         (Printf.sprintf
@@ -473,11 +481,57 @@ let check_apply s f args (loc : Location.t) =
        library containers must stay deterministic (the non-randomized \
        default is fine)"
 
+(* ------------------------------------------------------------------ *)
+(* R10 export-has-user                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* An export is keyed by where its [val] starts in the .mli. Every
+   [Texp_ident] carries the value description it resolved to; for a
+   value of another unit that description, location included, comes
+   from the unit's interface, however the reference is spelled (through
+   the library wrapper, an alias or an [open]). A unit's references to
+   its own values resolve to its .ml bindings, so they never count. *)
+let loc_key (loc : Location.t) =
+  Printf.sprintf "%s:%d" loc.loc_start.pos_fname loc.loc_start.pos_cnum
+
+let exports : (string * Typedtree.value_description) list ref = ref []
+let referenced : (string, unit) Hashtbl.t = Hashtbl.create 4096
+
+(* The [val]s of a library unit's interface, read from the [.cmti]
+   beside its [.cmt]; a unit without one is R3's finding, not R10's. *)
+let collect_exports ~cmt ~modname =
+  let cmti = Filename.remove_extension cmt ^ ".cmti" in
+  if Sys.file_exists cmti then
+    match (Cmt_format.read_cmt cmti).cmt_annots with
+    | Interface sg ->
+        List.iter
+          (fun (item : Typedtree.signature_item) ->
+            match item.sig_desc with
+            | Tsig_value vd
+              when not (has_attr "brokercheck.test_only" vd.val_attributes) ->
+                exports := (modname ^ "." ^ vd.val_name.txt, vd) :: !exports
+            | _ -> ())
+          sg.sig_items
+    | _ -> ()
+
+let check_exports () =
+  List.iter
+    (fun (name, (vd : Typedtree.value_description)) ->
+      if not (Hashtbl.mem referenced (loc_key vd.val_val.val_loc)) then
+        report_loc vd.val_loc Export_has_user
+          (Printf.sprintf
+             "%s is exported but no other scanned unit uses it; delete it, \
+              drop it from the .mli, or mark a test hook \
+              [@@brokercheck.test_only]"
+             name))
+    !exports
+
 let rules_walk u =
   let it =
     loop_iterator (fun ~in_loop (e : Typedtree.expression) ->
         match e.exp_desc with
-        | Texp_ident (p, _, _) ->
+        | Texp_ident (p, _, vd) ->
+            Hashtbl.replace referenced (loc_key vd.val_loc) ();
             check_ident u.u_scope ~in_loop (norm_path p) e.exp_loc
         | Texp_apply ({ exp_desc = Texp_ident (f, _, _); _ }, args) ->
             check_apply u.u_scope (dotted (norm_path f)) args e.exp_loc
@@ -570,7 +624,7 @@ let collect_unit (u : unit_info) =
 (* ------------------------------------------------------------------ *)
 
 let spawn_targets =
-  [ "Parallel.strided"; "Parallel.chunked"; "Parallel.map_array"; "Domain.spawn" ]
+  [ "Parallel.strided"; "Parallel.chunked"; "Domain.spawn" ]
 
 (* Candidate dotted names a resolved path can be referred to by: its
    normalized spelling, and — for bare toplevel idents — the
@@ -928,6 +982,7 @@ let load_unit file =
          && not (Hashtbl.mem loaded_sources src) ->
       Hashtbl.replace loaded_sources src ();
       let scope = scope_of src in
+      let u_mod = norm_component cmt_modname in
       if
         scope.in_lib
         && not (Sys.file_exists (Filename.concat !source_root src ^ "i"))
@@ -935,9 +990,10 @@ let load_unit file =
         report ~file:src ~line:1 ~col:0 Mli_complete
           (Printf.sprintf "library module %s has no interface file %si"
              (Filename.basename src) (Filename.basename src));
+      if scope.in_lib then collect_exports ~cmt:file ~modname:u_mod;
       Some
         {
-          u_mod = norm_component cmt_modname;
+          u_mod;
           u_scope = scope;
           u_globals = ref Sset.empty;
           u_structure = str;
@@ -955,7 +1011,7 @@ let load_unit file =
 let usage =
   "brokercheck [--lib] [--experiments] [--source-root DIR] [path ...]\n\
    Check the .cmt files under the given files/directories (default: lib bin \
-   bench examples).\n\
+   bench e2ebench examples).\n\
   \  --lib              treat every scanned unit as library code (fixture \
    mode)\n\
   \  --experiments      treat every scanned unit as an experiment module \
@@ -991,7 +1047,7 @@ let () =
   in
   let paths =
     match parse [] (List.tl (Array.to_list Sys.argv)) with
-    | [] -> [ "lib"; "bin"; "bench"; "examples" ]
+    | [] -> [ "lib"; "bin"; "bench"; "e2ebench"; "examples" ]
     | ps -> ps
   in
   let files =
@@ -1048,6 +1104,7 @@ let () =
   done;
   (* C2 on every annotated binding. *)
   List.iter (fun (name, _, vb) -> c2_walk ~fname:name vb) !noalloc_defs;
+  check_exports ();
   (* Sort, dedup per (file, line, rule) — several nodes can hit one rule
      on one line, e.g. a sort call and the bare ident inside it — then
      drop suppressed findings: one cached line lookup per survivor. *)

@@ -1,3 +1,3 @@
 (** Interface for the R3 clean fixture. *)
 
-val answer : int
+val answer : int (* brokercheck: allow export-has-user *)
