@@ -31,17 +31,55 @@ let scale_arg =
   let doc = "Scale factor in (0,1] relative to the paper's 52,079 nodes." in
   Arg.(value & opt float 0.1 & info [ "scale" ] ~doc)
 
+(* A flag out of range is a usage error, refused before any file is
+   read. *)
+let usage_error cmd msg =
+  prerr_endline (Printf.sprintf "brokerctl %s: %s" cmd msg);
+  exit 2
+
+let at_least_one cmd flag v =
+  if v < 1 then usage_error cmd (Printf.sprintf "%s must be >= 1, got %d" flag v)
+
+(* Unreadable or malformed input files exit 1 with the reader's message. *)
 let load path =
-  try Ok (Broker_topo.Dataset.load ~path)
-  with Sys_error msg | Invalid_argument msg -> Error msg
+  try Broker_topo.Dataset.load ~path
+  with Sys_error msg | Invalid_argument msg ->
+    prerr_endline msg;
+    exit 1
+
+(* One broker id per line, each a vertex of an [n]-vertex topology. *)
+let read_brokers ~n path =
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline msg;
+        exit 1)
+      fmt
+  in
+  let ic = try open_in path with Sys_error msg -> fail "%s" msg in
+  let rec read line acc =
+    match In_channel.input_line ic with
+    | None ->
+        close_in ic;
+        Array.of_list (List.rev acc)
+    | Some l -> (
+        let s = String.trim l in
+        match int_of_string_opt s with
+        | None -> fail "%s:%d: not an integer: %S" path line s
+        | Some b when b < 0 || b >= n ->
+            fail "%s:%d: broker id %d outside the topology's 0..%d" path line
+              b (n - 1)
+        | Some b -> read (line + 1) (b :: acc))
+  in
+  read 1 []
 
 (* generate *)
 let generate scale seed out =
-  let params =
-    if scale >= 1.0 then { Broker_topo.Internet.default with seed }
-    else { (Broker_topo.Internet.scaled scale) with seed }
+  if not (scale > 0.0 && scale <= 1.0) then
+    usage_error "generate" (Printf.sprintf "--scale must be in (0, 1], got %g" scale);
+  let topo =
+    Broker_topo.Internet.generate { (Broker_topo.Internet.scaled scale) with seed }
   in
-  let topo = Broker_topo.Internet.generate params in
   Broker_topo.Dataset.save ~path:out topo;
   Format.printf "%a@." Broker_topo.Dataset.pp_summary
     (Broker_topo.Dataset.summarize topo);
@@ -57,13 +95,8 @@ let generate_cmd =
 
 (* summary *)
 let summary path =
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      Format.printf "%a@." Broker_topo.Dataset.pp_summary
-        (Broker_topo.Dataset.summarize topo)
+  Format.printf "%a@." Broker_topo.Dataset.pp_summary
+    (Broker_topo.Dataset.summarize (load path))
 
 let summary_cmd =
   Cmd.v
@@ -76,9 +109,15 @@ let algo_arg =
   let doc = Printf.sprintf "Selection algorithm: %s." (String.concat ", " alts) in
   Arg.(value & opt (enum (List.map (fun a -> (a, a)) alts)) "maxsg" & info [ "a"; "algorithm" ] ~doc)
 
+(* The algorithms that take a budget; the others pick their own size. *)
+let budgeted = [ "maxsg"; "greedy"; "mcbg"; "db"; "prb" ]
+
 let k_arg =
-  let doc = "Broker budget k." in
-  Arg.(value & opt int 100 & info [ "k" ] ~doc)
+  let doc =
+    Printf.sprintf "Broker budget k (default 100); only for %s."
+      (String.concat ", " budgeted)
+  in
+  Arg.(value & opt (some int) None & info [ "k" ] ~doc)
 
 let select_brokers topo algo k seed =
   let g = topo.Broker_topo.Topology.graph in
@@ -94,21 +133,23 @@ let select_brokers topo algo k seed =
   | _ -> assert false
 
 let select path algo k seed out =
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      let brokers = select_brokers topo algo k seed in
-      let oc = open_out out in
-      Array.iter (fun b -> Printf.fprintf oc "%d\n" b) brokers;
-      close_out oc;
-      let cov = Broker_core.Coverage.create topo.Broker_topo.Topology.graph in
-      Array.iter (Broker_core.Coverage.add cov) brokers;
-      Printf.printf "%d brokers -> coverage f(B) = %d (%.2f%% of nodes); saved to %s\n"
-        (Array.length brokers) (Broker_core.Coverage.f cov)
-        (100.0 *. Broker_core.Coverage.coverage_fraction cov)
-        out
+  (match k with
+  | Some _ when not (List.exists (String.equal algo) budgeted) ->
+      usage_error "select"
+        (Printf.sprintf "-k does not apply to %s, which takes no budget" algo)
+  | Some k -> at_least_one "select" "-k" k
+  | None -> ());
+  let topo = load path in
+  let brokers = select_brokers topo algo (Option.value k ~default:100) seed in
+  let oc = open_out out in
+  Array.iter (fun b -> Printf.fprintf oc "%d\n" b) brokers;
+  close_out oc;
+  let cov = Broker_core.Coverage.create topo.Broker_topo.Topology.graph in
+  Array.iter (Broker_core.Coverage.add cov) brokers;
+  Printf.printf "%d brokers -> coverage f(B) = %d (%.2f%% of nodes); saved to %s\n"
+    (Array.length brokers) (Broker_core.Coverage.f cov)
+    (100.0 *. Broker_core.Coverage.coverage_fraction cov)
+    out
 
 let select_cmd =
   let out =
@@ -119,37 +160,23 @@ let select_cmd =
     Term.(const select $ topo_arg $ algo_arg $ k_arg $ seed_arg $ out)
 
 (* evaluate *)
-let read_brokers path =
-  let ic = open_in path in
-  let acc = ref [] in
-  (try
-     while true do
-       acc := int_of_string (String.trim (input_line ic)) :: !acc
-     done
-   with End_of_file -> close_in ic);
-  Array.of_list (List.rev !acc)
-
 let evaluate path brokers_path sources seed =
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      let g = topo.Broker_topo.Topology.graph in
-      let brokers = read_brokers brokers_path in
-      let n = Broker_graph.Graph.n g in
-      let curve =
-        Broker_core.Connectivity.sampled ~l_max:8
-          ~rng:(Broker_util.Xrandom.create seed)
-          ~sources g
-          ~is_broker:(Broker_core.Connectivity.of_brokers ~n brokers)
-      in
-      for l = 1 to 8 do
-        Printf.printf "l=%d  %.2f%%\n" l
-          (100.0 *. Broker_core.Connectivity.value_at curve l)
-      done;
-      Printf.printf "saturated  %.2f%%\n"
-        (100.0 *. curve.Broker_core.Connectivity.saturated)
+  at_least_one "evaluate" "--sources" sources;
+  let g = (load path).Broker_topo.Topology.graph in
+  let n = Broker_graph.Graph.n g in
+  let brokers = read_brokers ~n brokers_path in
+  let curve =
+    Broker_core.Connectivity.sampled ~l_max:8
+      ~rng:(Broker_util.Xrandom.create seed)
+      ~sources g
+      ~is_broker:(Broker_core.Connectivity.of_brokers ~n brokers)
+  in
+  for l = 1 to 8 do
+    Printf.printf "l=%d  %.2f%%\n" l
+      (100.0 *. Broker_core.Connectivity.value_at curve l)
+  done;
+  Printf.printf "saturated  %.2f%%\n"
+    (100.0 *. curve.Broker_core.Connectivity.saturated)
 
 let evaluate_cmd =
   let brokers =
@@ -164,18 +191,15 @@ let evaluate_cmd =
 
 (* export-dot *)
 let export_dot path out max_vertices =
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      let attrs v =
-        if Broker_topo.Topology.is_ixp topo v then [ ("color", "red") ] else []
-      in
-      Broker_graph.Dot.write_file ~path:out
-        (Broker_graph.Dot.to_dot ~vertex_attrs:attrs ~max_vertices
-           topo.Broker_topo.Topology.graph);
-      Printf.printf "wrote %s\n" out
+  at_least_one "export-dot" "--max-vertices" max_vertices;
+  let topo = load path in
+  let attrs v =
+    if Broker_topo.Topology.is_ixp topo v then [ ("color", "red") ] else []
+  in
+  Broker_graph.Dot.write_file ~path:out
+    (Broker_graph.Dot.to_dot ~vertex_attrs:attrs ~max_vertices
+       topo.Broker_topo.Topology.graph);
+  Printf.printf "wrote %s\n" out
 
 let export_dot_cmd =
   let out = Arg.(value & opt string "topology.dot" & info [ "o"; "output" ] ~doc:"DOT output.") in
@@ -188,10 +212,7 @@ let export_dot_cmd =
 let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
     mttr scenario no_failover retries cache_strategy vnodes topo_updates
     topo_propagation topo_delay topo_per_hop topo_at stats_window timeline =
-  let usage_error msg =
-    prerr_endline ("brokerctl simulate: " ^ msg);
-    exit 2
-  in
+  let usage_error = usage_error "simulate" in
   (* The library checks its inputs (fault rates, retry budget, session
      count, ...) with Invalid_argument: report those as usage errors. *)
   let guard f = try f () with Invalid_argument msg -> usage_error msg in
@@ -238,157 +259,153 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
         usage_error "--vnodes applies only to --cache-strategy ring"
     | strategy, None -> strategy
   in
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      let g = topo.Broker_topo.Topology.graph in
-      let brokers = read_brokers brokers_path in
-      let rng = Broker_util.Xrandom.create seed in
-      let model = Broker_core.Traffic.gravity ~rng g in
-      let sessions =
+  let topo = load path in
+  let g = topo.Broker_topo.Topology.graph in
+  let brokers = read_brokers ~n:(Broker_graph.Graph.n g) brokers_path in
+  let rng = Broker_util.Xrandom.create seed in
+  let model = Broker_core.Traffic.gravity ~rng g in
+  let sessions =
+    guard (fun () ->
+        Broker_sim.Workload.generate ~rng model ~n_sessions
+          Broker_sim.Workload.default_params)
+  in
+  let config = Broker_sim.Simulator.degree_capacity g ~factor:capacity_factor in
+  let chaos =
+    if not chaos_on then None
+    else
+      let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
+      let scen =
+        match scenario with
+        | "independent" -> Broker_sim.Faults.Independent { mtbf; mttr }
+        | "degree" -> Broker_sim.Faults.Degree_targeted { mtbf; mttr; bias = 1.0 }
+        | "ixp" -> Broker_sim.Faults.Ixp_outage { mtbf; mttr }
+        | _ -> assert false
+      in
+      let faults =
         guard (fun () ->
-            Broker_sim.Workload.generate ~rng model ~n_sessions
-              Broker_sim.Workload.default_params)
+            Broker_sim.Faults.generate
+              ~rng:(Broker_util.Xrandom.create (seed + 1))
+              topo ~brokers ~horizon scen)
       in
-      let config = Broker_sim.Simulator.degree_capacity g ~factor:capacity_factor in
-      let chaos =
-        if not chaos_on then None
-        else
-          let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
-          let scen =
-            match scenario with
-            | "independent" -> Broker_sim.Faults.Independent { mtbf; mttr }
-            | "degree" -> Broker_sim.Faults.Degree_targeted { mtbf; mttr; bias = 1.0 }
-            | "ixp" -> Broker_sim.Faults.Ixp_outage { mtbf; mttr }
-            | _ -> assert false
-          in
-          let faults =
-            guard (fun () ->
-                Broker_sim.Faults.generate
-                  ~rng:(Broker_util.Xrandom.create (seed + 1))
-                  topo ~brokers ~horizon scen)
-          in
-          Some
-            {
-              (Broker_sim.Simulator.default_chaos faults) with
-              Broker_sim.Simulator.failover = not no_failover;
-              retry =
-                { Broker_sim.Simulator.default_retry with max_attempts = retries };
-              chaos_seed = seed;
-            }
-      in
-      let topo_churn =
-        if topo_updates <= 0 then None
-        else begin
-          let horizon = Broker_sim.Workload.last_arrival sessions in
-          let ops =
-            guard (fun () ->
-                Broker_sim.Topo_stream.burst
-                  ~rng:(Broker_util.Xrandom.create (seed + 2))
-                  g ~size:topo_updates)
-          in
-          let time = topo_at *. horizon in
-          let propagation =
-            match topo_propagation with
-            | "centralized" ->
-                Broker_sim.Topo_stream.Centralized { delay = topo_delay }
-            | "bgp" ->
-                Broker_sim.Topo_stream.Bgp_like
-                  { base = topo_delay; per_hop = topo_per_hop }
-            | _ -> assert false
-          in
-          Some
-            {
-              Broker_sim.Simulator.updates =
-                Array.map (fun op -> { Broker_sim.Topo_stream.time; op }) ops;
-              propagation;
-            }
-        end
-      in
-      let stats_window =
-        (* --timeline without an explicit window defaults to 40 windows
-           across the arrival horizon. *)
-        if stats_window > 0.0 then Some stats_window
-        else if Option.is_some timeline then begin
-          let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
-          Some (Float.max 1e-6 (horizon /. 40.0))
-        end
-        else None
-      in
-      let s =
+      Some
+        {
+          (Broker_sim.Simulator.default_chaos faults) with
+          Broker_sim.Simulator.failover = not no_failover;
+          retry =
+            { Broker_sim.Simulator.default_retry with max_attempts = retries };
+          chaos_seed = seed;
+        }
+  in
+  let topo_churn =
+    if topo_updates <= 0 then None
+    else begin
+      let horizon = Broker_sim.Workload.last_arrival sessions in
+      let ops =
         guard (fun () ->
-            Broker_sim.Simulator.run ?chaos ?topo:topo_churn ~cache ?stats_window
-              topo ~brokers ~sessions config)
+            Broker_sim.Topo_stream.burst
+              ~rng:(Broker_util.Xrandom.create (seed + 2))
+              g ~size:topo_updates)
       in
-      Printf.printf "offered             %d\n" s.Broker_sim.Simulator.offered;
-      Printf.printf "admitted            %d (%.2f%%)\n" s.Broker_sim.Simulator.admitted
-        (100.0 *. s.Broker_sim.Simulator.admission_rate);
-      Printf.printf "rejected: no path   %d\n" s.Broker_sim.Simulator.rejected_no_path;
-      Printf.printf "rejected: capacity  %d\n" s.Broker_sim.Simulator.rejected_capacity;
-      Printf.printf "mean hops           %.2f\n" s.Broker_sim.Simulator.mean_hops;
-      Printf.printf "employee-hop share  %.2f%%\n"
-        (100.0 *. s.Broker_sim.Simulator.employee_hop_fraction);
-      Printf.printf "mean utilization    %.2f%%\n"
-        (100.0 *. s.Broker_sim.Simulator.mean_broker_utilization);
-      Printf.printf "net revenue         %.1f\n" s.Broker_sim.Simulator.revenue;
-      if chaos_on then begin
-        Printf.printf "failed over         %d\n" s.Broker_sim.Simulator.failed_over;
-        Printf.printf "dropped mid-flight  %d\n"
-          s.Broker_sim.Simulator.dropped_midflight;
-        Printf.printf "retried+admitted    %d\n"
-          s.Broker_sim.Simulator.retried_admitted;
-        Printf.printf "delivered rate      %.2f%%\n"
-          (100.0 *. Broker_sim.Simulator.delivered_rate s);
-        Printf.printf "broker downtime     %.1f\n"
-          s.Broker_sim.Simulator.broker_downtime;
-        Printf.printf "revenue lost        %.1f\n"
-          s.Broker_sim.Simulator.revenue_lost;
-        Printf.printf "availability        %.2f%%\n"
-          (100.0 *. s.Broker_sim.Simulator.availability)
-      end;
-      if topo_updates > 0 then begin
-        Printf.printf "topo propagation    %s\n" topo_propagation;
-        Printf.printf "topo applied        %d\n"
-          s.Broker_sim.Simulator.topo_applied;
-        Printf.printf "topo ignored        %d\n"
-          s.Broker_sim.Simulator.topo_ignored
-      end;
-      let c = s.Broker_sim.Simulator.cache in
-      Printf.printf "cache strategy      %s\n"
-        (Broker_sim.Shard_cache.strategy_name cache);
-      Printf.printf "cache lookups       %d\n" c.Broker_sim.Shard_cache.lookups;
-      Printf.printf "cache hits          %d\n" c.Broker_sim.Shard_cache.hits;
-      Printf.printf "cache degraded      %d\n"
-        c.Broker_sim.Shard_cache.served_degraded;
-      Printf.printf "cache repaired      %d\n"
-        c.Broker_sim.Shard_cache.repaired_lazily;
-      Printf.printf "cache recomputed    %d\n"
-        c.Broker_sim.Shard_cache.recomputed;
-      Printf.printf "cache evicted       %d\n" c.Broker_sim.Shard_cache.evicted;
-      Printf.printf "cache flushed       %d\n" c.Broker_sim.Shard_cache.flushed;
-      (match stats_window with
+      let time = topo_at *. horizon in
+      let propagation =
+        match topo_propagation with
+        | "centralized" ->
+            Broker_sim.Topo_stream.Centralized { delay = topo_delay }
+        | "bgp" ->
+            Broker_sim.Topo_stream.Bgp_like
+              { base = topo_delay; per_hop = topo_per_hop }
+        | _ -> assert false
+      in
+      Some
+        {
+          Broker_sim.Simulator.updates =
+            Array.map (fun op -> { Broker_sim.Topo_stream.time; op }) ops;
+          propagation;
+        }
+    end
+  in
+  let stats_window =
+    (* --timeline without an explicit window defaults to 40 windows
+       across the arrival horizon. *)
+    if stats_window > 0.0 then Some stats_window
+    else if Option.is_some timeline then begin
+      let horizon = Broker_sim.Workload.last_arrival sessions +. 20.0 in
+      Some (Float.max 1e-6 (horizon /. 40.0))
+    end
+    else None
+  in
+  let s =
+    guard (fun () ->
+        Broker_sim.Simulator.run ?chaos ?topo:topo_churn ~cache ?stats_window
+          topo ~brokers ~sessions config)
+  in
+  Printf.printf "offered             %d\n" s.Broker_sim.Simulator.offered;
+  Printf.printf "admitted            %d (%.2f%%)\n" s.Broker_sim.Simulator.admitted
+    (100.0 *. s.Broker_sim.Simulator.admission_rate);
+  Printf.printf "rejected: no path   %d\n" s.Broker_sim.Simulator.rejected_no_path;
+  Printf.printf "rejected: capacity  %d\n" s.Broker_sim.Simulator.rejected_capacity;
+  Printf.printf "mean hops           %.2f\n" s.Broker_sim.Simulator.mean_hops;
+  Printf.printf "employee-hop share  %.2f%%\n"
+    (100.0 *. s.Broker_sim.Simulator.employee_hop_fraction);
+  Printf.printf "mean utilization    %.2f%%\n"
+    (100.0 *. s.Broker_sim.Simulator.mean_broker_utilization);
+  Printf.printf "net revenue         %.1f\n" s.Broker_sim.Simulator.revenue;
+  if chaos_on then begin
+    Printf.printf "failed over         %d\n" s.Broker_sim.Simulator.failed_over;
+    Printf.printf "dropped mid-flight  %d\n"
+      s.Broker_sim.Simulator.dropped_midflight;
+    Printf.printf "retried+admitted    %d\n"
+      s.Broker_sim.Simulator.retried_admitted;
+    Printf.printf "delivered rate      %.2f%%\n"
+      (100.0 *. Broker_sim.Simulator.delivered_rate s);
+    Printf.printf "broker downtime     %.1f\n"
+      s.Broker_sim.Simulator.broker_downtime;
+    Printf.printf "revenue lost        %.1f\n"
+      s.Broker_sim.Simulator.revenue_lost;
+    Printf.printf "availability        %.2f%%\n"
+      (100.0 *. s.Broker_sim.Simulator.availability)
+  end;
+  if topo_updates > 0 then begin
+    Printf.printf "topo propagation    %s\n" topo_propagation;
+    Printf.printf "topo applied        %d\n"
+      s.Broker_sim.Simulator.topo_applied;
+    Printf.printf "topo ignored        %d\n"
+      s.Broker_sim.Simulator.topo_ignored
+  end;
+  let c = s.Broker_sim.Simulator.cache in
+  Printf.printf "cache strategy      %s\n"
+    (Broker_sim.Shard_cache.strategy_name cache);
+  Printf.printf "cache lookups       %d\n" c.Broker_sim.Shard_cache.lookups;
+  Printf.printf "cache hits          %d\n" c.Broker_sim.Shard_cache.hits;
+  Printf.printf "cache degraded      %d\n"
+    c.Broker_sim.Shard_cache.served_degraded;
+  Printf.printf "cache repaired      %d\n"
+    c.Broker_sim.Shard_cache.repaired_lazily;
+  Printf.printf "cache recomputed    %d\n"
+    c.Broker_sim.Shard_cache.recomputed;
+  Printf.printf "cache evicted       %d\n" c.Broker_sim.Shard_cache.evicted;
+  Printf.printf "cache flushed       %d\n" c.Broker_sim.Shard_cache.flushed;
+  (match stats_window with
+  | None -> ()
+  | Some w ->
+      Printf.printf "stats window        %.3f\n" w;
+      let with_data =
+        List.filter
+          (fun ts ->
+            Array.length (Broker_obs.Timeseries.points ts) > 0)
+          (Broker_obs.Timeseries.all ())
+      in
+      Printf.printf "timeline series     %d\n" (List.length with_data);
+      (match timeline with
       | None -> ()
-      | Some w ->
-          Printf.printf "stats window        %.3f\n" w;
-          let with_data =
-            List.filter
-              (fun ts ->
-                Array.length (Broker_obs.Timeseries.points ts) > 0)
-              (Broker_obs.Timeseries.all ())
-          in
-          Printf.printf "timeline series     %d\n" (List.length with_data);
-          (match timeline with
-          | None -> ()
-          | Some out ->
-              let json = Broker_report.Report_obs.timeline_to_json () in
-              let oc = open_out out in
-              output_string oc json;
-              output_string oc "\n";
-              close_out oc;
-              Printf.eprintf "timeline: %d series -> %s\n"
-                (List.length with_data) out))
+      | Some out ->
+          let json = Broker_report.Report_obs.timeline_to_json () in
+          let oc = open_out out in
+          output_string oc json;
+          output_string oc "\n";
+          close_out oc;
+          Printf.eprintf "timeline: %d series -> %s\n"
+            (List.length with_data) out))
 
 let simulate_cmd =
   let brokers =
@@ -537,34 +554,30 @@ let simulate_cmd =
 
 (* resilience *)
 let resilience path brokers_path sources seed =
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      let g = topo.Broker_topo.Topology.graph in
-      let brokers = read_brokers brokers_path in
-      let fractions = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
+  at_least_one "resilience" "--sources" sources;
+  let g = (load path).Broker_topo.Topology.graph in
+  let brokers = read_brokers ~n:(Broker_graph.Graph.n g) brokers_path in
+  let fractions = [ 0.0; 0.05; 0.1; 0.2; 0.4 ] in
+  List.iter
+    (fun model ->
+      let name =
+        match model with
+        | Broker_core.Resilience.Random -> "random"
+        | Broker_core.Resilience.Targeted -> "targeted"
+      in
+      let points =
+        Broker_core.Resilience.degradation
+          ~rng:(Broker_util.Xrandom.create seed)
+          ~sources g ~brokers ~model ~fractions
+      in
       List.iter
-        (fun model ->
-          let name =
-            match model with
-            | Broker_core.Resilience.Random -> "random"
-            | Broker_core.Resilience.Targeted -> "targeted"
-          in
-          let points =
-            Broker_core.Resilience.degradation
-              ~rng:(Broker_util.Xrandom.create seed)
-              ~sources g ~brokers ~model ~fractions
-          in
-          List.iter
-            (fun (p : Broker_core.Resilience.point) ->
-              Printf.printf "%-9s failed=%3d (%.0f%%)  connectivity=%.2f%%\n" name
-                p.Broker_core.Resilience.failed
-                (100.0 *. p.Broker_core.Resilience.failed_fraction)
-                (100.0 *. p.Broker_core.Resilience.connectivity))
-            points)
-        [ Broker_core.Resilience.Random; Broker_core.Resilience.Targeted ]
+        (fun (p : Broker_core.Resilience.point) ->
+          Printf.printf "%-9s failed=%3d (%.0f%%)  connectivity=%.2f%%\n" name
+            p.Broker_core.Resilience.failed
+            (100.0 *. p.Broker_core.Resilience.failed_fraction)
+            (100.0 *. p.Broker_core.Resilience.connectivity))
+        points)
+    [ Broker_core.Resilience.Random; Broker_core.Resilience.Targeted ]
 
 let resilience_cmd =
   let brokers =
@@ -579,17 +592,14 @@ let resilience_cmd =
 
 (* bgp-stats *)
 let bgp_stats path destinations seed =
-  match load path with
-  | Error msg ->
-      prerr_endline msg;
-      exit 1
-  | Ok topo ->
-      let rng = Broker_util.Xrandom.create seed in
-      Printf.printf "policy-compliant reachability: %.2f%%\n"
-        (100.0 *. Broker_routing.Bgp.reachable_fraction ~rng ~destinations topo);
-      let rng = Broker_util.Xrandom.create seed in
-      Printf.printf "mean BGP path length:          %.2f hops\n"
-        (Broker_routing.Bgp.average_path_length ~rng ~destinations topo)
+  at_least_one "bgp-stats" "--destinations" destinations;
+  let topo = load path in
+  let rng = Broker_util.Xrandom.create seed in
+  Printf.printf "policy-compliant reachability: %.2f%%\n"
+    (100.0 *. Broker_routing.Bgp.reachable_fraction ~rng ~destinations topo);
+  let rng = Broker_util.Xrandom.create seed in
+  Printf.printf "mean BGP path length:          %.2f hops\n"
+    (Broker_routing.Bgp.average_path_length ~rng ~destinations topo)
 
 let bgp_stats_cmd =
   let destinations =

@@ -1,6 +1,8 @@
 type estimate = { beta : int; alpha : float; cdf : float array }
 
-let distance_cdf ?(l_max = 16) ~rng ~sources g =
+let l_max = 16
+
+let distance_cdf ~rng ~sources g =
   let dists = Broker_graph.Metrics.hop_distance_sample ~rng ~sources g in
   let total = Array.length dists in
   let hist = Array.make (l_max + 1) 0 in
@@ -13,8 +15,8 @@ let distance_cdf ?(l_max = 16) ~rng ~sources g =
   done;
   cdf
 
-let estimate ?(l_max = 16) ~rng ~sources g ~alpha =
-  let cdf = distance_cdf ~l_max ~rng ~sources g in
+let estimate ~rng ~sources g ~alpha =
+  let cdf = distance_cdf ~rng ~sources g in
   let beta = ref l_max in
   (try
      for l = 1 to l_max do

@@ -11,13 +11,12 @@ type estimate = {
 }
 
 val estimate :
-  ?l_max:int ->
   rng:Broker_util.Xrandom.t ->
   sources:int ->
   Broker_graph.Graph.t ->
   alpha:float ->
   estimate
-(** Smallest [beta] (up to [l_max], default 16) whose measured probability
-    reaches [alpha]; when none does, [beta = l_max] with its measured
-    alpha. Distances are pooled from [sources] BFS runs (reachable pairs
-    only, matching the paper's use on the giant component). *)
+(** Smallest [beta] (up to 16) whose measured probability reaches
+    [alpha]; when none does, [beta = 16] with its measured alpha.
+    Distances are pooled from [sources] BFS runs (reachable pairs only,
+    matching the paper's use on the giant component). *)

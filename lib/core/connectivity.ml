@@ -50,7 +50,7 @@ let curve_of_acc ~l_max a =
   curve_of_counts ~l_max ~hist:a.hist ~reached:a.reached ~total:a.total
 
 (* Reference implementation: one predicate-filtered BFS per source, a fresh
-   distance array each, contiguous chunking. This is the slow generic path
+   distance array each. This is the slow generic path
    the engine below is qcheck-tested against (and the "legacy" side of the
    bench kernel pair); keep its behavior frozen. *)
 let eval_generic ~l_max g ~is_broker sources =
@@ -58,10 +58,12 @@ let eval_generic ~l_max g ~is_broker sources =
   if n < 2 then { l_max; per_hop = Array.make (l_max + 1) 0.0; saturated = 0.0 }
   else begin
     let edge_ok = edge_ok ~is_broker in
-    let worker ~lo ~hi =
+    let nsrc = Array.length sources in
+    let worker ~start ~step =
       let a = empty_acc l_max in
-      for i = lo to hi - 1 do
-        let dist = Bfs.distances_filtered g ~edge_ok sources.(i) in
+      let i = ref start in
+      while !i < nsrc do
+        let dist = Bfs.distances_filtered g ~edge_ok sources.(!i) in
         Array.iter
           (fun d ->
             if d > 0 then begin
@@ -69,13 +71,14 @@ let eval_generic ~l_max g ~is_broker sources =
               if d <= l_max then a.hist.(d) <- a.hist.(d) + 1
             end)
           dist;
-        a.total <- a.total + (n - 1)
+        a.total <- a.total + (n - 1);
+        i := !i + step
       done;
       a
     in
     let a =
-      Broker_util.Parallel.chunked ~n:(Array.length sources) ~worker
-        ~merge:merge_acc (empty_acc l_max)
+      Broker_util.Parallel.strided ~n:nsrc ~worker ~merge:merge_acc
+        (empty_acc l_max)
     in
     curve_of_acc ~l_max a
   end

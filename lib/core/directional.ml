@@ -51,6 +51,7 @@ let is_upgraded up u v =
 
 let m_sources = Obs.Metrics.counter "directional.sources"
 let m_states = Obs.Metrics.counter "directional.states"
+let t_curve = Obs.Trace.scope "directional.curve"
 
 (* Scratch of one [curve_sampled] call, reused by each of its sources:
    [dist.(2v + phase)] is the BFS level of state (v, phase), -1 while
@@ -166,6 +167,7 @@ let distances ?(upgrades = no_upgrades) topo ~is_broker src =
 
 let curve_sampled ?(l_max = 10) ?(upgrades = no_upgrades) ?source_set ~rng
     ~sources topo ~is_broker =
+  Obs.Trace.with_span t_curve @@ fun () ->
   check_graphs topo upgrades;
   let n = T.n topo in
   if n < 2 then

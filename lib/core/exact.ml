@@ -57,7 +57,3 @@ let mcbg_opt g ~k =
   let n = G.n g in
   enumerate g ~k ~accept:(fun mask ->
       Mcbg.guarantees_dominating_paths g (members_of_mask n mask))
-
-let pds_exists g ~k =
-  let _, value = mcbg_opt g ~k in
-  value = G.n g

@@ -16,9 +16,3 @@ val mcb_opt : Broker_graph.Graph.t -> k:int -> int array * int
 val mcbg_opt : Broker_graph.Graph.t -> k:int -> int array * int [@@brokercheck.test_only]
 (** Optimal MCBG solution: additionally requires the B-dominating path
     guarantee ({!Mcbg.guarantees_dominating_paths}) among covered nodes. *)
-
-val pds_exists : Broker_graph.Graph.t -> k:int -> bool [@@brokercheck.test_only]
-(** Decision version of the Path-Dominating Set problem (Problem 1): does a
-    broker set of size <= k exist whose coverage is all of V with mutual
-    dominating paths? Per Theorem 1 this is checked through the MCBG
-    optimum. *)

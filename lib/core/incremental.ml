@@ -16,6 +16,7 @@ let m_batches_skipped = Obs.Metrics.counter "incr.batches.skipped"
 let m_sources_affected = Obs.Metrics.counter "incr.sources.affected"
 let m_endpoint_bfs = Obs.Metrics.counter "incr.endpoint_bfs"
 let m_fallbacks = Obs.Metrics.counter "incr.fallbacks"
+let t_apply = Obs.Trace.scope "incremental.apply"
 
 type op = Add of int * int | Remove of int * int
 
@@ -30,6 +31,7 @@ type stats = {
 }
 
 let lanes = Msbfs.lanes
+let l_max = 10
 
 (* The tracker maintains the dominated-connectivity curve of an evolving
    topology. Only dominated edges (a broker endpoint) survive the
@@ -44,7 +46,6 @@ let lanes = Msbfs.lanes
    from-scratch {!Connectivity.eval_sources}. *)
 type t = {
   n : int;  (* vertex count of the original graph *)
-  l_max : int;
   is_broker : int -> bool;
   sources : int array;
   nbatch : int;  (* MS-BFS batches of a full sweep *)
@@ -69,7 +70,7 @@ type t = {
    domain-safety and, the totals being integer sums, the result is
    split-independent. *)
 let resweep t vw idx =
-  let nidx = Array.length idx and l_max = t.l_max in
+  let nidx = Array.length idx in
   let srcs = Array.map (fun i -> t.sources.(i)) idx in
   let nb = (nidx + lanes - 1) / lanes in
   let domains = Broker_util.Parallel.domain_count () in
@@ -119,7 +120,7 @@ let resweep t vw idx =
     rows;
   nb
 
-let create ?(l_max = 10) g ~is_broker ~sources =
+let create g ~is_broker ~sources =
   let n = G.n g in
   Array.iter
     (fun s ->
@@ -132,7 +133,6 @@ let create ?(l_max = 10) g ~is_broker ~sources =
   let t =
     {
       n;
-      l_max;
       is_broker;
       sources;
       nbatch = (nsrc + lanes - 1) / lanes;
@@ -196,6 +196,7 @@ let flag_far_apart t vw eps es flagged =
 let fallback_ratio = 3
 
 let apply t ops =
+  Obs.Trace.with_span t_apply @@ fun () ->
   let endpoints_of = function Add (u, v) | Remove (u, v) -> (u, v) in
   (* Validate the whole burst before touching the overlay, so a rejected
      burst leaves the tracker as it was. *)
@@ -281,12 +282,12 @@ let apply t ops =
 let curve t =
   if t.n < 2 then
     {
-      Connectivity.l_max = t.l_max;
-      per_hop = Array.make (t.l_max + 1) 0.0;
+      Connectivity.l_max;
+      per_hop = Array.make (l_max + 1) 0.0;
       saturated = 0.0;
     }
   else
-    Connectivity.curve_of_counts ~l_max:t.l_max ~hist:t.tot_hist
+    Connectivity.curve_of_counts ~l_max ~hist:t.tot_hist
       ~reached:t.tot_reached
       ~total:(Array.length t.sources * (t.n - 1))
 

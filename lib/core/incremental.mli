@@ -26,7 +26,7 @@
 
     Equivalence guarantee: {!curve} is bitwise identical to running
     {!Connectivity.eval_sources} from scratch on the compacted updated
-    graph with the same [l_max], broker set and source array — both
+    graph with [l_max] 10 and the same broker set and source array — both
     paths sum the same integer counts and share
     {!Connectivity.curve_of_counts} — for any [REPRO_DOMAINS].
 
@@ -56,14 +56,13 @@ type stats = {
 }
 
 val create :
-  ?l_max:int ->
   Broker_graph.Graph.t ->
   is_broker:(int -> bool) ->
   sources:int array ->
   t
 (** Project the base graph and tally every source (full initial
-    evaluation). [l_max] defaults to 10 as in
-    {!Connectivity.eval_sources}. The source array is copied.
+    evaluation) up to 10 hops, the {!Connectivity.eval_sources} default.
+    The source array is copied.
     @raise Invalid_argument when a source is out of range. *)
 
 val apply : t -> op array -> stats

@@ -19,11 +19,6 @@ let gravity ~rng g =
   let mean = Array.fold_left ( +. ) 0.0 raw /. float_of_int (max n 1) in
   { masses = Array.map (fun x -> x /. mean) raw }
 
-let total_demand m =
-  let s = Array.fold_left ( +. ) 0.0 m.masses in
-  let s2 = Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.masses in
-  (s *. s) -. s2
-
 let weighted_saturated ~rng ~sources g m ~is_broker =
   let n = G.n g in
   if n < 2 then 0.0

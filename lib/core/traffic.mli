@@ -28,6 +28,3 @@ val weighted_saturated :
     by mass-weighted source sampling: sources drawn proportionally to
     their mass, each source's row weighted by destination masses (an
     unbiased estimator of the demand-weighted mean). *)
-
-val total_demand : model -> float [@@brokercheck.test_only]
-(** [Σ_u Σ_{v≠u} w(u)·w(v)], the normalization constant. *)

@@ -14,7 +14,10 @@ let feasible ~broker_price ~hops ~cost =
   let h = float_of_int hops in
   (2.0 *. broker_price) -. (h *. cost) > h *. cost
 
+let t_solve = Broker_obs.Trace.scope "econ.bargain"
+
 let solve ?(cross_check = false) ~broker_price ~hops cost =
+  Broker_obs.Trace.with_span t_solve @@ fun () ->
   if not (feasible ~broker_price ~hops ~cost) then None
   else begin
     let h = float_of_int hops in

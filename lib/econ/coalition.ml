@@ -1,8 +1,10 @@
 type check = { holds : bool; violations : int; trials : int }
 
 let tol = 1e-9
+let t_check = Broker_obs.Trace.scope "econ.coalition"
 
 let superadditive ~rng ~n ~v ~trials =
+  Broker_obs.Trace.with_span t_check @@ fun () ->
   let full = (1 lsl n) - 1 in
   let violations = ref 0 and count = ref 0 in
   let test k l =
@@ -26,6 +28,7 @@ let superadditive ~rng ~n ~v ~trials =
   { holds = !violations = 0; violations = !violations; trials = !count }
 
 let supermodular ~rng ~n ~v ~trials =
+  Broker_obs.Trace.with_span t_check @@ fun () ->
   let full = (1 lsl n) - 1 in
   let violations = ref 0 and count = ref 0 in
   let test j k l =
@@ -66,6 +69,7 @@ let individually_rational ~v ~n phi =
   !ok
 
 let group_rational ~rng ~n ~v phi ~trials =
+  Broker_obs.Trace.with_span t_check @@ fun () ->
   let full = (1 lsl n) - 1 in
   let violations = ref 0 and count = ref 0 in
   let test m =

@@ -1,4 +1,7 @@
+let t_solve = Broker_obs.Trace.scope "econ.shapley"
+
 let exact ~n ~v =
+  Broker_obs.Trace.with_span t_solve @@ fun () ->
   if n < 1 || n > 20 then invalid_arg "Shapley.exact: n in [1, 20]";
   let fact = Array.make (n + 1) 1.0 in
   for i = 1 to n do
@@ -24,6 +27,7 @@ let exact ~n ~v =
   phi
 
 let monte_carlo ~rng ~n ~samples ~v =
+  Broker_obs.Trace.with_span t_solve @@ fun () ->
   if n < 1 || n > 62 then invalid_arg "Shapley.monte_carlo: n in [1, 62]";
   if samples < 1 then invalid_arg "Shapley.monte_carlo: samples >= 1";
   let phi = Array.make n 0.0 in

@@ -1,3 +1,5 @@
+let t_solve = Broker_obs.Trace.scope "econ.stackelberg"
+
 type equilibrium = {
   price : float;
   adoptions : float array;
@@ -29,13 +31,13 @@ let default_p_max customers =
       Float.max acc slope)
     1.0 customers
 
-let solve ?p_max ?(steps = 96) customers ~cost =
+let solve customers ~cost =
+  Broker_obs.Trace.with_span t_solve @@ fun () ->
   if Array.length customers = 0 then invalid_arg "Stackelberg.solve: no customers";
-  let p_max = match p_max with Some p -> p | None -> default_p_max customers in
   let objective price = broker_utility customers ~cost ~price in
   let price, _ =
-    Broker_util.Optimize.grid_then_golden ~steps ~tol:1e-7 objective ~lo:0.0
-      ~hi:p_max
+    Broker_util.Optimize.grid_then_golden ~steps:96 ~tol:1e-7 objective ~lo:0.0
+      ~hi:(default_p_max customers)
   in
   let adoptions = Array.map (fun c -> Market.best_response c ~price) customers in
   let alpha = Array.fold_left ( +. ) 0.0 adoptions in
@@ -51,6 +53,7 @@ let solve ?p_max ?(steps = 96) customers ~cost =
   }
 
 let full_adoption_price customers ~epsilon =
+  Broker_obs.Trace.with_span t_solve @@ fun () ->
   let full price =
     Array.for_all
       (fun c -> Market.best_response c ~price >= 1.0 -. epsilon)

@@ -23,16 +23,11 @@ val aggregate_response : Market.customer array -> price:float -> float
 val broker_utility :
   Market.customer array -> cost:Market.broker_cost -> price:float -> float [@@brokercheck.test_only]
 
-val solve :
-  ?p_max:float ->
-  ?steps:int ->
-  Market.customer array ->
-  cost:Market.broker_cost ->
-  equilibrium
-(** Backward-induction equilibrium; outer search is a [steps]-point grid
-    (default 96) refined by golden section. [p_max] defaults to the largest
-    marginal value any customer places on adoption (higher prices drive
-    [α] to the boundary). *)
+val solve : Market.customer array -> cost:Market.broker_cost -> equilibrium
+(** Backward-induction equilibrium; outer search is a 96-point grid over
+    [0 <= p <= p_max] refined by golden section, where [p_max] is the
+    largest marginal value any customer places on adoption (higher prices
+    drive [α] to the boundary). *)
 
 val full_adoption_price :
   Market.customer array -> epsilon:float -> float option

@@ -1,14 +1,14 @@
 module T = Broker_topo.Topology
 
+(* A generated topology and, once asked for, its MaxSG order. *)
+type scene = { s_topo : T.t; mutable s_maxsg : int array option }
+
 type t = {
   scale : float;
   sources : int;
   seed : int;
   mutable rng_counter : int;
-  mutable topo : T.t option;
-  mutable maxsg : int array option;
-  mutable sim_topo : T.t option;
-  mutable sim_maxsg : int array option;
+  mutable scenes : (float * scene) list;  (* one per scale, built on first use *)
   mutable greedy : int array option;
   mutable free : Broker_core.Connectivity.curve option;
   mutable source_sample : int array option;
@@ -23,10 +23,7 @@ let create ?(scale = 1.0) ?(sources = 192) ?(seed = 42) () =
     sources;
     seed;
     rng_counter = 0;
-    topo = None;
-    maxsg = None;
-    sim_topo = None;
-    sim_maxsg = None;
+    scenes = [];
     greedy = None;
     free = None;
     source_sample = None;
@@ -65,55 +62,35 @@ let rng t =
   t.rng_counter <- t.rng_counter + 1;
   Broker_util.Xrandom.create ((t.seed * 1_000_003) + t.rng_counter)
 
-let params t =
-  if t.scale >= 1.0 then { Broker_topo.Internet.default with seed = t.seed }
-  else { (Broker_topo.Internet.scaled t.scale) with seed = t.seed }
-
-let topo t =
-  match t.topo with
-  | Some topo -> topo
+let scene t scale =
+  match List.find_opt (fun (s, _) -> Float.equal s scale) t.scenes with
+  | Some (_, sc) -> sc
   | None ->
-      let topo = Broker_topo.Internet.generate (params t) in
-      t.topo <- Some topo;
-      topo
+      let params = { (Broker_topo.Internet.scaled scale) with seed = t.seed } in
+      let sc = { s_topo = Broker_topo.Internet.generate params; s_maxsg = None } in
+      t.scenes <- (scale, sc) :: t.scenes;
+      sc
 
-let graph t = (topo t).T.graph
+let topo_at t scale = (scene t scale).s_topo
 
-let maxsg_order t =
-  match t.maxsg with
+let maxsg_order_at t scale =
+  let sc = scene t scale in
+  match sc.s_maxsg with
   | Some order -> order
   | None ->
-      let order = Broker_core.Maxsg.run_to_saturation (graph t) in
-      t.maxsg <- Some order;
+      let order = Broker_core.Maxsg.run_to_saturation sc.s_topo.T.graph in
+      sc.s_maxsg <- Some order;
       order
 
-(* The simulator experiments cap the topology at scale 0.05. At or below
-   the cap that is [params t] itself, so they reuse {!topo} and
-   {!maxsg_order}; above it the capped scene is generated once. *)
+let topo t = topo_at t t.scale
+let graph t = (topo t).T.graph
+let maxsg_order t = maxsg_order_at t t.scale
 let sim_scale t = Float.min t.scale 0.05
 
-let sim_topo t =
-  if t.scale <= 0.05 then topo t
-  else
-    match t.sim_topo with
-    | Some topo -> topo
-    | None ->
-        let topo =
-          Broker_topo.Internet.generate
-            { (Broker_topo.Internet.scaled (sim_scale t)) with seed = t.seed }
-        in
-        t.sim_topo <- Some topo;
-        topo
-
-let sim_maxsg_order t =
-  if t.scale <= 0.05 then maxsg_order t
-  else
-    match t.sim_maxsg with
-    | Some order -> order
-    | None ->
-        let order = Broker_core.Maxsg.run_to_saturation (sim_topo t).T.graph in
-        t.sim_maxsg <- Some order;
-        order
+let sim_brokers t =
+  let order = maxsg_order_at t (sim_scale t) in
+  let k = max 8 (int_of_float (1000.0 *. sim_scale t)) in
+  Array.sub order 0 (min (Array.length order) k)
 
 let greedy_order t =
   match t.greedy with

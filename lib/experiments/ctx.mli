@@ -25,25 +25,32 @@ val seed : t -> int
 val rng : t -> Broker_util.Xrandom.t
 (** A fresh deterministic RNG stream (distinct per call). *)
 
+val topo_at : t -> float -> Broker_topo.Topology.t
+(** [topo_at t scale]: the topology at [scale] and the context's seed,
+    generated on first use and cached per scale, so experiments that
+    ask for the same scale share one topology.
+    @raise Invalid_argument when [scale] is outside (0, 1]. *)
+
+val maxsg_order_at : t -> float -> int array
+(** MaxSG run to saturation on {!topo_at} (cached per scale); prefixes
+    give every budget. *)
+
 val topo : t -> Broker_topo.Topology.t
-(** Generated once and cached. *)
+(** [topo_at t (scale t)]. *)
 
 val graph : t -> Broker_graph.Graph.t
 
 val maxsg_order : t -> int array
-(** MaxSG run to saturation (cached); prefixes give every budget. *)
+(** [maxsg_order_at t (scale t)]. *)
 
 val sim_scale : t -> float
 (** The simulator experiments' topology scale: [min (scale t) 0.05]. *)
 
-val sim_topo : t -> Broker_topo.Topology.t
-(** The simulator experiments' topology, at {!sim_scale}: {!topo} itself
-    when [scale t <= 0.05], else generated once at the same seed and
-    cached. *)
-
-val sim_maxsg_order : t -> int array
-(** MaxSG run to saturation on {!sim_topo} (cached; {!maxsg_order} when
-    the two topologies coincide). *)
+val sim_brokers : t -> int array
+(** The simulator experiments' alliance: the paper's 1,000 brokers scaled
+    by {!sim_scale} (at least 8), a fresh prefix of
+    [maxsg_order_at t (sim_scale t)], shorter when MaxSG saturates
+    first. *)
 
 val greedy_order : t -> int array
 (** CELF greedy MCB ordering up to the saturation size of MaxSG (cached). *)

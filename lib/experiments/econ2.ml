@@ -14,12 +14,11 @@ type result = {
 
 let compute ctx =
   let players = 10 in
-  (* Small dedicated topology: exact 2^players enumeration of v. *)
-  let params = { (Broker_topo.Internet.scaled 0.02) with seed = Ctx.seed ctx } in
-  let topo = Broker_topo.Internet.generate params in
-  let g = topo.Broker_topo.Topology.graph in
+  (* Small topology whatever the context's scale: exact 2^players
+     enumeration of v. *)
+  let g = (Ctx.topo_at ctx 0.02).Broker_topo.Topology.graph in
   let n = Broker_graph.Graph.n g in
-  let order = Broker_core.Maxsg.run_to_saturation g in
+  let order = Ctx.maxsg_order_at ctx 0.02 in
   (* Candidate players: mid-ranked brokers spread along the MaxSG order.
      Their coverages are modest and mostly disjoint — the early-coalition
      regime where the paper's network-externality argument (superadditive,

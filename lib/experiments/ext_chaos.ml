@@ -26,9 +26,9 @@ let availability_of ~k ~horizon downtime =
 
 let compute ?(n_sessions = 4000) ctx =
   let sim_scale = Ctx.sim_scale ctx in
-  let topo = Ctx.sim_topo ctx in
+  let topo = Ctx.topo_at ctx sim_scale in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Ctx.sim_maxsg_order ctx in
+  let order = Ctx.maxsg_order_at ctx sim_scale in
   let model = Broker_core.Traffic.gravity ~rng:(Ctx.rng ctx) g in
   let sessions =
     Broker_sim.Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions
@@ -112,9 +112,9 @@ let report ctx =
   (* Circuit-breaker ablation under deliberate overload: tight uniform
      capacity so the hub brokers sit above the high-water mark. *)
   let sim_scale = Ctx.sim_scale ctx in
-  let topo = Ctx.sim_topo ctx in
+  let topo = Ctx.topo_at ctx sim_scale in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Ctx.sim_maxsg_order ctx in
+  let order = Ctx.maxsg_order_at ctx sim_scale in
   let k =
     min (Array.length order) (max 4 (int_of_float (1000.0 *. sim_scale)))
   in

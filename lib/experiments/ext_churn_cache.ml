@@ -61,16 +61,12 @@ let hit_rate_of (s : Cache.stats) =
    lowest-ranked alliance members, so dominated paths mostly survive and
    the experiment isolates cache policy rather than reachability. *)
 let scene ctx =
-  let sim_scale = Ctx.sim_scale ctx in
-  let topo = Ctx.sim_topo ctx in
+  let topo = Ctx.topo_at ctx (Ctx.sim_scale ctx) in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Ctx.sim_maxsg_order ctx in
-  let k =
-    min (Array.length order) (max 8 (int_of_float (1000.0 *. sim_scale)))
-  in
-  let brokers = Array.sub order 0 k in
+  let brokers = Ctx.sim_brokers ctx in
+  let k = Array.length brokers in
   let m = max 1 (k / 8) in
-  let crashed = Array.sub order (k - m) m in
+  let crashed = Array.sub brokers (k - m) m in
   (topo, g, brokers, crashed)
 
 let compute ?(requests_per_phase = 4000) ctx =

@@ -188,14 +188,9 @@ type sim_row = {
    price the recomputation churn the propagation model causes. *)
 let compute_sim ctx =
   let n_sessions = 3000 in
-  let sim_scale = Ctx.sim_scale ctx in
-  let topo = Ctx.sim_topo ctx in
+  let topo = Ctx.topo_at ctx (Ctx.sim_scale ctx) in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Ctx.sim_maxsg_order ctx in
-  let k =
-    min (Array.length order) (max 8 (int_of_float (1000.0 *. sim_scale)))
-  in
-  let brokers = Array.sub order 0 k in
+  let brokers = Ctx.sim_brokers ctx in
   let model = Workload.zipf ~n:(G.n g) () in
   let sessions =
     Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions

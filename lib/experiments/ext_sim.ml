@@ -7,9 +7,13 @@ let report ctx =
   in
   (* Simulation scale is capped: per-session path queries on the full graph
      would dominate runtime without changing the story. *)
-  let topo = Ctx.sim_topo ctx in
+  let topo = Ctx.topo_at ctx (Ctx.sim_scale ctx) in
   let g = topo.Broker_topo.Topology.graph in
-  let brokers = Broker_core.Maxsg.run g ~k:(max 30 (Broker_graph.Graph.n g / 20)) in
+  let brokers =
+    let order = Ctx.maxsg_order_at ctx (Ctx.sim_scale ctx) in
+    let k = max 30 (Broker_graph.Graph.n g / 20) in
+    Array.sub order 0 (min (Array.length order) k)
+  in
   let model = Broker_core.Traffic.gravity ~rng:(Ctx.rng ctx) g in
   let sessions =
     Broker_sim.Workload.generate ~rng:(Ctx.rng ctx) model ~n_sessions:8000

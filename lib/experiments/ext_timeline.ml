@@ -56,16 +56,11 @@ type result = {
    wants a fault that visibly dents admission and stretches latency, and
    dominated paths lean on the top brokers. *)
 let scene ctx =
-  let sim_scale = Ctx.sim_scale ctx in
-  let topo = Ctx.sim_topo ctx in
+  let topo = Ctx.topo_at ctx (Ctx.sim_scale ctx) in
   let g = topo.Broker_topo.Topology.graph in
-  let order = Ctx.sim_maxsg_order ctx in
-  let k =
-    min (Array.length order) (max 8 (int_of_float (1000.0 *. sim_scale)))
-  in
-  let brokers = Array.sub order 0 k in
-  let m = max 1 (k / 2) in
-  let crashed = Array.sub order 0 m in
+  let brokers = Ctx.sim_brokers ctx in
+  let m = max 1 (Array.length brokers / 2) in
+  let crashed = Array.sub brokers 0 m in
   (topo, g, brokers, crashed)
 
 let find_series name =

@@ -1,7 +1,9 @@
 module G = Broker_graph.Graph
 module Report = Broker_report.Report
 
-let report ?(dot_path = "fig1_topology.dot") ctx =
+let dot_path = "fig1_topology.dot"
+
+let report ctx =
   let rep = Report.create ~name:"fig1" () in
   let s =
     Report.section rep

@@ -2,6 +2,6 @@
     IXPs at both core and edge. We report the structural statistics behind
     the picture and export a renderable DOT sample. *)
 
-val report : ?dot_path:string -> Ctx.t -> Broker_report.Report.t
-(** Writes the DOT sample to [dot_path] (default
-    ["fig1_topology.dot"] in the working directory). *)
+val report : Ctx.t -> Broker_report.Report.t
+(** Writes the DOT sample to ["fig1_topology.dot"] in the working
+    directory. *)

@@ -44,10 +44,6 @@ let distances_filtered g ~edge_ok src =
 
 let distances_multi g srcs = generic g ~edge_ok:all_edges ~max_depth:max_int srcs
 
-let reachable_count g src =
-  let dist = distances g src in
-  Array.fold_left (fun acc d -> if d >= 0 then acc + 1 else acc) 0 dist
-
 let parents g src =
   let n = Graph.n g in
   let parent = Array.make n (-1) in
@@ -173,7 +169,7 @@ let t_level_bu = Obs.Trace.scope "bfs.frontier.bottom_up"
    array reads and a branch — no closure, no dispatch). For base views
    [ov] is false and the short-circuit keeps the static path's inner
    loops identical to the historical CSR-only engine. *)
-let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) src =
+let[@brokercheck.noalloc] run_view ws vw src =
   let n = vw.View.n in
   if src < 0 || src >= n then invalid_arg "Bfs: source out of range";
   ensure ws n;
@@ -213,7 +209,7 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) src =
      fresh ones per iteration — [run] is checked noalloc. *)
   let next_n = ref 0 and next_scout = ref 0 in
   let probe = ref 0 and found = ref false in
-  while !cur_n > 0 && !d < max_depth do
+  while !cur_n > 0 do
     if !bottom_up then begin
       if !cur_n * beta < n then bottom_up := false
     end
@@ -322,8 +318,7 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) src =
 
 (* Static-graph entry point: the view record is the only setup
    allocation, built once before the traversal loops. *)
-let[@brokercheck.noalloc] run ws g ?max_depth src =
-  run_view ws (View.of_graph g) ?max_depth src
+let[@brokercheck.noalloc] run ws g src = run_view ws (View.of_graph g) src
 
 let max_level ws = ws.max_level
 let reached ws = ws.settled

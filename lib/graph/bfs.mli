@@ -29,9 +29,6 @@ val distances_filtered :
 val distances_multi : Graph.t -> int list -> int array
 (** Distance to the nearest of several sources. *)
 
-val reachable_count : Graph.t -> int -> int [@@brokercheck.test_only]
-(** Vertices reachable from [src], including [src]. *)
-
 val parents : Graph.t -> int -> int array
 (** BFS tree parents from [src] ([-1] for the source and unreachable
     vertices); used to extract shortest paths for Algorithm 2's connector
@@ -67,13 +64,12 @@ val workspace : unit -> workspace
 (** An empty workspace; arrays are sized lazily by the first {!run} (and
     regrown if a later run presents a larger graph). *)
 
-val run : workspace -> Graph.t -> ?max_depth:int -> int -> unit
+val run : workspace -> Graph.t -> int -> unit
 (** [run ws g src] computes single-source hop distances from [src] over
-    [g], leaving the results in [ws]. [max_depth] (default unbounded)
-    stops expanding beyond that many hops.
+    [g], leaving the results in [ws].
     @raise Invalid_argument when [src] is outside [0 .. n-1]. *)
 
-val run_view : workspace -> View.t -> ?max_depth:int -> int -> unit
+val run_view : workspace -> View.t -> int -> unit
 (** {!run} over a {!View.t} — the same engine reading through the
     base-or-overlay segment selector, so dynamic-topology callers
     traverse a {!Delta} overlay without compacting it first. *)

@@ -31,8 +31,6 @@ let compute g =
   done;
   { component; sizes = Array.of_list (List.rev !sizes) }
 
-let count t = Array.length t.sizes
-
 let largest t =
   if Array.length t.sizes = 0 then (0, 0)
   else begin
@@ -40,19 +38,3 @@ let largest t =
     Array.iteri (fun i s -> if s > t.sizes.(!best) then best := i) t.sizes;
     (!best, t.sizes.(!best))
   end
-
-let largest_members g =
-  let t = compute g in
-  let id, size = largest t in
-  let out = Array.make size 0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun v c ->
-      if c = id then begin
-        out.(!k) <- v;
-        incr k
-      end)
-    t.component;
-  out
-
-let same t a b = t.component.(a) = t.component.(b)

@@ -7,14 +7,5 @@ type t = {
 
 val compute : Graph.t -> t
 
-val count : t -> int [@@brokercheck.test_only]
-(** Number of components. *)
-
 val largest : t -> int * int
 (** [(id, size)] of the largest component. *)
-
-val largest_members : Graph.t -> int array [@@brokercheck.test_only]
-(** Vertices of the largest connected component, ascending. *)
-
-val same : t -> int -> int -> bool [@@brokercheck.test_only]
-(** Whether two vertices share a component. *)

@@ -9,6 +9,8 @@ let m_withdrawn = Obs.Metrics.counter "topo.delta.withdrawn"
 let m_noops = Obs.Metrics.counter "topo.delta.noops"
 let m_views = Obs.Metrics.counter "topo.delta.views_built"
 let m_compactions = Obs.Metrics.counter "topo.delta.compactions"
+let t_view = Obs.Trace.scope "delta.view"
+let t_compact = Obs.Trace.scope "delta.compact"
 
 (* A mutable edge-set diff against an immutable base CSR:
 
@@ -259,12 +261,14 @@ let view t =
   match t.cache with
   | Some vw -> vw
   | None ->
+      let tr0 = Obs.Trace.enter () in
       let vw =
         (* Cancelled-out deltas read straight from the base: correct
            because the effective edge set is exactly the base's. *)
         if t.added_arcs = 0 && t.tombed_arcs = 0 then View.of_graph t.base
         else materialize t
       in
+      Obs.Trace.leave t_view tr0;
       Obs.Metrics.incr m_views;
       t.cache <- Some vw;
       vw
@@ -272,6 +276,7 @@ let view t =
 let compact base t =
   if not (Graph.equal base t.base) then
     invalid_arg "Delta.compact: delta was built over a different base";
+  Obs.Trace.with_span t_compact @@ fun () ->
   let off = Graph.csr_off t.base and adj = Graph.csr_adj t.base in
   let noff = Array.make (t.n + 1) 0 in
   for u = 0 to t.n - 1 do

@@ -128,8 +128,6 @@ let fold_neighbors t u f init =
   done;
   !acc
 
-let neighbors t u = Array.sub t.adj t.off.(u) (t.off.(u + 1) - t.off.(u))
-
 let find_arc t u v =
   if u < 0 || u >= t.n || v < 0 || v >= t.n then -1
   else begin
@@ -155,23 +153,6 @@ let iter_edges t f =
     done
   done
 
-let edges t =
-  let out = Array.make (m t) (0, 0) in
-  let i = ref 0 in
-  iter_edges t (fun u v ->
-      out.(!i) <- (u, v);
-      incr i);
-  out
-
-let max_degree t =
-  let best = ref 0 in
-  for u = 0 to t.n - 1 do
-    best := max !best (degree t u)
-  done;
-  !best
-
-let degrees t = Array.init t.n (degree t)
-
 let degrees_into t out =
   if Array.length out < t.n then
     invalid_arg "Graph.degrees_into: buffer too small";
@@ -179,7 +160,6 @@ let degrees_into t out =
     out.(u) <- t.off.(u + 1) - t.off.(u)
   done
 
-let is_empty t = t.n = 0
 let arcs t = t.off.(t.n)
 let csr_off t = t.off
 let csr_adj t = t.adj

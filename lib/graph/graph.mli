@@ -23,8 +23,6 @@ val degree : t -> int -> int
 
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 val fold_neighbors : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-val neighbors : t -> int -> int array [@@brokercheck.test_only]
-(** Fresh array of the (sorted) neighbors. *)
 
 val mem_edge : t -> int -> int -> bool
 (** O(log degree) adjacency test. *)
@@ -38,20 +36,10 @@ val find_arc : t -> int -> int -> int
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** Each undirected edge exactly once, with [u < v]. *)
 
-val edges : t -> (int * int) array [@@brokercheck.test_only]
-(** All undirected edges, [u < v], fresh array. *)
-
-val max_degree : t -> int [@@brokercheck.test_only]
-val degrees : t -> int array [@@brokercheck.test_only]
-(** Fresh array of all vertex degrees. *)
-
 val degrees_into : t -> int array -> unit
 (** Write every vertex degree into the first [n] slots of a caller-owned
-    buffer — the zero-copy alternative to {!degrees} for callers that
-    reuse a scratch array. @raise Invalid_argument when the buffer is
-    shorter than [n]. *)
-
-val is_empty : t -> bool [@@brokercheck.test_only]
+    buffer, for callers that reuse a scratch array.
+    @raise Invalid_argument when the buffer is shorter than [n]. *)
 
 val arcs : t -> int
 (** Number of directed arcs, i.e. [2 * m t]; O(1). *)

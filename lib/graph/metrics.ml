@@ -1,15 +1,3 @@
-let degree_distribution g =
-  let tbl = Hashtbl.create 64 in
-  for u = 0 to Graph.n g - 1 do
-    let d = Graph.degree g u in
-    Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-  done;
-  List.sort
-    (fun (d1, c1) (d2, c2) ->
-      let c = Int.compare d1 d2 in
-      if c <> 0 then c else Int.compare c1 c2)
-    (Hashtbl.fold (fun d c acc -> (d, c) :: acc) tbl [])
-
 let average_degree g =
   if Graph.n g = 0 then 0.0
   else 2.0 *. float_of_int (Graph.m g) /. float_of_int (Graph.n g)

@@ -2,9 +2,6 @@
     against the paper's dataset (Section 3) and to instantiate the
     (α,β)-graph property (Definition 2). *)
 
-val degree_distribution : Graph.t -> (int * int) list [@@brokercheck.test_only]
-(** Sorted [(degree, count)] pairs. *)
-
 val average_degree : Graph.t -> float
 
 val power_law_exponent : Graph.t -> float

@@ -1,4 +1,7 @@
-let compute ?(damping = 0.85) ?(tol = 1e-10) ?(max_iter = 200) g =
+let damping = 0.85
+let tol = 1e-10
+
+let compute ?(max_iter = 200) g =
   let n = Graph.n g in
   if n = 0 then [||]
   else begin

@@ -7,9 +7,8 @@ type gauge = { g_volatile : bool; gcell : int Atomic.t }
    i >= 1 holds [2^(i-1), 2^i)), so snapshots and the hist.* report
    series are byte-identical to the pre-Sketch implementation. *)
 let hist_sub_bits = 0
-let bucket_count = 63
 
-type histogram = { h_volatile : bool; sk : Sketch.t }
+type histogram = Sketch.t
 
 type reg =
   | Rcounter of counter
@@ -53,14 +52,10 @@ let gauge ?(volatile = false) name =
       | Rgauge g when g.g_volatile = volatile -> Some g
       | _ -> None)
 
-let histogram ?(volatile = false) name =
+let histogram name =
   register name
-    (fun () ->
-      Rhist
-        { h_volatile = volatile; sk = Sketch.create ~sub_bits:hist_sub_bits () })
-    (function
-      | Rhist h when h.h_volatile = volatile -> Some h
-      | _ -> None)
+    (fun () -> Rhist (Sketch.create ~sub_bits:hist_sub_bits ()))
+    (function Rhist h -> Some h | _ -> None)
 
 (* --- probe operations: one flag check, then an atomic RMW ------------- *)
 
@@ -73,8 +68,7 @@ let rec gauge_max g v =
     if v > cur && not (Atomic.compare_and_set g.gcell cur v) then gauge_max g v
   end
 
-let bucket_of v = Sketch.index_at ~sub_bits:hist_sub_bits v
-let observe h v = if Control.enabled () then Sketch.record h.sk v
+let observe h v = if Control.enabled () then Sketch.record h v
 
 (* --- snapshots -------------------------------------------------------- *)
 
@@ -95,7 +89,7 @@ let snapshot () =
           match r with
           | Rcounter c -> (c.c_volatile, Counter (Atomic.get c.cell))
           | Rgauge g -> (g.g_volatile, Gauge_max (Atomic.get g.gcell))
-          | Rhist h -> (h.h_volatile, Histogram (Sketch.counts h.sk))
+          | Rhist h -> (false, Histogram (Sketch.counts h))
         in
         { name; volatile; value } :: acc)
       registry []
@@ -115,6 +109,6 @@ let reset () =
       match r with
       | Rcounter c -> Atomic.set c.cell 0
       | Rgauge g -> Atomic.set g.gcell 0
-      | Rhist h -> Sketch.reset h.sk)
+      | Rhist h -> Sketch.reset h)
     registry;
   Mutex.unlock lock

@@ -26,8 +26,8 @@ val counter : ?volatile:bool -> string -> counter
 val gauge : ?volatile:bool -> string -> gauge
 (** A high-water gauge: {!gauge_max} keeps the maximum observed value. *)
 
-val histogram : ?volatile:bool -> string -> histogram
-(** Log-bucketed histogram with {!bucket_count} fixed bins: bucket 0
+val histogram : string -> histogram
+(** Deterministic log-bucketed histogram with 63 fixed bins: bucket 0
     holds values [<= 0], bucket [i >= 1] holds [2^(i-1) .. 2^i - 1], and
     the last bucket absorbs everything larger. Internally a {!Sketch}
     at [sub_bits = 0] — the same bucketing implementation the
@@ -41,11 +41,6 @@ val gauge_max : gauge -> int -> unit
     (lock-free CAS loop; max is commutative). *)
 
 val observe : histogram -> int -> unit
-
-val bucket_of : int -> int [@@brokercheck.test_only]
-(** The bucket index {!observe} files [v] under (exposed for tests). *)
-
-val bucket_count : int [@@brokercheck.test_only]
 
 (** {1 Snapshots} *)
 

@@ -39,7 +39,8 @@ let[@inline] bit_length v =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (x * 0x0101010101010101) lsr 56
 
-let[@inline] index_at ~sub_bits:sb v =
+let[@inline] index t v =
+  let sb = t.sb in
   if v < 0 then 0
   else if v < 1 lsl sb then v
   else begin
@@ -48,10 +49,8 @@ let[@inline] index_at ~sub_bits:sb v =
     ((k - sb + 1) lsl sb) + (v lsr (k - sb)) - (1 lsl sb)
   end
 
-let index t v = index_at ~sub_bits:t.sb v
-
 let[@brokercheck.noalloc] record t v =
-  ignore (Atomic.fetch_and_add t.cells.(index_at ~sub_bits:t.sb v) 1)
+  ignore (Atomic.fetch_and_add t.cells.(index t v) 1)
 
 let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
 
@@ -100,36 +99,6 @@ let quantile t q =
       end
     done;
     lower_bound t !found
-  end
-
-let percentiles_into t qs out =
-  let m = Array.length qs in
-  if Array.length out <> m then
-    invalid_arg "Broker_obs.Sketch.percentiles_into: length mismatch";
-  Array.iteri
-    (fun i q ->
-      if Float.is_nan q || q < 0.0 || q > 1.0 then
-        invalid_arg "Broker_obs.Sketch.percentiles_into: q out of [0, 1]";
-      if i > 0 && q < qs.(i - 1) then
-        invalid_arg "Broker_obs.Sketch.percentiles_into: qs not ascending")
-    qs;
-  let total = count t in
-  if total = 0 then Array.fill out 0 m 0
-  else begin
-    (* One cumulative sweep: ranks are ascending with qs, so each cell
-       is visited once no matter how many percentiles are requested. *)
-    let cum = ref 0 in
-    let cell = ref (-1) in
-    let j = ref 0 in
-    while !j < m do
-      let r = rank_of qs.(!j) total in
-      while !cum <= r && !cell < Array.length t.cells - 1 do
-        incr cell;
-        cum := !cum + Atomic.get t.cells.(!cell)
-      done;
-      out.(!j) <- lower_bound t (max 0 !cell);
-      incr j
-    done
   end
 
 let merge ~into src =

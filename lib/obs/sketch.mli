@@ -50,12 +50,9 @@ val count : t -> int [@@brokercheck.test_only]
     but not across cells — take totals after parallel work joins). *)
 
 val index : t -> int -> int [@@brokercheck.test_only]
-(** The cell {!record} files [v] under (exposed for tests). *)
-
-val index_at : sub_bits:int -> int -> int
-(** {!index} as a pure function of the shape. With [~sub_bits:0] this
-    is exactly the historical [Metrics.bucket_of]: 0 for [v <= 0],
-    otherwise the position of the highest set bit plus one. *)
+(** The cell {!record} files [v] under (exposed for tests). At
+    [sub_bits = 0] this is 0 for [v <= 0], otherwise the position of the
+    highest set bit plus one. *)
 
 val lower_bound : t -> int -> int [@@brokercheck.test_only]
 (** Smallest value filed under cell [i] — the value {!quantile}
@@ -67,12 +64,6 @@ val quantile : t -> float -> int
     {!lower_bound} of its cell — see the error bound above. Returns 0
     on an empty sketch.
     @raise Invalid_argument if [q] is outside [0, 1]. *)
-
-val percentiles_into : t -> float array -> int array -> unit [@@brokercheck.test_only]
-(** [percentiles_into t qs out] fills [out.(i)] with [quantile t
-    qs.(i)] in one cumulative pass.
-    @raise Invalid_argument if lengths differ or [qs] is not ascending
-    within [0, 1]. *)
 
 val merge : into:t -> t -> unit
 (** Cellwise [into += src]; commutative and associative. [src] is

@@ -58,11 +58,3 @@ let stitch g ~is_broker ~src ~dst =
           employees = List.rev !employees;
           hops = m - 1;
         }
-
-let total_employee_hops s =
-  List.fold_left
-    (fun acc seg ->
-      match seg with
-      | Employee_hop _ -> acc + 2
-      | Ingress _ | Broker_hop _ | Egress _ -> acc)
-    0 s.segments

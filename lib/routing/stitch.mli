@@ -28,5 +28,3 @@ val stitch :
 (** Shortest B-dominated path decorated with its business segments. [None]
     when no dominated path exists. Adjacent [src]-[dst] pairs where either
     endpoint is a broker yield a direct 1-hop result. *)
-
-val total_employee_hops : stitched -> int [@@brokercheck.test_only]

@@ -83,10 +83,7 @@ let pop t =
   end
 
 let peek_time t = if t.size = 0 then None else Some t.times.(0)
-let size t = t.size
-let length t = t.size
 let max_length t = t.max_size
-let is_empty t = t.size = 0
 
 let clear t =
   t.times <- [||];

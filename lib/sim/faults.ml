@@ -4,9 +4,6 @@ module X = Broker_util.Xrandom
 
 type kind = Crash | Recover
 
-let kind_equal a b =
-  match (a, b) with Crash, Crash | Recover, Recover -> true | _ -> false
-
 type event = { time : float; broker : int; kind : kind }
 
 type scenario =

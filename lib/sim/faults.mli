@@ -12,8 +12,6 @@
 
 type kind = Crash | Recover
 
-val kind_equal : kind -> kind -> bool [@@brokercheck.test_only]
-
 type event = { time : float; broker : int; kind : kind }
 
 type scenario =

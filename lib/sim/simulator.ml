@@ -68,8 +68,6 @@ let default_retry = { max_attempts = 3; base_delay = 1.0; multiplier = 2.0; jitt
 
 type breaker_policy = { high_water : float; trip_after : float; cooldown : float }
 
-let default_breaker = { high_water = 0.9; trip_after = 5.0; cooldown = 25.0 }
-
 type chaos = {
   faults : Faults.event array;
   failover : bool;

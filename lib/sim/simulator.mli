@@ -75,9 +75,6 @@ type breaker_policy = {
   cooldown : float;  (** a tripped broker sheds all arrivals this long *)
 }
 
-val default_breaker : breaker_policy [@@brokercheck.test_only]
-(** high-water 0.9, trip after 5.0, cooldown 25.0. *)
-
 type chaos = {
   faults : Faults.event array;
       (** pre-generated, time-sorted; events for non-broker vertices are

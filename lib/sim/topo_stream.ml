@@ -27,19 +27,12 @@ let vertex_of_pos off n p =
   done;
   !lo
 
-let burst ?(withdraw_fraction = 0.5) ~rng g ~size =
+let burst ~rng g ~size =
   if size < 0 then invalid_arg "Topo_stream.burst: negative size";
-  if
-    Float.is_nan withdraw_fraction
-    || withdraw_fraction < 0.0
-    || withdraw_fraction > 1.0
-  then invalid_arg "Topo_stream.burst: withdraw_fraction outside [0, 1]";
   let n = G.n g in
   let arcs = G.arcs g in
   let off = G.csr_off g and adj = G.csr_adj g in
-  let n_withdraw =
-    int_of_float ((withdraw_fraction *. float_of_int size) +. 0.5)
-  in
+  let n_withdraw = (size + 1) / 2 in
   (* Dedup within the burst on a packed (min, max) vertex-pair key. *)
   let seen = Hashtbl.create (max 16 (2 * size)) in
   let key u v = if u < v then (u * n) + v else (v * n) + u in

@@ -26,18 +26,15 @@ type propagation =
   | Bgp_like of { base : float; per_hop : float }
 
 val burst :
-  ?withdraw_fraction:float ->
   rng:Broker_util.Xrandom.t ->
   Broker_graph.Graph.t ->
   size:int ->
   op array
-(** Deterministic burst of [size] distinct updates at time 0:
-    [withdraw_fraction] (default 0.5, rounded to nearest) withdraws of
-    uniformly sampled existing edges, the rest announces of fresh
-    non-edges. Rejection sampling is bounded, so bursts on tiny or
-    near-complete graphs may come back short.
-    @raise Invalid_argument on a negative size or a fraction outside
-    [0, 1]. *)
+(** Deterministic burst of [size] distinct updates at time 0: half of
+    them, rounded up, withdraws of uniformly sampled existing edges, the
+    rest announces of fresh non-edges. Rejection sampling is bounded, so
+    bursts on tiny or near-complete graphs may come back short.
+    @raise Invalid_argument on a negative size. *)
 
 val schedule :
   Broker_graph.Graph.t ->

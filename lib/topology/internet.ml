@@ -1,6 +1,8 @@
 module G = Broker_graph.Graph
 module R = Broker_util.Xrandom
 
+let t_generate = Broker_obs.Trace.scope "topology.generate"
+
 let src = Logs.Src.create "broker.topology" ~doc:"AS+IXP topology generation"
 
 module Log = (val Logs.src_log src : Logs.LOG)
@@ -58,6 +60,7 @@ let pool_push p v =
 let pool_draw rng p = p.arr.(R.int rng p.len)
 
 let generate params =
+  Broker_obs.Trace.with_span t_generate @@ fun () ->
   let {
     n_as;
     n_ixp;

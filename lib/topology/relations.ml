@@ -61,14 +61,3 @@ let find t u v =
 
 let customer_of t u v =
   match label t u v with Up -> true | Down | Peer | Ixp_member | Unlabelled -> false
-
-let provider_of t u v =
-  match label t u v with Down -> true | Up | Peer | Ixp_member | Unlabelled -> false
-
-let peers t u v =
-  match label t u v with Peer | Ixp_member -> true | Up | Down | Unlabelled -> false
-
-let cardinal t =
-  let arcs = ref 0 in
-  Bytes.iter (fun c -> if c <> code Unlabelled then incr arcs) t.labels;
-  !arcs / 2

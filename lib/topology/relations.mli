@@ -54,11 +54,3 @@ val find : t -> int -> int -> Node_meta.relation option
 
 val customer_of : t -> int -> int -> bool
 (** [customer_of t u v] iff [uv] is a C2P edge with [u] the customer. *)
-
-val provider_of : t -> int -> int -> bool [@@brokercheck.test_only]
-
-val peers : t -> int -> int -> bool [@@brokercheck.test_only]
-(** True for both [Peer] and [Ixp_member] edges. *)
-
-val cardinal : t -> int [@@brokercheck.test_only]
-(** Number of labelled edges. O(arcs). *)

@@ -41,19 +41,7 @@ let[@brokercheck.noalloc] popcount x =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (x * 0x0101010101010101) lsr 56
 
-let num_words t = Array.length t.words
-
-let word t w =
-  if w < 0 || w >= Array.length t.words then
-    invalid_arg "Bitset.word: word index out of bounds";
-  t.words.(w)
-
-let unsafe_word t w = Array.unsafe_get t.words w
-
 let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
-let clear t = Array.fill t.words 0 (Array.length t.words) 0
-let copy t = { words = Array.copy t.words; n = t.n }
 
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
@@ -68,29 +56,3 @@ let iter f t =
       word := !word land (!word - 1)
     done
   done
-
-let fold f t init =
-  let acc = ref init in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let to_list t = List.rev (fold (fun i acc -> i :: acc) t [])
-
-let of_list n l =
-  let t = create n in
-  List.iter (add t) l;
-  t
-
-let union_into ~into s =
-  if into.n <> s.n then invalid_arg "Bitset.union_into: capacity mismatch";
-  for w = 0 to Array.length s.words - 1 do
-    into.words.(w) <- into.words.(w) lor s.words.(w)
-  done
-
-let inter_cardinal a b =
-  if a.n <> b.n then invalid_arg "Bitset.inter_cardinal: capacity mismatch";
-  let acc = ref 0 in
-  for w = 0 to Array.length a.words - 1 do
-    acc := !acc + popcount (a.words.(w) land b.words.(w))
-  done;
-  !acc

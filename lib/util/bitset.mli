@@ -20,31 +20,14 @@ val unsafe_mem : t -> int -> bool
 val cardinal : t -> int
 (** Number of members; O(words). *)
 
-val is_empty : t -> bool [@@brokercheck.test_only]
-
-val clear : t -> unit [@@brokercheck.test_only]
-(** Remove all members. *)
-
-val copy : t -> t [@@brokercheck.test_only]
-
 val iter : (int -> unit) -> t -> unit
 (** Iterate members in increasing order. *)
 
-val to_list : t -> int list [@@brokercheck.test_only]
-val of_list : int -> int list -> t [@@brokercheck.test_only]
+(** {1 Word layout}
 
-val union_into : into:t -> t -> unit [@@brokercheck.test_only]
-(** [union_into ~into s] adds every member of [s] to [into]. Capacities must
-    match. *)
-
-val inter_cardinal : t -> t -> int [@@brokercheck.test_only]
-(** Size of the intersection; capacities must match. *)
-
-(** {1 Word-level access}
-
-    The packed representation itself, for word-parallel kernels (the
-    MS-BFS engine packs one BFS lane per bit and advances all of them
-    with word ops) and for counting without per-bit loops. *)
+    The packing, for word-parallel kernels (the MS-BFS engine packs one
+    BFS lane per bit and advances all of them with word ops) and for
+    counting without per-bit loops. *)
 
 val bits_per_word : int
 (** Bits packed per word: 63 (OCaml native ints). Member [i] lives in
@@ -54,13 +37,3 @@ val popcount : int -> int
 (** Set bits in one word, over the full 63-bit pattern (sign bit
     included — [popcount (-1) = 63]). Branch-free SWAR, constant time;
     the building block of every per-level tally in the MS-BFS engine. *)
-
-val num_words : t -> int [@@brokercheck.test_only]
-(** Words backing the set ([capacity]-derived, never 0). *)
-
-val word : t -> int -> int [@@brokercheck.test_only]
-(** [word t w]: the [w]-th packed word.
-    @raise Invalid_argument outside [0 .. num_words t - 1]. *)
-
-val unsafe_word : t -> int -> int [@@brokercheck.test_only]
-(** {!word} without the bounds check; same contract as {!unsafe_mem}. *)

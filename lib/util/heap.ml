@@ -11,8 +11,6 @@ let create ?(initial_capacity = 16) order =
   let cap = max initial_capacity 1 in
   { order; prio = Array.make cap 0.0; data = Array.make cap 0; size = 0 }
 
-let size t = t.size
-
 (* [before t a b]: should priority [a] sit above priority [b]? *)
 let before t a b = match t.order with Min -> a < b | Max -> a > b
 
@@ -70,6 +68,3 @@ let pop t =
     end;
     Some res
   end
-
-let pop_exn t =
-  match pop t with Some x -> x | None -> invalid_arg "Heap.pop_exn: empty heap"

@@ -10,13 +10,8 @@ type t
 
 val create : ?initial_capacity:int -> order -> t
 
-val size : t -> int [@@brokercheck.test_only]
-
 val push : t -> priority:float -> int -> unit
 
 val pop : t -> (float * int) option
 (** Remove and return the best entry: smallest priority for [Min], largest for
     [Max]. *)
-
-val pop_exn : t -> float * int [@@brokercheck.test_only]
-(** @raise Invalid_argument on an empty heap. *)

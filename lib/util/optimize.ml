@@ -1,13 +1,13 @@
 let invphi = (sqrt 5.0 -. 1.0) /. 2.0
 
-let golden_section_max ?(tol = 1e-9) ?(max_iter = 200) f ~lo ~hi =
+let golden_section_max ?(tol = 1e-9) f ~lo ~hi =
   if hi < lo then invalid_arg "Optimize.golden_section_max: hi < lo";
   let a = ref lo and b = ref hi in
   let c = ref (!b -. (invphi *. (!b -. !a))) in
   let d = ref (!a +. (invphi *. (!b -. !a))) in
   let fc = ref (f !c) and fd = ref (f !d) in
   let iter = ref 0 in
-  while !b -. !a > tol && !iter < max_iter do
+  while !b -. !a > tol && !iter < 200 do
     if !fc > !fd then begin
       b := !d;
       d := !c;
@@ -26,31 +26,6 @@ let golden_section_max ?(tol = 1e-9) ?(max_iter = 200) f ~lo ~hi =
   done;
   let x = (!a +. !b) /. 2.0 in
   (x, f x)
-
-let bisect_root ?(tol = 1e-12) ?(max_iter = 200) f ~lo ~hi =
-  let fa = f lo and fb = f hi in
-  if fa = 0.0 then lo
-  else if fb = 0.0 then hi
-  else begin
-    if fa *. fb > 0.0 then invalid_arg "Optimize.bisect_root: no sign change";
-    let a = ref lo and b = ref hi and fa = ref fa in
-    let iter = ref 0 in
-    while !b -. !a > tol && !iter < max_iter do
-      let m = (!a +. !b) /. 2.0 in
-      let fm = f m in
-      if fm = 0.0 then begin
-        a := m;
-        b := m
-      end
-      else if !fa *. fm < 0.0 then b := m
-      else begin
-        a := m;
-        fa := fm
-      end;
-      incr iter
-    done;
-    (!a +. !b) /. 2.0
-  end
 
 let grid_max f ~lo ~hi ~steps =
   if steps <= 0 then invalid_arg "Optimize.grid_max: steps must be positive";

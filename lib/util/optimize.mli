@@ -2,16 +2,11 @@
     Stackelberg inner/outer stages and the Nash bargaining objective maximize
     continuous concave functions over intervals. *)
 
-val golden_section_max : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float * float
+val golden_section_max : ?tol:float -> (float -> float) -> lo:float -> hi:float -> float * float
 (** [golden_section_max f ~lo ~hi] returns the maximizing pair (x, f x) of a unimodal
     [f] over [\[lo, hi\]]. [tol] is the bracket width at termination
-    (default [1e-9]).
+    (default [1e-9]); the search stops after 200 iterations regardless.
     @raise Invalid_argument when [hi < lo]. *)
-
-val bisect_root : ?tol:float -> ?max_iter:int -> (float -> float) -> lo:float -> hi:float -> float [@@brokercheck.test_only]
-(** Root of a continuous [f] with [f lo] and [f hi] of opposite signs.
-    @raise Invalid_argument when the bracket does not straddle a sign
-    change. *)
 
 val grid_max : (float -> float) -> lo:float -> hi:float -> steps:int -> float * float [@@brokercheck.test_only]
 (** Coarse grid search; robust against non-unimodal objectives, typically

@@ -44,27 +44,6 @@ let domain_count () =
           invalid_arg
             (Printf.sprintf "REPRO_DOMAINS: expected an integer >= 1, got %S" s))
 
-let chunked ?domains ~n ~worker ~merge init =
-  let domains =
-    match domains with Some d -> max 1 d | None -> domain_count ()
-  in
-  Obs.Metrics.incr m_invocations;
-  if n <= 0 then init
-  else if domains = 1 || n < 4 then
-    merge init (instrumented (fun () -> worker ~lo:0 ~hi:n))
-  else begin
-    let k = min domains n in
-    let chunk = (n + k - 1) / k in
-    let handles =
-      List.init k (fun i ->
-          let lo = i * chunk in
-          let hi = min n (lo + chunk) in
-          Domain.spawn (fun () -> instrumented (fun () -> worker ~lo ~hi)))
-    in
-    (* Join in chunk order: the fold is deterministic. *)
-    List.fold_left (fun acc h -> merge acc (Domain.join h)) init handles
-  end
-
 let strided ?domains ~n ~worker ~merge init =
   let domains =
     match domains with Some d -> max 1 d | None -> domain_count ()

@@ -2,9 +2,9 @@
 
     The connectivity estimator runs hundreds of independent BFS traversals
     over an immutable graph; this module fans those out over domains.
-    Work is split into fixed contiguous chunks and the per-chunk
-    accumulators are merged in chunk order, so results are bit-identical
-    to the sequential run regardless of scheduling.
+    Work is split by stride and the per-domain accumulators are merged in
+    a fixed order, so results are bit-identical to the sequential run
+    regardless of scheduling whenever the per-item accumulation commutes.
 
     The domain budget comes from [Domain.recommended_domain_count],
     clamped to 8 and overridable with the [REPRO_DOMAINS] environment
@@ -17,19 +17,6 @@ val domain_count : unit -> int
       ["REPRO_DOMAINS: expected an integer >= 1, got \"…\""] for any
       other value that is not a positive integer. *)
 
-val chunked :
-  ?domains:int ->
-  n:int ->
-  worker:(lo:int -> hi:int -> 'acc) ->
-  merge:('acc -> 'acc -> 'acc) ->
-  'acc ->
-  'acc
-(** [chunked ~n ~worker ~merge init] partitions [0..n-1] into [domains]
-    contiguous chunks, runs [worker ~lo ~hi] on each (half-open ranges) in
-    parallel, and folds the results with [merge] in chunk order starting
-    from [init]. [worker] must not mutate shared state. Runs sequentially
-    when [n] is small or only one domain is available. *)
-
 val strided :
   ?domains:int ->
   n:int ->
@@ -37,15 +24,16 @@ val strided :
   merge:('acc -> 'acc -> 'acc) ->
   'acc ->
   'acc
-(** [strided ~n ~worker ~merge init] is {!chunked} with interleaved
-    assignment: domain [i] of [k] processes items [i, i+k, i+2k, ...] (the
-    sequential fallback is [worker ~start:0 ~step:1]), and results merge in
-    stride order. Use it when per-item cost is very uneven — e.g. BFS
-    sources whose traversal size varies by orders of magnitude, where
-    contiguous chunks can leave most domains idle behind one hot chunk.
+(** [strided ~n ~worker ~merge init] splits [0..n-1] across [domains]
+    with interleaved assignment: domain [i] of [k] processes items
+    [i, i+k, i+2k, ...] in parallel, and the results fold with [merge] in
+    stride order starting from [init]. Runs sequentially, as
+    [worker ~start:0 ~step:1], when [n] is small or only one domain is
+    available. Striding balances per-item cost that is very uneven — BFS
+    sources whose traversal size varies by orders of magnitude.
 
-    Striding changes which items land in which accumulator, so (unlike
-    {!chunked}) bit-identical results across [REPRO_DOMAINS] settings
-    additionally require the per-item accumulation to be commutative and
-    associative — integer counters and histograms qualify, float sums do
-    not. [worker] must not mutate shared state. *)
+    Which items land in which accumulator depends on the domain count,
+    so bit-identical results across [REPRO_DOMAINS] settings require the
+    per-item accumulation to be commutative and associative — integer
+    counters and histograms qualify, float sums do not. [worker] must
+    not mutate shared state. *)

@@ -17,29 +17,6 @@ let without_replacement rng ~n ~k =
   Array.sort Int.compare out;
   out
 
-let weighted_index rng weights =
-  let total =
-    Array.fold_left
-      (fun acc w ->
-        if w < 0.0 then invalid_arg "Sampling.weighted_index: negative weight";
-        acc +. w)
-      0.0 weights
-  in
-  if total <= 0.0 then invalid_arg "Sampling.weighted_index: zero total weight";
-  let target = Xrandom.float rng total in
-  let acc = ref 0.0 in
-  let result = ref (Array.length weights - 1) in
-  (try
-     for i = 0 to Array.length weights - 1 do
-       acc := !acc +. weights.(i);
-       if target < !acc then begin
-         result := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  !result
-
 let weighted_alias weights =
   let n = Array.length weights in
   if n = 0 then invalid_arg "Sampling.weighted_alias: empty weights";

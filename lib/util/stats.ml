@@ -46,24 +46,6 @@ let pearson xs ys =
     if !sxx = 0.0 || !syy = 0.0 then 0.0 else !sxy /. sqrt (!sxx *. !syy)
   end
 
-type histogram = { lo : float; hi : float; counts : int array }
-
-let histogram ~bins xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  if Array.length xs = 0 then { lo = 0.0; hi = 0.0; counts = Array.make bins 0 }
-  else begin
-    let lo = Array.fold_left min xs.(0) xs in
-    let hi = Array.fold_left max xs.(0) xs in
-    let counts = Array.make bins 0 in
-    let width = (hi -. lo) /. float_of_int bins in
-    let bin_of x =
-      if width = 0.0 then 0
-      else min (bins - 1) (int_of_float ((x -. lo) /. width))
-    in
-    Array.iter (fun x -> counts.(bin_of x) <- counts.(bin_of x) + 1) xs;
-    { lo; hi; counts }
-  end
-
 type summary = {
   n : int;
   min : float;

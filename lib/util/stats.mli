@@ -1,5 +1,5 @@
 (** Descriptive statistics used by the evaluation harness: moments,
-    quantiles, Pearson correlation and histograms. *)
+    quantiles and Pearson correlation. *)
 
 val mean : float array -> float
 (** Arithmetic mean; 0 on an empty array. *)
@@ -18,11 +18,6 @@ val median : float array -> float
 val pearson : float array -> float array -> float
 (** Pearson product-moment correlation; 0 when either side is constant.
     @raise Invalid_argument on length mismatch. *)
-
-type histogram = { lo : float; hi : float; counts : int array }
-
-val histogram : bins:int -> float array -> histogram [@@brokercheck.test_only]
-(** Equal-width histogram over the data range. *)
 
 type summary = {
   n : int;

@@ -76,7 +76,3 @@ let render t =
   rule ();
   List.iter (function Row r -> emit_row r | Rule -> rule ()) lines;
   Buffer.contents buf
-
-let cell_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
-let cell_pct ?(decimals = 2) x = Printf.sprintf "%.*f%%" decimals (100.0 *. x)
-let cell_int = string_of_int

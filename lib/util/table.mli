@@ -21,9 +21,3 @@ val add_rule : t -> unit
 
 val render : t -> string
 (** The formatted table, newline terminated. *)
-
-val cell_float : ?decimals:int -> float -> string [@@brokercheck.test_only]
-val cell_pct : ?decimals:int -> float -> string [@@brokercheck.test_only]
-(** [cell_pct x] renders the fraction [x] as a percentage string. *)
-
-val cell_int : int -> string [@@brokercheck.test_only]

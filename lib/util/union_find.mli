@@ -1,6 +1,4 @@
-(** Disjoint-set forest with union by size and path compression.
-
-    Tracks component sizes and the number of components. *)
+(** Disjoint-set forest with union by size and path compression. *)
 
 type t
 
@@ -12,10 +10,3 @@ val find : t -> int -> int
 
 val union : t -> int -> int -> bool
 (** Merge the two components. Returns [true] if they were distinct. *)
-
-val same : t -> int -> int -> bool [@@brokercheck.test_only]
-val size : t -> int -> int [@@brokercheck.test_only]
-(** Size of the component containing the element. *)
-
-val count : t -> int [@@brokercheck.test_only]
-(** Number of components. *)

@@ -16,8 +16,6 @@ let create seed =
   let s3 = splitmix64_next st in
   { s0; s1; s2; s3 }
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
-
 let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 let bits64 t =
@@ -83,10 +81,6 @@ let shuffle t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Xrandom.pick: empty array";
-  a.(int t (Array.length a))
 
 let permutation t n =
   let a = Array.init n (fun i -> i) in

@@ -14,9 +14,6 @@ type t
 val create : int -> t
 (** [create seed] builds a fresh generator deterministically from [seed]. *)
 
-val copy : t -> t [@@brokercheck.test_only]
-(** [copy t] is an independent generator with the same current state. *)
-
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; streams of the
     parent and child are (statistically) independent. *)
@@ -45,9 +42,6 @@ val geometric : t -> float -> int
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val pick : t -> 'a array -> 'a [@@brokercheck.test_only]
-(** Uniform element of a non-empty array. *)
 
 val permutation : t -> int -> int array
 (** [permutation t n] is a uniform permutation of [0..n-1]. *)

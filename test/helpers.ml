@@ -4,6 +4,9 @@ module G = Broker_graph.Graph
 
 let rng () = Broker_util.Xrandom.create 12345
 
+(* Neighbors of [u] in adjacency order. *)
+let neighbor_list g u = List.rev (G.fold_neighbors g u (fun acc v -> v :: acc) [])
+
 (* Path 0-1-2-...-(n-1). *)
 let path_graph n = G.of_edges ~n (Array.init (n - 1) (fun i -> (i, i + 1)))
 

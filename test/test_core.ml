@@ -128,10 +128,13 @@ let test_maxsg_saturation_dominates_component () =
   let brokers = Maxsg.run_to_saturation g in
   let cov = Coverage.create g in
   Array.iter (Coverage.add cov) brokers;
-  let members = Broker_graph.Components.largest_members g in
-  Array.iter
-    (fun v -> check_bool "dominated" true (Coverage.is_covered cov v))
-    members
+  let comps = Broker_graph.Components.compute g in
+  let largest, _ = Broker_graph.Components.largest comps in
+  Array.iteri
+    (fun v c ->
+      if c = largest then
+        check_bool "dominated" true (Coverage.is_covered cov v))
+    comps.Broker_graph.Components.component
 
 let test_maxsg_coverage_curve () =
   let g = random_graph (rng ()) ~n:50 ~m:80 in

@@ -78,7 +78,7 @@ let overlay_reads_match_rebuild =
       for u = 0 to n - 1 do
         if Delta.degree d u <> G.degree rebuilt u then per_vertex := false;
         if View.degree vw u <> G.degree rebuilt u then per_vertex := false;
-        if neighbors_of_view vw u <> Array.to_list (G.neighbors rebuilt u)
+        if neighbors_of_view vw u <> neighbor_list rebuilt u
         then per_vertex := false;
         for v = 0 to n - 1 do
           if Delta.mem_edge d u v <> G.mem_edge rebuilt u v then
@@ -107,7 +107,7 @@ let view_is_snapshot =
       done;
       let still = ref true in
       for u = 0 to n - 1 do
-        if neighbors_of_view vw u <> Array.to_list (G.neighbors rebuilt u)
+        if neighbors_of_view vw u <> neighbor_list rebuilt u
         then still := false
       done;
       !still)

@@ -11,7 +11,6 @@ let test_empty_graph () =
   let g = G.of_edges ~n:0 [||] in
   check_int "n" 0 (G.n g);
   check_int "m" 0 (G.m g);
-  check_bool "is_empty" true (G.is_empty g);
   Alcotest.(check (array int)) "maxsg" [||] (Broker_core.Maxsg.run g ~k:3);
   check_int "pagerank" 0 (Array.length (Broker_graph.Pagerank.compute g))
 

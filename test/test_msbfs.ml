@@ -109,9 +109,11 @@ let lane_levels_match_scalar =
         else max_int
       in
       Msbfs.run ws g ~max_depth sources ~lo:0 ~len;
-      let ok = ref true in
+      (* The scalar runs unbounded: its levels up to [max_depth] are the
+         bounded run's. *)
+      let ok = ref (Msbfs.max_level ws <= max_depth) in
       for b = 0 to len - 1 do
-        Bfs.run sws g ~max_depth sources.(b);
+        Bfs.run sws g sources.(b);
         for d = 0 to Msbfs.max_level ws do
           let scalar =
             if d <= Bfs.max_level sws then Bfs.level_count sws d else 0

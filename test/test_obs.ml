@@ -48,27 +48,21 @@ let h_edges = Metrics.histogram "test.obs.hist_edges"
 
 let test_histogram_buckets () =
   with_obs_state @@ fun () ->
-  (* Bucket 0 holds v <= 0; bucket i >= 1 holds [2^(i-1), 2^i). *)
-  check_int "bucket_of 0" 0 (Metrics.bucket_of 0);
-  check_int "bucket_of -3" 0 (Metrics.bucket_of (-3));
-  check_int "bucket_of 1" 1 (Metrics.bucket_of 1);
-  check_int "bucket_of 2" 2 (Metrics.bucket_of 2);
-  check_int "bucket_of 3" 2 (Metrics.bucket_of 3);
-  check_int "bucket_of 4" 3 (Metrics.bucket_of 4);
-  check_int "bucket_of 7" 3 (Metrics.bucket_of 7);
-  check_int "bucket_of 8" 4 (Metrics.bucket_of 8);
-  check_int "bucket_of max_int saturates" (Metrics.bucket_count - 1)
-    (Metrics.bucket_of max_int);
+  (* Bucket 0 holds v <= 0; bucket i >= 1 holds [2^(i-1), 2^i); the
+     last of the 63 buckets absorbs max_int. *)
   Control.set_enabled true;
   Metrics.reset ();
-  List.iter (Metrics.observe h_edges) [ 0; 1; 2; 3; 4 ];
+  List.iter (Metrics.observe h_edges) [ -3; 0; 1; 2; 3; 4; 7; 8; max_int ];
   match Metrics.find (Metrics.snapshot ()) "test.obs.hist_edges" with
   | Some { Metrics.value = Metrics.Histogram b; _ } ->
-      check_int "bucket 0 count" 1 b.(0);
+      check_int "63 buckets" 63 (Array.length b);
+      check_int "bucket 0 count" 2 b.(0);
       check_int "bucket 1 count" 1 b.(1);
       check_int "bucket 2 count" 2 b.(2);
-      check_int "bucket 3 count" 1 b.(3);
-      check_int "total observations" 5 (Array.fold_left ( + ) 0 b)
+      check_int "bucket 3 count" 2 b.(3);
+      check_int "bucket 4 count" 1 b.(4);
+      check_int "max_int saturates" 1 b.(62);
+      check_int "total observations" 9 (Array.fold_left ( + ) 0 b)
   | _ -> Alcotest.fail "histogram not registered"
 
 (* ---------- span ring: nesting and wraparound ---------- *)
@@ -104,11 +98,12 @@ let test_chrome_trace_json () =
   (* Fan out over 4 explicit domains so the trace carries several tids
      (one per worker domain) for the thread-metadata assertions. *)
   let total =
-    Broker_util.Parallel.chunked ~domains:4 ~n:64
-      ~worker:(fun ~lo ~hi ->
-        let s = ref 0 in
-        for i = lo to hi - 1 do
-          s := !s + i
+    Broker_util.Parallel.strided ~domains:4 ~n:64
+      ~worker:(fun ~start ~step ->
+        let s = ref 0 and i = ref start in
+        while !i < 64 do
+          s := !s + !i;
+          i := !i + step
         done;
         !s)
       ~merge:( + ) 0
@@ -190,14 +185,18 @@ module Ts = Obs.Timeseries
 module X = Broker_util.Xrandom
 
 let test_sketch_index () =
-  (* sub_bits = 0 degenerates to the historical histogram bucketing. *)
+  (* sub_bits = 0 degenerates to the Metrics histogram bucketing: 0 for
+     v <= 0, otherwise the bit length of v. *)
+  let sk0 = Sketch.create ~sub_bits:0 () in
+  check_int "histogram cells" 63 (Sketch.cells sk0);
   List.iter
-    (fun v ->
-      check_int
-        (Printf.sprintf "index_at ~sub_bits:0 %d = bucket_of" v)
-        (Metrics.bucket_of v)
-        (Sketch.index_at ~sub_bits:0 v))
-    [ min_int; -3; 0; 1; 2; 3; 4; 7; 8; 1023; 1024; max_int ];
+    (fun (v, bucket) ->
+      check_int (Printf.sprintf "sub_bits 0 index %d" v) bucket
+        (Sketch.index sk0 v))
+    [
+      (min_int, 0); (-3, 0); (0, 0); (1, 1); (2, 2); (3, 2); (4, 3); (7, 3);
+      (8, 4); (1023, 10); (1024, 11); (max_int, 62);
+    ];
   let sk = Sketch.create () in
   check_int "default cells" ((63 - 5) * 32) (Sketch.cells sk);
   (* Below 2^sub_bits every value owns its cell exactly. *)
@@ -270,28 +269,15 @@ let sketch_merge_laws =
       && Sketch.counts abc = Sketch.counts a_bc
       && Sketch.count abc = na + nb + (na + nb))
 
-let test_sketch_percentiles_into () =
+let test_sketch_validation () =
   let sk = Sketch.create () in
   for v = 0 to 999 do
     Sketch.record sk v
   done;
-  let qs = [| 0.0; 0.25; 0.5; 0.9; 1.0 |] in
-  let out = Array.make (Array.length qs) (-1) in
-  Sketch.percentiles_into sk qs out;
-  Array.iteri
-    (fun i q ->
-      check_int
-        (Printf.sprintf "percentiles_into agrees with quantile at %g" q)
-        (Sketch.quantile sk q) out.(i))
-    qs;
+  let out = Array.map (Sketch.quantile sk) [| 0.0; 0.25; 0.5; 0.9; 1.0 |] in
   for i = 1 to Array.length out - 1 do
-    check_bool "percentiles ascend" true (out.(i - 1) <= out.(i))
+    check_bool "quantiles ascend" true (out.(i - 1) <= out.(i))
   done;
-  check_bool "non-ascending qs rejected" true
-    (try
-       Sketch.percentiles_into sk [| 0.5; 0.25 |] (Array.make 2 0);
-       false
-     with Invalid_argument _ -> true);
   check_bool "shape mismatch on merge rejected" true
     (try
        Sketch.merge ~into:(Sketch.create ~sub_bits:4 ()) sk;
@@ -409,8 +395,8 @@ let suite =
           test_sketch_index;
         sketch_quantile_vs_oracle;
         sketch_merge_laws;
-        Alcotest.test_case "percentiles_into & validation" `Quick
-          test_sketch_percentiles_into;
+        Alcotest.test_case "quantile order & validation" `Quick
+          test_sketch_validation;
       ] );
     ( "obs.timeseries",
       [

@@ -85,10 +85,9 @@ let components_match_union_find =
       let ok = ref true in
       for u = 0 to n - 1 do
         for v = 0 to n - 1 do
-          if
-            Broker_graph.Components.same c u v
-            <> Broker_util.Union_find.same uf u v
-          then ok := false
+          let comp = c.Broker_graph.Components.component in
+          let find = Broker_util.Union_find.find uf in
+          if comp.(u) = comp.(v) <> (find u = find v) then ok := false
         done
       done;
       !ok)
@@ -145,7 +144,7 @@ let dataset_roundtrip =
           let t' = Broker_topo.Dataset.load ~path in
           let g = t.Broker_topo.Topology.graph in
           let label t i = Broker_topo.Relations.arc t.Broker_topo.Topology.relations i in
-          G.edges g = G.edges t'.Broker_topo.Topology.graph
+          G.equal g t'.Broker_topo.Topology.graph
           && t.Broker_topo.Topology.kinds = t'.Broker_topo.Topology.kinds
           && List.for_all (fun i -> label t i = label t' i) (List.init (G.arcs g) Fun.id)))
 

@@ -66,7 +66,7 @@ module Policy = struct
     if T.is_ixp topo v then Into_fabric
     else if T.is_ixp topo u then Out_of_fabric
     else if Rel.customer_of topo.T.relations u v then Up
-    else if Rel.provider_of topo.T.relations u v then Down
+    else if Rel.customer_of topo.T.relations v u then Down
     else Flat
 
   (* State machine: 0 = ascending, 1 = descending. The single permitted
@@ -326,7 +326,7 @@ let oracle_distances topo ~is_broker ~upgrades src =
           else if Rel.customer_of rel u v then begin
             if s = 0 then push v 0 (d + 1)
           end
-          else if Rel.provider_of rel u v then push v 1 (d + 1)
+          else if Rel.customer_of rel v u then push v 1 (d + 1)
           else if s = 0 then push v 1 (d + 1)
         end)
   done;
@@ -371,7 +371,7 @@ let labelled_topology rng ~n ~m =
   let module X = Broker_util.Xrandom in
   let graph = random_graph rng ~n ~m in
   let as_kinds = [| Nm.Tier1; Nm.Transit; Nm.Access; Nm.Content; Nm.Enterprise |] in
-  let kinds = Array.init n (fun _ -> if X.int rng 5 = 0 then Nm.Ixp else X.pick rng as_kinds) in
+  let kinds = Array.init n (fun _ -> if X.int rng 5 = 0 then Nm.Ixp else as_kinds.(X.int rng (Array.length as_kinds))) in
   let relations = Rel.create graph in
   G.iter_edges graph (fun u v ->
       match X.int rng 6 with
@@ -502,7 +502,7 @@ let test_stitch_with_employee () =
   | None -> Alcotest.fail "path should exist"
   | Some s ->
       Alcotest.(check (list int)) "employee is 1" [ 1 ] s.Broker_routing.Stitch.employees;
-      check_int "employee hops" 2 (Broker_routing.Stitch.total_employee_hops s)
+      check_int "hops" 2 s.Broker_routing.Stitch.hops
 
 let test_stitch_none () =
   let g = G.of_edges ~n:4 [| (0, 1); (2, 3) |] in

@@ -33,7 +33,6 @@ let test_eq_interleaved () =
   check_bool "peek" true (Eq.peek_time q = Some 2.0);
   Eq.add q ~time:1.0 1;
   check_bool "peek updates" true (Eq.peek_time q = Some 1.0);
-  check_int "size" 2 (Eq.size q);
   ignore (Eq.pop q);
   Eq.add q ~time:0.5 0;
   check_bool "reorder" true (snd (Option.get (Eq.pop q)) = 0)
@@ -253,8 +252,6 @@ let test_eq_clear () =
     Eq.add q ~time:(float_of_int i) i
   done;
   Eq.clear q;
-  check_int "size 0" 0 (Eq.size q);
-  check_bool "empty" true (Eq.is_empty q);
   check_bool "pop none" true (Eq.pop q = None);
   (* Still usable after clear; the seq counter restarts so ties follow the
      new insertion order. *)
@@ -265,16 +262,13 @@ let test_eq_clear () =
 
 let test_eq_high_water () =
   let q = Eq.create () in
-  check_int "empty length" 0 (Eq.length q);
   check_int "empty high-water" 0 (Eq.max_length q);
   for i = 0 to 4 do
     Eq.add q ~time:(float_of_int i) i
   done;
-  check_int "length tracks adds" 5 (Eq.length q);
   check_int "high-water follows growth" 5 (Eq.max_length q);
   ignore (Eq.pop q);
   ignore (Eq.pop q);
-  check_int "length drops on pop" 3 (Eq.length q);
   check_int "high-water never drops" 5 (Eq.max_length q);
   Eq.add q ~time:9.0 9;
   check_int "regrowth below peak keeps peak" 5 (Eq.max_length q);
@@ -283,7 +277,7 @@ let test_eq_high_water () =
   done;
   check_int "new peak raises high-water" 11 (Eq.max_length q);
   Eq.clear q;
-  check_int "clear resets length" 0 (Eq.length q);
+  check_bool "clear empties" true (Eq.pop q = None);
   check_int "clear resets high-water" 0 (Eq.max_length q)
 
 let eq_qcheck_fifo_ties =
@@ -337,7 +331,7 @@ let test_faults_sorted_and_paired () =
       (match e.Faults.kind with
       | Faults.Crash -> check_bool "crash while up" false d
       | Faults.Recover -> check_bool "recover while down" true d);
-      Hashtbl.replace state e.Faults.broker (Faults.kind_equal e.Faults.kind Faults.Crash))
+      Hashtbl.replace state e.Faults.broker (e.Faults.kind = Faults.Crash))
     events;
   Hashtbl.iter (fun _ d -> check_bool "all pairs closed" false d) state
 
@@ -389,7 +383,7 @@ let test_faults_ixp_groups () =
   Array.iter
     (fun (e : Faults.event) ->
       check_bool "member only" true (e.Faults.broker >= 1 && e.Faults.broker <= 3);
-      let key = (e.Faults.time, Faults.kind_equal e.Faults.kind Faults.Crash) in
+      let key = (e.Faults.time, e.Faults.kind = Faults.Crash) in
       Hashtbl.replace by_time key
         (1 + Option.value ~default:0 (Hashtbl.find_opt by_time key)))
     events;
@@ -413,6 +407,8 @@ let test_faults_thin_nested () =
 (* ---------- Simulator chaos layer ---------- *)
 
 let fault ~time ~broker kind = { Faults.time; broker; kind }
+
+let breaker = { Sim.high_water = 0.9; trip_after = 5.0; cooldown = 25.0 }
 
 let zero_chaos =
   {
@@ -450,7 +446,7 @@ let test_sim_validates_config () =
     Alcotest.check_raises msg (Invalid_argument ("Simulator.run: " ^ msg))
       (fun () -> ignore (Sim.run ~chaos topo ~brokers:[| 0 |] ~sessions base))
   in
-  let retry = Sim.default_retry and bp = Sim.default_breaker in
+  let retry = Sim.default_retry and bp = breaker in
   expect "retry max_attempts must be >= 0"
     { zero_chaos with Sim.retry = { retry with Sim.max_attempts = -1 } };
   expect "retry base_delay must be >= 0"
@@ -600,7 +596,7 @@ let test_sim_chaos_deterministic () =
     Faults.generate ~rng:(xr 43) t ~brokers ~horizon
       (Faults.Independent { mtbf = horizon /. 6.0; mttr = 15.0 })
   in
-  let chaos = { (Sim.default_chaos faults) with Sim.breaker = Some Sim.default_breaker } in
+  let chaos = { (Sim.default_chaos faults) with Sim.breaker = Some breaker } in
   let config = Sim.degree_capacity g ~factor:0.2 in
   let run () = Sim.run ~chaos t ~brokers ~sessions config in
   let a = run () and b = run () in
@@ -1011,16 +1007,18 @@ let brokerctl args =
   | Unix.WEXITED code -> (code, msg)
   | Unix.WSIGNALED _ | Unix.WSTOPPED _ -> (-1, msg)
 
+(* [brokerctl args] exits [code] with [needle] on stderr. *)
+let expect_brokerctl what args ~code ~needle =
+  let got, msg = brokerctl args in
+  check_int (what ^ ": exit code") code got;
+  check_bool (what ^ ": message names the problem") true (contains ~needle msg)
+
 (* Cache flags are checked before the topology is read: the topology
    path below does not exist, so reaching the loader would exit 1. *)
 let test_simulate_cache_flags () =
-  let simulate flags =
-    brokerctl ([ "simulate"; "-t"; "no-such-topology"; "-b"; "no-such-brokers" ] @ flags)
-  in
-  let expect what flags ~code ~needle =
-    let got, msg = simulate flags in
-    check_int (what ^ ": exit code") code got;
-    check_bool (what ^ ": message names the problem") true (contains ~needle msg)
+  let expect what flags =
+    expect_brokerctl what
+      ([ "simulate"; "-t"; "no-such-topology"; "-b"; "no-such-brokers" ] @ flags)
   in
   List.iter
     (fun strategy ->
@@ -1061,6 +1059,65 @@ let test_simulate_cache_flags () =
   expect "--topo-at with --topo-updates"
     [ "--topo-updates"; "4"; "--topo-at"; "0.25" ]
     ~code:1 ~needle:"no-such-topology"
+
+(* Counts and scales out of range are refused before the (missing)
+   topology is read; an accepted flag reaches the loader and exits 1. *)
+let test_brokerctl_ranges () =
+  let out = Filename.temp_file "brokerctl_range" ".txt" in
+  let topo = [ "-t"; "no-such-topology" ] and brokers = [ "-b"; "no-such-brokers" ] in
+  List.iter
+    (fun (args, code, needle) ->
+      expect_brokerctl (String.concat " " args) args ~code ~needle)
+    [
+      ([ "generate"; "--scale"; "0"; "-o"; out ], 2, "brokerctl generate: --scale");
+      ([ "generate"; "--scale=1.5"; "-o"; out ], 2, "brokerctl generate: --scale");
+      ( [ "evaluate"; "--sources"; "0" ] @ topo @ brokers,
+        2, "brokerctl evaluate: --sources must be >= 1" );
+      ( [ "resilience"; "--sources"; "0" ] @ topo @ brokers,
+        2, "brokerctl resilience: --sources must be >= 1" );
+      ( [ "bgp-stats"; "--destinations"; "0" ] @ topo,
+        2, "brokerctl bgp-stats: --destinations must be >= 1" );
+      ( [ "export-dot"; "--max-vertices"; "0" ] @ topo,
+        2, "brokerctl export-dot: --max-vertices must be >= 1" );
+      ([ "select"; "-k"; "0" ] @ topo, 2, "brokerctl select: -k must be >= 1");
+      ( [ "select"; "-a"; "sc"; "-k"; "5" ] @ topo,
+        2, "brokerctl select: -k does not apply to sc" );
+      ( [ "select"; "-a"; "ixpb"; "-k"; "5" ] @ topo,
+        2, "brokerctl select: -k does not apply to ixpb" );
+      ( [ "select"; "-a"; "tier1"; "-k"; "5" ] @ topo,
+        2, "brokerctl select: -k does not apply to tier1" );
+      ([ "select"; "-a"; "db"; "-k"; "5" ] @ topo, 1, "no-such-topology");
+      ([ "select"; "-a"; "sc" ] @ topo, 1, "no-such-topology");
+    ];
+  Sys.remove out
+
+(* A broker list that is missing, holds a non-integer or names a vertex
+   outside the topology exits 1 naming the file and line, in every
+   command that reads one. *)
+let test_brokerctl_broker_files () =
+  let topo_path = Filename.temp_file "brokerctl_topo" ".txt" in
+  Broker_topo.Dataset.save ~path:topo_path (small_internet ~scale:0.005 ());
+  let list_file lines =
+    let path = Filename.temp_file "brokerctl_brokers" ".txt" in
+    Out_channel.with_open_text path (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+    path
+  in
+  let not_int = list_file [ "3"; "abc" ] and out_of_range = list_file [ "3"; "999999" ] in
+  List.iter
+    (fun cmd ->
+      List.iter
+        (fun (brokers, needle) ->
+          expect_brokerctl (cmd ^ " " ^ needle)
+            [ cmd; "-t"; topo_path; "-b"; brokers ]
+            ~code:1 ~needle)
+        [
+          ("no-such-brokers", "no-such-brokers");
+          (not_int, not_int ^ ":2: not an integer");
+          (out_of_range, out_of_range ^ ":2: broker id 999999");
+        ])
+    [ "evaluate"; "resilience"; "simulate" ];
+  List.iter Sys.remove [ topo_path; not_int; out_of_range ]
 
 (* ---------- Latency ---------- *)
 
@@ -1105,13 +1162,12 @@ let test_latency_path_latency () =
   let g = t.Broker_topo.Topology.graph in
   (* Pick any 2-hop path via a neighbor. *)
   let u = 0 in
-  let nbrs = G.neighbors g u in
-  if Array.length nbrs > 0 then begin
-    let v = nbrs.(0) in
-    check_float "single hop" (Latency.edge_latency lat u v)
-      (Latency.path_latency lat [ u; v ]);
-    check_float "empty path" 0.0 (Latency.path_latency lat [ u ])
-  end
+  match neighbor_list g u with
+  | v :: _ ->
+      check_float "single hop" (Latency.edge_latency lat u v)
+        (Latency.path_latency lat [ u; v ]);
+      check_float "empty path" 0.0 (Latency.path_latency lat [ u ])
+  | [] -> ()
 
 let test_latency_stretch_at_least_one () =
   let t = small_internet ~seed:5 ~scale:0.01 () in
@@ -1208,6 +1264,9 @@ let suite =
         Alcotest.test_case "script invariants" `Quick test_cache_script;
         Alcotest.test_case "simulate cache flags" `Quick
           test_simulate_cache_flags;
+        Alcotest.test_case "brokerctl flag ranges" `Quick test_brokerctl_ranges;
+        Alcotest.test_case "brokerctl broker files" `Quick
+          test_brokerctl_broker_files;
       ] );
     ( "routing.latency",
       [

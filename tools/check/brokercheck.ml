@@ -50,9 +50,8 @@
 
    C1 [domain-safety]
      Compute the set of code reachable from the closures handed to the
-     parallel fan-out points ([Parallel.strided], [Parallel.chunked],
-     [Domain.spawn]) and, inside that set, flag
-     writes to shared non-[Atomic] mutable state:
+     parallel fan-out points ([Parallel.strided], [Domain.spawn]) and,
+     inside that set, flag writes to shared non-[Atomic] mutable state:
        - module-level [ref]s (and [incr]/[decr] on them),
        - mutable record fields of module-level values,
        - [Array.set]/[unsafe_set]/[fill]/[blit] (and [Bytes], [Hashtbl],
@@ -415,8 +414,7 @@ let check_ident s ~in_loop comps loc =
          (monotonic, observability-gated sinks)"
   | "Stdlib.Domain.spawn" when not s.spawn_exempt ->
       flag Domain_confinement
-        "Domain.spawn outside lib/util/parallel.ml; use Parallel.chunked / \
-         Parallel.strided"
+        "Domain.spawn outside lib/util/parallel.ml; use Parallel.strided"
   | _ when s.in_experiments && ends_in_ctx_output comps ->
       flag Report_pure
         (Printf.sprintf
@@ -624,12 +622,12 @@ let collect_unit (u : unit_info) =
 (* ------------------------------------------------------------------ *)
 
 let spawn_targets =
-  [ "Parallel.strided"; "Parallel.chunked"; "Domain.spawn" ]
+  [ "Parallel.strided"; "Domain.spawn" ]
 
 (* Candidate dotted names a resolved path can be referred to by: its
    normalized spelling, and — for bare toplevel idents — the
-   unit-qualified form ([chunked] inside parallel.ml is
-   [Parallel.chunked]). *)
+   unit-qualified form ([strided] inside parallel.ml is
+   [Parallel.strided]). *)
 let candidate_names u p =
   let comps = norm_path p in
   let qualified =
