@@ -40,6 +40,15 @@ let usage_error cmd msg =
 let at_least_one cmd flag v =
   if v < 1 then usage_error cmd (Printf.sprintf "%s must be >= 1, got %d" flag v)
 
+(* An output file is opened before the work that fills it: a path that
+   cannot be written exits 1 naming the command and the path, before any
+   time is spent. *)
+let open_output cmd path =
+  try open_out path
+  with Sys_error msg ->
+    prerr_endline (Printf.sprintf "brokerctl %s: %s" cmd msg);
+    exit 1
+
 (* Unreadable or malformed input files exit 1 with the reader's message. *)
 let load path =
   try Broker_topo.Dataset.load ~path
@@ -77,10 +86,12 @@ let read_brokers ~n path =
 let generate scale seed out =
   if not (scale > 0.0 && scale <= 1.0) then
     usage_error "generate" (Printf.sprintf "--scale must be in (0, 1], got %g" scale);
+  let oc = open_output "generate" out in
   let topo =
     Broker_topo.Internet.generate { (Broker_topo.Internet.scaled scale) with seed }
   in
-  Broker_topo.Dataset.save ~path:out topo;
+  Broker_topo.Dataset.save oc topo;
+  close_out oc;
   Format.printf "%a@." Broker_topo.Dataset.pp_summary
     (Broker_topo.Dataset.summarize topo);
   Printf.printf "saved to %s\n" out
@@ -139,9 +150,9 @@ let select path algo k seed out =
         (Printf.sprintf "-k does not apply to %s, which takes no budget" algo)
   | Some k -> at_least_one "select" "-k" k
   | None -> ());
+  let oc = open_output "select" out in
   let topo = load path in
   let brokers = select_brokers topo algo (Option.value k ~default:100) seed in
-  let oc = open_out out in
   Array.iter (fun b -> Printf.fprintf oc "%d\n" b) brokers;
   close_out oc;
   let cov = Broker_core.Coverage.create topo.Broker_topo.Topology.graph in
@@ -192,13 +203,15 @@ let evaluate_cmd =
 (* export-dot *)
 let export_dot path out max_vertices =
   at_least_one "export-dot" "--max-vertices" max_vertices;
+  let oc = open_output "export-dot" out in
   let topo = load path in
   let attrs v =
     if Broker_topo.Topology.is_ixp topo v then [ ("color", "red") ] else []
   in
-  Broker_graph.Dot.write_file ~path:out
+  output_string oc
     (Broker_graph.Dot.to_dot ~vertex_attrs:attrs ~max_vertices
        topo.Broker_topo.Topology.graph);
+  close_out oc;
   Printf.printf "wrote %s\n" out
 
 let export_dot_cmd =
@@ -216,7 +229,10 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
   (* The library checks its inputs (fault rates, retry budget, session
      count, ...) with Invalid_argument: report those as usage errors. *)
   let guard f = try f () with Invalid_argument msg -> usage_error msg in
-  (* [not (w >= 0)] also rejects NaN. *)
+  at_least_one "simulate" "--sessions" n_sessions;
+  (* [not (x >= 0)] and [not (x > 0)] also reject NaN. *)
+  if not (capacity_factor > 0.0) then
+    usage_error (Printf.sprintf "--capacity-factor must be > 0, got %g" capacity_factor);
   if not (stats_window >= 0.0) then usage_error "--stats-window must be positive";
   (* A flag of a mode that is off would be silently ignored: refuse it,
      as --vnodes is refused without the ring strategy. *)
@@ -259,6 +275,7 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
         usage_error "--vnodes applies only to --cache-strategy ring"
     | strategy, None -> strategy
   in
+  let timeline = Option.map (fun out -> (out, open_output "simulate" out)) timeline in
   let topo = load path in
   let g = topo.Broker_topo.Topology.graph in
   let brokers = read_brokers ~n:(Broker_graph.Graph.n g) brokers_path in
@@ -398,9 +415,8 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
       Printf.printf "timeline series     %d\n" (List.length with_data);
       (match timeline with
       | None -> ()
-      | Some out ->
+      | Some (out, oc) ->
           let json = Broker_report.Report_obs.timeline_to_json () in
-          let oc = open_out out in
           output_string oc json;
           output_string oc "\n";
           close_out oc;

@@ -26,9 +26,14 @@
     brokers), and a valid path that merely rides an outage is served
     degraded. {!Flush}'s eviction keeps every entry valid and drops every
     degraded one once the last outage clears, so its hits never repair or
-    refresh. Outcomes are tallied in {!stats} (plain ints, always on) and
-    mirrored as brokerscope counters ([sim.cache.*], active only when
-    {!Broker_obs.Control.enabled}).
+    refresh. It also equals recomputing: a crash only takes dominated arcs
+    away, and the search returns the canonical path
+    ({!Broker_core.Dominating.find_dominated_path_view}), which a removal
+    that leaves every arc of it present and dominated does not change. So
+    each path {!Flush} keeps after a crash is the one a fresh search would
+    return, and a kept [None] stays unroutable. Outcomes are tallied in
+    {!stats} (plain ints, always on) and mirrored as brokerscope counters
+    ([sim.cache.*], active only when {!Broker_obs.Control.enabled}).
 
     Determinism: key and ring-point placement hash through a seeded
     splitmix64 on the key ints — never [Hashtbl.hash] (brokercheck R9) —

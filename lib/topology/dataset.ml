@@ -54,30 +54,24 @@ let label_of_code = function
   | "--" -> Some Relations.Unlabelled
   | _ -> None
 
-let save ~path t =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      let n = Topology.n t in
-      Printf.fprintf oc "brokerset-topology 1 %d %d\n" n (G.m t.Topology.graph);
-      for v = 0 to n - 1 do
-        Printf.fprintf oc "n %d %s %d %s\n" v
-          (kind_code t.Topology.kinds.(v))
-          t.Topology.tiers.(v) t.Topology.names.(v)
-      done;
-      G.iter_edges t.Topology.graph (fun u v ->
-          let rel =
-            match Relations.find t.Topology.relations u v with
-            | Some Node_meta.Customer_provider ->
-                if Relations.customer_of t.Topology.relations u v
-                then "cp"
-                else "pc"
-            | Some Node_meta.Peer -> "pp"
-            | Some Node_meta.Ixp_member -> "im"
-            | None -> "--"
-          in
-          Printf.fprintf oc "e %d %d %s\n" u v rel))
+let save oc t =
+  let n = Topology.n t in
+  Printf.fprintf oc "brokerset-topology 1 %d %d\n" n (G.m t.Topology.graph);
+  for v = 0 to n - 1 do
+    Printf.fprintf oc "n %d %s %d %s\n" v
+      (kind_code t.Topology.kinds.(v))
+      t.Topology.tiers.(v) t.Topology.names.(v)
+  done;
+  G.iter_edges t.Topology.graph (fun u v ->
+      let rel =
+        match Relations.find t.Topology.relations u v with
+        | Some Node_meta.Customer_provider ->
+            if Relations.customer_of t.Topology.relations u v then "cp" else "pc"
+        | Some Node_meta.Peer -> "pp"
+        | Some Node_meta.Ixp_member -> "im"
+        | None -> "--"
+      in
+      Printf.fprintf oc "e %d %d %s\n" u v rel)
 
 (* Lines are read before anything is sized from the header, so a header
    that overstates n or m fails on the line count instead of allocating

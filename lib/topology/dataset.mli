@@ -13,10 +13,10 @@ val summarize : Topology.t -> summary
 
 val pp_summary : Format.formatter -> summary -> unit
 
-val save : path:string -> Topology.t -> unit
-(** Plain-text format: a header line [brokerset-topology 1 n m], then one
-    node line [n v kind tier name] per vertex and one edge line
-    [e u v rel] per edge. [rel] is read from [u]: [cp] ([u] is the
+val save : out_channel -> Topology.t -> unit
+(** Write the topology to [oc]. Plain-text format: a header line
+    [brokerset-topology 1 n m], then one node line [n v kind tier name]
+    per vertex and one edge line [e u v rel] per edge. [rel] is read from [u]: [cp] ([u] is the
     customer), [pc] ([u] is the provider), [pp] (peering), [im] (IXP
     membership, one endpoint an IXP) or [--] (no relation). *)
 

@@ -394,20 +394,35 @@ let oracle_dominated_path vw ~is_broker u v =
     walk v []
   end
 
+(* The canonical rule, stated apart from any search order: distances
+   from [v] by a plain BFS over the dominated arcs, then from [u] the
+   smallest dominated neighbour one step closer to [v], repeatedly. *)
+let canonical_dominated_path vw ~is_broker u v =
+  let edge_ok = Conn.edge_ok ~is_broker in
+  let dist = Array.make (View.n vw) (-1) in
+  let queue = Queue.create () in
+  dist.(v) <- 0;
+  Queue.add v queue;
+  while not (Queue.is_empty queue) do
+    let x = Queue.pop queue in
+    View.iter_neighbors vw x (fun y ->
+        if dist.(y) < 0 && edge_ok x y then begin
+          dist.(y) <- dist.(x) + 1;
+          Queue.add y queue
+        end)
+  done;
+  let closer x best y =
+    if dist.(y) = dist.(x) - 1 && edge_ok x y && (best < 0 || y < best) then y else best
+  in
+  let rec walk x = if x = v then [ v ] else x :: walk (View.fold_neighbors vw x (closer x) (-1)) in
+  if dist.(u) < 0 then [] else walk u
+
 type path_outcome = Same | No_dominated_path | Differs of string
 
-(* The workspace search against the oracle, the way SNIPPETS.md's
-   check_prop does it: a fixed seed, and a tally of the cases whose
-   precondition failed (no pair of distinct vertices is joined by a
-   dominated path, so both searches can only answer [||]). Each case
-   routes every ordered pair over the static view and over a Delta view
-   after random announcements and withdrawals, with brokers, a down set
-   and the liveness predicate [broker && not down]. All cases run one
-   after another on one fresh domain, twice: by increasing n, so its
-   workspace is regrown at every larger graph, and by decreasing n, so
-   one workspace sized by the first case serves every smaller graph,
-   epoch after epoch. *)
-let test_dominated_path_oracle () =
+(* The fixed-seed cases every dominated-path oracle runs on: random
+   graphs with n 2-32, broker sets, a down set, and up to 16 random
+   announcements and withdrawals through a Delta. *)
+let dominated_path_cases =
   let gen =
     QCheck.Gen.(
       int_range 2 32 >>= fun n ->
@@ -417,7 +432,20 @@ let test_dominated_path_oracle () =
       int_range 0 16 >>= fun edits ->
       int_range 0 1_000_000 >|= fun seed -> (n, m, broker_pct, down_pct, edits, seed))
   in
-  let cases = QCheck.Gen.generate ~rand:(Random.State.make [| 20 |]) ~n:300 gen in
+  QCheck.Gen.generate ~rand:(Random.State.make [| 20 |]) ~n:300 gen
+
+(* [same vw ~is_broker u v want] compares the searches under test with
+   the FIFO oracle's answer [want] on one pair. Each case routes every
+   ordered pair over the static view and over the Delta view, with the
+   liveness predicate [broker && not down], and the tally follows
+   SNIPPETS.md's check_prop: a fixed seed, and a count of the cases whose
+   precondition failed (no pair of distinct vertices is joined by a
+   dominated path, so every search can only answer [||]). All cases run
+   one after another on one fresh domain, twice: by increasing n, so its
+   workspace is regrown at every larger graph, and by decreasing n, so
+   one workspace sized by the first case serves every smaller graph,
+   search after search. *)
+let check_dominated_path_cases ~what same =
   let check (n, m, broker_pct, down_pct, edits, seed) =
     let module X = Broker_util.Xrandom in
     let rng = X.create seed in
@@ -439,10 +467,9 @@ let test_dominated_path_oracle () =
           for u = 0 to n - 1 do
             for v = 0 to n - 1 do
               let want = oracle_dominated_path vw ~is_broker u v in
-              let got = Dominating.find_dominated_path_view vw ~is_broker u v in
               if u <> v && want <> [] then dominated := true;
-              if Option.is_none !bad && not (List.equal Int.equal want (Array.to_list got))
-              then bad := Some (Printf.sprintf "%s view: %d -> %d" label u v)
+              if Option.is_none !bad && not (same vw ~is_broker u v want) then
+                bad := Some (Printf.sprintf "%s view: %d -> %d" label u v)
             done
           done;
           !bad)
@@ -458,11 +485,14 @@ let test_dominated_path_oracle () =
   (* Each pass runs on a domain of its own, whose workspace starts empty. *)
   let on_fresh_domain cases = Domain.join (Domain.spawn (fun () -> List.map check cases)) in
   let by_n =
-    List.stable_sort (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> Int.compare a b) cases
+    List.stable_sort
+      (fun (a, _, _, _, _, _) (b, _, _, _, _, _) -> Int.compare a b)
+      dominated_path_cases
   in
   let outcomes = on_fresh_domain by_n @ on_fresh_domain (List.rev by_n) in
   let regrows =
-    List.length (List.sort_uniq Int.compare (List.map (fun (n, _, _, _, _, _) -> n) cases))
+    List.length
+      (List.sort_uniq Int.compare (List.map (fun (n, _, _, _, _, _) -> n) dominated_path_cases))
   in
   let count p = List.length (List.filter p outcomes) in
   let same = count (function Same -> true | No_dominated_path | Differs _ -> false) in
@@ -471,12 +501,105 @@ let test_dominated_path_oracle () =
     List.filter_map (function Differs d -> Some d | Same | No_dominated_path -> None) outcomes
   in
   Printf.printf
-    "%d cases for the dominated-path oracle (%d workspace regrows by increasing n): %d \
-     agree, %d failures, %d discarded (no dominated path)\n"
-    (List.length outcomes) regrows same (List.length failures) vacuous;
+    "%d cases for the %s (%d workspace regrows by increasing n): %d agree, %d failures, \
+     %d discarded (no dominated path)\n"
+    (List.length outcomes) what regrows same (List.length failures) vacuous;
   List.iter print_endline failures;
   check_int "disagreements" 0 (List.length failures);
   check_bool "most cases route a dominated path" true (same > 4 * vacuous)
+
+(* The workspace search against the FIFO oracle. *)
+let test_dominated_path_oracle () =
+  check_dominated_path_cases ~what:"dominated-path oracle" (fun vw ~is_broker u v want ->
+      List.equal Int.equal want
+        (Array.to_list (Dominating.find_dominated_path_view vw ~is_broker u v)))
+
+(* The canonical rule against the FIFO oracle and the search, so the
+   search's paths follow from the rule whatever order it explores in. *)
+let test_dominated_path_canonical () =
+  check_dominated_path_cases ~what:"canonical rule" (fun vw ~is_broker u v want ->
+      let rule = canonical_dominated_path vw ~is_broker u v in
+      List.equal Int.equal want rule
+      && List.equal Int.equal rule
+           (Array.to_list (Dominating.find_dominated_path_view vw ~is_broker u v)))
+
+(* The three agree on an Internet-like graph whose brokers are a MaxSG
+   prefix: hub frontiers make either side the cheaper one to expand, so
+   searches meet from both sides, and the pairs with no dominated path
+   are kept, so searches also run a side dry. *)
+let test_dominated_path_canonical_hubs () =
+  let g = (small_internet ~scale:0.05 ()).Broker_topo.Topology.graph in
+  let n = G.n g in
+  let brokers = Maxsg.run g ~k:(n / 100) in
+  let is_broker = Conn.of_brokers ~n brokers in
+  let vw = View.of_graph g in
+  let rng = Broker_util.Xrandom.create 2017 in
+  let routed = ref 0 and no_path = ref 0 and differs = ref [] in
+  for _ = 1 to 2000 do
+    let u = Broker_util.Xrandom.int rng n and v = Broker_util.Xrandom.int rng n in
+    let fifo = oracle_dominated_path vw ~is_broker u v in
+    let rule = canonical_dominated_path vw ~is_broker u v in
+    let got = Array.to_list (Dominating.find_dominated_path_view vw ~is_broker u v) in
+    if fifo = [] then incr no_path else incr routed;
+    if not (List.equal Int.equal fifo rule && List.equal Int.equal rule got) then
+      differs := (u, v) :: !differs
+  done;
+  Printf.printf "2000 pairs, n = %d, %d brokers: %d routed, %d with no dominated path, %d differ\n"
+    n (Array.length brokers) !routed !no_path (List.length !differs);
+  List.iter (fun (u, v) -> Printf.printf "differs: %d -> %d\n" u v) !differs;
+  check_int "disagreements" 0 (List.length !differs);
+  check_bool "both kinds of pair" true (!routed > 0 && !no_path > 0)
+
+(* A removal (a broker going down, or an edge withdrawn through a Delta)
+   that leaves every arc of a computed path present and dominated leaves
+   the search's answer unchanged: the path is still a shortest dominated
+   path, and a lexicographically smaller shortest one in the smaller
+   graph would have existed in the larger one too. Shard_cache's Flush
+   keeps exactly such entries across a crash. *)
+let dominating_qcheck_removal_keeps_path =
+  qcheck
+    (QCheck.Test.make ~count:200 ~name:"a removal that keeps the path keeps it"
+       QCheck.(
+         make
+           Gen.(
+             quad (int_range 2 24) (int_range 0 60) (int_range 0 100)
+               (int_range 0 1_000_000)))
+       (fun (n, m, broker_pct, seed) ->
+         let module X = Broker_util.Xrandom in
+         let rng = X.create seed in
+         let g = random_graph rng ~n ~m in
+         let broker = Array.init n (fun _ -> X.int rng 100 < broker_pct) in
+         let crashed = X.int rng n in
+         let is_broker v = broker.(v) in
+         let after_crash v = broker.(v) && v <> crashed in
+         let edges = ref [] in
+         G.iter_edges g (fun a b -> edges := (a, b) :: !edges);
+         let edges = Array.of_list !edges in
+         let wa, wb = edges.(X.int rng (Array.length edges)) in
+         let d = Broker_graph.Delta.create g in
+         ignore (Broker_graph.Delta.remove_edge d wa wb);
+         let before = View.of_graph g and withdrawn = Broker_graph.Delta.view d in
+         let uses_edge p =
+           let rec go = function
+             | a :: (b :: _ as rest) -> (a = wa && b = wb) || (a = wb && b = wa) || go rest
+             | [ _ ] | [] -> false
+           in
+           go p
+         in
+         let ok = ref true in
+         for u = 0 to n - 1 do
+           for v = 0 to n - 1 do
+             let path = Dominating.find_dominated_path_view before ~is_broker u v in
+             let p = Array.to_list path in
+             if p <> [] && Dominating.is_dominated_path ~is_broker:after_crash p then
+               ok :=
+                 !ok
+                 && Dominating.find_dominated_path_view before ~is_broker:after_crash u v = path;
+             if p <> [] && not (uses_edge p) then
+               ok := !ok && Dominating.find_dominated_path_view withdrawn ~is_broker u v = path
+           done
+         done;
+         !ok))
 
 (* Allocation gate: after one warm-up search has sized the workspace, a
    search allocates its result and nothing else, so 1,000 of them on a
@@ -617,6 +740,11 @@ let suite =
         Alcotest.test_case "find path" `Quick test_find_dominated_path;
         Alcotest.test_case "out-of-range endpoint" `Quick test_dominated_path_out_of_range;
         Alcotest.test_case "workspace = list oracle" `Quick test_dominated_path_oracle;
+        Alcotest.test_case "canonical rule = list oracle = search" `Quick
+          test_dominated_path_canonical;
+        Alcotest.test_case "canonical rule on hub frontiers" `Quick
+          test_dominated_path_canonical_hubs;
+        dominating_qcheck_removal_keeps_path;
         Alcotest.test_case "no allocation per search" `Quick test_dominated_path_noalloc;
         Alcotest.test_case "broker-only star" `Quick test_broker_only_star;
         Alcotest.test_case "broker-only partial" `Quick test_broker_only_partial;

@@ -140,7 +140,7 @@ let dataset_roundtrip =
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Broker_topo.Dataset.save ~path t;
+          Out_channel.with_open_text path (fun oc -> Broker_topo.Dataset.save oc t);
           let t' = Broker_topo.Dataset.load ~path in
           let g = t.Broker_topo.Topology.graph in
           let label t i = Broker_topo.Relations.arc t.Broker_topo.Topology.relations i in
@@ -330,9 +330,9 @@ let dataset_save_idempotent =
           Sys.remove p1;
           Sys.remove p2)
         (fun () ->
-          Broker_topo.Dataset.save ~path:p1 t;
+          Out_channel.with_open_text p1 (fun oc -> Broker_topo.Dataset.save oc t);
           let t' = Broker_topo.Dataset.load ~path:p1 in
-          Broker_topo.Dataset.save ~path:p2 t';
+          Out_channel.with_open_text p2 (fun oc -> Broker_topo.Dataset.save oc t');
           let read p =
             let ic = open_in_bin p in
             let len = in_channel_length ic in

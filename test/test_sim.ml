@@ -1088,15 +1088,48 @@ let test_brokerctl_ranges () =
         2, "brokerctl select: -k does not apply to tier1" );
       ([ "select"; "-a"; "db"; "-k"; "5" ] @ topo, 1, "no-such-topology");
       ([ "select"; "-a"; "sc" ] @ topo, 1, "no-such-topology");
+      ( [ "simulate"; "--sessions"; "0" ] @ topo @ brokers,
+        2, "brokerctl simulate: --sessions must be >= 1, got 0" );
+      ( [ "simulate"; "--sessions=-3" ] @ topo @ brokers,
+        2, "brokerctl simulate: --sessions must be >= 1, got -3" );
+      ( [ "simulate"; "--capacity-factor"; "0" ] @ topo @ brokers,
+        2, "brokerctl simulate: --capacity-factor must be > 0" );
+      ( [ "simulate"; "--capacity-factor=-0.5" ] @ topo @ brokers,
+        2, "brokerctl simulate: --capacity-factor must be > 0" );
+      ( [ "simulate"; "--capacity-factor"; "nan" ] @ topo @ brokers,
+        2, "brokerctl simulate: --capacity-factor must be > 0" );
+      ( [ "simulate"; "--sessions"; "1"; "--capacity-factor"; "0.5" ] @ topo @ brokers,
+        1, "no-such-topology" );
     ];
   Sys.remove out
+
+(* An output file that cannot be created is refused before the work
+   that would fill it: before the (missing) topology is read, and before
+   [generate] generates one. *)
+let test_brokerctl_outputs () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "brokerctl-no-such-dir" in
+  check_bool "the output directory is missing" false (Sys.file_exists dir);
+  let topo = [ "-t"; "no-such-topology" ] and brokers = [ "-b"; "no-such-brokers" ] in
+  List.iter
+    (fun (cmd, flag, rest) ->
+      let path = Filename.concat dir (cmd ^ ".out") in
+      let args = (cmd :: rest) @ [ flag; path ] in
+      expect_brokerctl (String.concat " " args) args ~code:1
+        ~needle:(Printf.sprintf "brokerctl %s: %s: " cmd path))
+    [
+      ("generate", "-o", [ "--scale"; "0.004" ]);
+      ("select", "-o", topo);
+      ("export-dot", "-o", topo);
+      ("simulate", "--timeline", topo @ brokers);
+    ]
 
 (* A broker list that is missing, holds a non-integer or names a vertex
    outside the topology exits 1 naming the file and line, in every
    command that reads one. *)
 let test_brokerctl_broker_files () =
   let topo_path = Filename.temp_file "brokerctl_topo" ".txt" in
-  Broker_topo.Dataset.save ~path:topo_path (small_internet ~scale:0.005 ());
+  Out_channel.with_open_text topo_path (fun oc ->
+      Broker_topo.Dataset.save oc (small_internet ~scale:0.005 ()));
   let list_file lines =
     let path = Filename.temp_file "brokerctl_brokers" ".txt" in
     Out_channel.with_open_text path (fun oc ->
@@ -1265,6 +1298,7 @@ let suite =
         Alcotest.test_case "simulate cache flags" `Quick
           test_simulate_cache_flags;
         Alcotest.test_case "brokerctl flag ranges" `Quick test_brokerctl_ranges;
+        Alcotest.test_case "brokerctl output files" `Quick test_brokerctl_outputs;
         Alcotest.test_case "brokerctl broker files" `Quick
           test_brokerctl_broker_files;
       ] );

@@ -70,7 +70,7 @@ let test_relations_twin_arcs () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Dataset.save ~path t;
+      Out_channel.with_open_text path (fun oc -> Dataset.save oc t);
       check_int "loaded" 0 (twin_mismatches (Dataset.load ~path)))
 
 (* ---------- Classic generators ---------- *)
@@ -219,7 +219,7 @@ let test_dataset_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Dataset.save ~path t;
+      Out_channel.with_open_text path (fun oc -> Dataset.save oc t);
       let t' = Dataset.load ~path in
       check_int "n" (T.n t) (T.n t');
       check_bool "edges" true (G.equal t.T.graph t'.T.graph);
