@@ -54,47 +54,46 @@ let sort_range a lo hi =
     end
   end
 
-let of_edges ~n edges =
-  if n < 0 then invalid_arg "Graph.of_edges: negative n";
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_edges: endpoint out of range")
-    edges;
-  (* First pass: degree counting (both directions), skipping self-loops. *)
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v) ->
-      if u <> v then begin
-        deg.(u) <- deg.(u) + 1;
-        deg.(v) <- deg.(v) + 1
-      end)
-    edges;
+(* The one CSR body. Degrees are counted into [off], whose prefix sums
+   are segment ends; the fill decrements them, leaving segment starts.
+   Each segment is then sorted in place and its duplicates dropped,
+   compacting towards the front: the write cursor never passes the read
+   cursor, and [off.(u)] is rewritten only after it was read. A segment's
+   sorted, deduplicated contents do not depend on the order of the input
+   pairs, so neither does the result. *)
+let build who ~n ~len us vs =
+  if n < 0 then invalid_arg (who ^ ": negative n");
+  if len < 0 || len > Array.length us || len > Array.length vs then
+    invalid_arg (who ^ ": len outside [0, min lengths]");
   let off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    off.(i + 1) <- off.(i) + deg.(i)
+  for i = 0 to len - 1 do
+    let u = us.(i) and v = vs.(i) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg (who ^ ": endpoint out of range");
+    if u <> v then begin
+      off.(u) <- off.(u) + 1;
+      off.(v) <- off.(v) + 1
+    end
   done;
+  for u = 1 to n - 1 do
+    off.(u) <- off.(u) + off.(u - 1)
+  done;
+  if n > 0 then off.(n) <- off.(n - 1);
   let adj = Array.make off.(n) 0 in
-  let cursor = Array.copy off in
-  Array.iter
-    (fun (u, v) ->
-      if u <> v then begin
-        adj.(cursor.(u)) <- v;
-        cursor.(u) <- cursor.(u) + 1;
-        adj.(cursor.(v)) <- u;
-        cursor.(v) <- cursor.(v) + 1
-      end)
-    edges;
-  (* Sort each adjacency segment in place and drop duplicates, compacting
-     towards the front. The write cursor never catches up with the read
-     cursor (it only advances on a kept element), so the in-place rewrite
-     is safe; the final copy is skipped when nothing was compacted. *)
+  for i = 0 to len - 1 do
+    let u = us.(i) and v = vs.(i) in
+    if u <> v then begin
+      off.(u) <- off.(u) - 1;
+      adj.(off.(u)) <- v;
+      off.(v) <- off.(v) - 1;
+      adj.(off.(v)) <- u
+    end
+  done;
   let write = ref 0 in
-  let new_off = Array.make (n + 1) 0 in
   for u = 0 to n - 1 do
     let lo = off.(u) and hi = off.(u + 1) in
     sort_range adj lo hi;
-    new_off.(u) <- !write;
+    off.(u) <- !write;
     let prev = ref (-1) in
     for i = lo to hi - 1 do
       let v = adj.(i) in
@@ -105,9 +104,14 @@ let of_edges ~n edges =
       end
     done
   done;
-  new_off.(n) <- !write;
+  off.(n) <- !write;
   let adj = if !write = Array.length adj then adj else Array.sub adj 0 !write in
-  { n; off = new_off; adj }
+  { n; off; adj }
+
+let of_edge_arrays ~n ~len us vs = build "Graph.of_edge_arrays" ~n ~len us vs
+
+let of_edges ~n edges =
+  build "Graph.of_edges" ~n ~len:(Array.length edges) (Array.map fst edges) (Array.map snd edges)
 
 let n t = t.n
 let m t = (t.off.(t.n) - t.off.(0)) / 2

@@ -8,10 +8,23 @@
 
 type t
 
+val of_edge_arrays : n:int -> len:int -> int array -> int array -> t
+(** [of_edge_arrays ~n ~len us vs] builds the graph on [n] vertices from
+    the undirected edges [(us.(i), vs.(i))] for [i < len]; entries past
+    [len] are never read, so callers may pass preallocated buffers.
+    Duplicates (in either orientation) and self-loops are dropped. The
+    result does not depend on the order of the pairs. It allocates the
+    [n + 1] offsets and the arcs, and reads the arrays without keeping
+    them.
+    @raise Invalid_argument when [n < 0], when [len] is outside
+    [\[0, min (length us) (length vs)\]], or when an endpoint among the
+    first [len] pairs is outside [0..n-1]. *)
+
 val of_edges : n:int -> (int * int) array -> t
-(** [of_edges ~n edges] builds the graph on [n] vertices from undirected edge
-    pairs. Duplicates (in either orientation) and self-loops are dropped.
-    @raise Invalid_argument when an endpoint is outside [0..n-1]. *)
+(** [of_edges ~n edges] is {!of_edge_arrays} over the pairs of [edges],
+    for callers that already hold a pair array.
+    @raise Invalid_argument ["Graph.of_edges: …"] as {!of_edge_arrays}
+    does. *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -63,7 +76,7 @@ val csr_adj : t -> int array
 
 val of_csr_unchecked : n:int -> off:int array -> adj:int array -> t
 (** Wrap a prebuilt CSR without re-sorting or deduplicating. The caller
-    promises the invariants {!of_edges} normally establishes: [off] has
+    promises the invariants {!of_edge_arrays} establishes: [off] has
     length [n+1] with [off.(0) = 0] and [off.(n) = Array.length adj]
     (checked), and each segment is sorted, duplicate-free, self-loop-free
     and symmetric (trusted). The arrays are owned by the result — do not

@@ -5,8 +5,16 @@ let grow ~rng topo ~new_ases =
   if new_ases < 0 then invalid_arg "Churn.grow: negative growth";
   let old_n = Topology.n topo in
   let n = old_n + new_ases in
-  let edges = ref [] in
-  G.iter_edges topo.Topology.graph (fun u v -> edges := (u, v) :: !edges);
+  (* The old edges, then at most three providers and one IXP per new AS. *)
+  let cap = G.m topo.Topology.graph + (4 * new_ases) in
+  let us = Array.make cap 0 and vs = Array.make cap 0 in
+  let len = ref 0 in
+  let push u v =
+    us.(!len) <- u;
+    vs.(!len) <- v;
+    incr len
+  in
+  G.iter_edges topo.Topology.graph push;
   (* The new edges, kept apart so their arcs can be labelled once the
      graph exists. *)
   let transit = ref [] and memberships = ref [] in
@@ -44,17 +52,17 @@ let grow ~rng topo ~new_ases =
     done;
     Hashtbl.iter
       (fun p () ->
-        edges := (v, p) :: !edges;
+        push v p;
         transit := (v, p) :: !transit)
       chosen;
     (* ~40% also join a random IXP, mirroring the base topology. *)
     if Array.length ixps > 0 && R.bernoulli rng 0.4 then begin
       let x = ixps.(R.int rng (Array.length ixps)) in
-      edges := (v, x) :: !edges;
+      push v x;
       memberships := (v, x) :: !memberships
     end
   done;
-  let graph = G.of_edges ~n (Array.of_list !edges) in
+  let graph = G.of_edge_arrays ~n ~len:!len us vs in
   (* Old ids are kept, so the old edges keep their labels. *)
   let relations =
     Relations.remap topo.Topology.relations graph ~old_id:(fun v ->

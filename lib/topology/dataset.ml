@@ -159,7 +159,11 @@ let load ~path =
           names.(v) <- name)
         (List.rev !nodes);
       let edges = Array.of_list (List.rev !edges) in
-      let graph = G.of_edges ~n (Array.map (fun (u, v, _, _) -> (u, v)) edges) in
+      let graph =
+        G.of_edge_arrays ~n ~len:m
+          (Array.map (fun (u, _, _, _) -> u) edges)
+          (Array.map (fun (_, v, _, _) -> v) edges)
+      in
       let relations = Relations.create graph in
       let is_ixp v = Node_meta.kind_equal kinds.(v) Node_meta.Ixp in
       let seen = Broker_util.Bitset.create (G.arcs graph) in

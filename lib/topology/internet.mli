@@ -36,4 +36,8 @@ val scaled : float -> params
     minimums so the structure survives). *)
 
 val generate : params -> Topology.t
-(** Deterministic for a given [params]. *)
+(** Deterministic for a given [params].
+    @raise Invalid_argument ["Internet.generate: sizes"] unless
+    [2 <= n_tier1 < n_as], and ["Internet.generate: <field> …"] when
+    [n_ixp < 1], when [transit_frac] or [ixp_connect_frac] is outside
+    [\[0, 1\]] (NaN included), or when an edge target is negative. *)

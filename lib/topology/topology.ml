@@ -39,11 +39,15 @@ let with_ases_only t =
   let old_ids = ases t in
   let remap = Array.make (n t) (-1) in
   Array.iteri (fun new_id old_id -> remap.(old_id) <- new_id) old_ids;
-  let edges = ref [] in
+  let us = Array.make (G.m t.graph) 0 and vs = Array.make (G.m t.graph) 0 in
+  let len = ref 0 in
   G.iter_edges t.graph (fun u v ->
-      if remap.(u) >= 0 && remap.(v) >= 0 then
-        edges := (remap.(u), remap.(v)) :: !edges);
-  let graph = G.of_edges ~n:(Array.length old_ids) (Array.of_list !edges) in
+      if remap.(u) >= 0 && remap.(v) >= 0 then begin
+        us.(!len) <- remap.(u);
+        vs.(!len) <- remap.(v);
+        incr len
+      end);
+  let graph = G.of_edge_arrays ~n:(Array.length old_ids) ~len:!len us vs in
   let relations = Relations.remap t.relations graph ~old_id:(Array.get old_ids) in
   ( {
       graph;

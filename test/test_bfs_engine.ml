@@ -223,6 +223,51 @@ let of_edges_hub_segment () =
   Alcotest.(check (list int)) "hub adjacency sorted" (List.init 100 succ)
     (neighbor_list g 0)
 
+(* The flat builder reads only the first [len] pairs: raw pairs with
+   self-loops and duplicates in both orientations, shuffled, then junk
+   past [len], some of it out of range, and arrays of unequal length. *)
+let of_edge_arrays_matches_of_edges =
+  q ~count:80 "of_edge_arrays: first len pairs = of_edges"
+    QCheck.(pair seed_arb (pair (int_range 1 30) (int_range 0 120)))
+    (fun (seed, (n, m)) ->
+      let rng = Broker_util.Xrandom.create seed in
+      let draw () = Broker_util.Xrandom.int rng n in
+      let raw = Array.init m (fun _ -> (draw (), draw ())) in
+      let edges =
+        Array.concat
+          [
+            raw;
+            Array.map (fun (u, v) -> (v, u)) (Array.sub raw 0 (m / 3));
+            Array.init (m / 10) (fun _ ->
+                let v = draw () in
+                (v, v));
+          ]
+      in
+      Broker_util.Xrandom.shuffle rng edges;
+      let len = Broker_util.Xrandom.int rng (Array.length edges + 1) in
+      let junk k = Array.init k (fun i -> if i land 1 = 0 then -1 - i else n + i) in
+      let us = Array.append (Array.map fst edges) (junk 3) in
+      let vs = Array.append (Array.map snd edges) (junk 6) in
+      G.equal (G.of_edge_arrays ~n ~len us vs) (G.of_edges ~n (Array.sub edges 0 len)))
+
+let of_edge_arrays_invalid () =
+  let refused what msg f =
+    Alcotest.check_raises what (Invalid_argument ("Graph.of_edge_arrays: " ^ msg)) (fun () ->
+        ignore (f ()))
+  in
+  let us = [| 0; 1; 2 |] and vs = [| 1; 2 |] in
+  refused "negative n" "negative n" (fun () -> G.of_edge_arrays ~n:(-1) ~len:0 us vs);
+  refused "negative len" "len outside [0, min lengths]" (fun () ->
+      G.of_edge_arrays ~n:3 ~len:(-1) us vs);
+  refused "len past the shorter array" "len outside [0, min lengths]" (fun () ->
+      G.of_edge_arrays ~n:3 ~len:3 us vs);
+  refused "endpoint = n" "endpoint out of range" (fun () ->
+      G.of_edge_arrays ~n:2 ~len:2 us vs);
+  refused "negative endpoint" "endpoint out of range" (fun () ->
+      G.of_edge_arrays ~n:3 ~len:1 [| 0 |] [| -1 |]);
+  check_int "len = the shorter length" 2 (G.m (G.of_edge_arrays ~n:3 ~len:2 us vs));
+  check_int "n = 0, len = 0" 0 (G.n (G.of_edge_arrays ~n:0 ~len:0 [||] [||]))
+
 let suite =
   [
     ( "bfs_engine.projection",
@@ -251,5 +296,7 @@ let suite =
       [
         of_edges_matches_naive;
         Alcotest.test_case "hub segment heapsort" `Quick of_edges_hub_segment;
+        of_edge_arrays_matches_of_edges;
+        Alcotest.test_case "of_edge_arrays: invalid arguments" `Quick of_edge_arrays_invalid;
       ] );
   ]

@@ -188,6 +188,70 @@ let test_internet_scaled_bounds () =
   Alcotest.check_raises "scale 0" (Invalid_argument "Internet.scaled: factor in (0,1]")
     (fun () -> ignore (Internet.scaled 0.0))
 
+(* The generated topology, pinned to the byte: the digest of
+   [Dataset.save]'s output (what [brokerctl generate --seed 42 -o] writes)
+   at two scales. An RNG draw, an accept/reject decision, a CSR word, a
+   label, a kind, a tier or a name that moves changes it. *)
+let saved_digest params =
+  let path = Filename.temp_file "pinned" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> Dataset.save oc (Internet.generate params));
+      Digest.to_hex (Digest.file path))
+
+let test_internet_pinned () =
+  Alcotest.(check string)
+    "scale 0.02" "6e1800277e951c9fa179dc0703234486"
+    (saved_digest { (Internet.scaled 0.02) with Internet.seed = 42 });
+  Alcotest.(check string)
+    "scale 1" "599cc6ad962e82cc0c152145b7ea4293" (saved_digest Internet.default)
+
+(* Allocation gate: the result's CSR is n + 1 + arcs words, and one
+   generation at scale 0.3 puts fewer than six times that on the major
+   heap, direct plus promoted. Flat edge arrays, an int-keyed edge set
+   and a pool read off the edge arrays keep it near 4x; the lists of
+   boxed pairs and the Hashtbl they replaced read 13.3x. *)
+let test_internet_generate_major_words () =
+  let s0 = Gc.quick_stat () in
+  let t = Internet.generate { (Internet.scaled 0.3) with Internet.seed = 42 } in
+  let s1 = Gc.quick_stat () in
+  let major = s1.Gc.major_words -. s0.Gc.major_words in
+  let csr = float_of_int (G.n t.T.graph + 1 + G.arcs t.T.graph) in
+  Printf.printf "generate at scale 0.3: %.0f major words, %.2f x (n + 1 + arcs)\n" major
+    (major /. csr);
+  check_bool "fewer than 6 (n + 1 + arcs) major words" true (major < 6.0 *. csr)
+
+(* Parameters are checked before anything is sized from them. *)
+let test_internet_params () =
+  let base = Internet.scaled 0.005 in
+  let refused what msg p =
+    Alcotest.check_raises what (Invalid_argument ("Internet.generate: " ^ msg)) (fun () ->
+        ignore (Internet.generate p))
+  in
+  refused "no IXP" "n_ixp must be at least 1, got 0" { base with Internet.n_ixp = 0 };
+  refused "negative IXP count" "n_ixp must be at least 1, got -1"
+    { base with Internet.n_ixp = -1 };
+  refused "transit_frac above 1" "transit_frac must be in [0, 1], got 2"
+    { base with Internet.transit_frac = 2.0 };
+  refused "negative transit_frac" "transit_frac must be in [0, 1], got -0.1"
+    { base with Internet.transit_frac = -0.1 };
+  refused "NaN ixp_connect_frac" "ixp_connect_frac must be in [0, 1], got nan"
+    { base with Internet.ixp_connect_frac = Float.nan };
+  refused "ixp_connect_frac above 1" "ixp_connect_frac must be in [0, 1], got 1.5"
+    { base with Internet.ixp_connect_frac = 1.5 };
+  refused "negative AS-AS target" "as_as_edge_target must be at least 0, got -1"
+    { base with Internet.as_as_edge_target = -1 };
+  refused "negative AS-IXP target" "as_ixp_edge_target must be at least 0, got -5"
+    { base with Internet.as_ixp_edge_target = -5 };
+  (* The ends of the fractions are valid: no AS joins an IXP, or every
+     AS provides transit. *)
+  let no_members = Internet.generate { base with Internet.ixp_connect_frac = 0.0 } in
+  check_int "no AS-IXP edges" 0 (T.as_ixp_edges no_members);
+  let all_transit = Internet.generate { base with Internet.transit_frac = 1.0 } in
+  check_int "every AS is tier 1 or 2" 0
+    (Array.fold_left (fun acc tier -> if tier = 3 then acc + 1 else acc) 0 all_transit.T.tiers)
+
 (* ---------- Topology ---------- *)
 
 let test_topology_counts () =
@@ -267,6 +331,10 @@ let suite =
         Alcotest.test_case "tier-1 clique" `Quick test_internet_tiers;
         Alcotest.test_case "small world" `Quick test_internet_small_world;
         Alcotest.test_case "scaled bounds" `Quick test_internet_scaled_bounds;
+        Alcotest.test_case "pinned digests" `Quick test_internet_pinned;
+        Alcotest.test_case "major words per generation" `Quick
+          test_internet_generate_major_words;
+        Alcotest.test_case "params refused" `Quick test_internet_params;
       ] );
     ( "topo.topology",
       [
