@@ -86,6 +86,27 @@ let test_xrandom_geometric () =
   done;
   check_int "p=1 -> 0" 0 (R.geometric r 1.0)
 
+(* The first outputs of one stream per seed, pinned: three raw words,
+   [int] on power-of-two, odd and near-2^61 bounds (the last rejects
+   about half its draws) and three floats in hex. *)
+let test_xrandom_pinned () =
+  let outputs seed =
+    let r = R.create seed in
+    List.init 3 (fun _ -> Int64.to_string (R.bits64 r))
+    @ List.map (fun b -> string_of_int (R.int r b)) [ 7; 1 lsl 20; 1_000_003; (1 lsl 61) + 1; max_int ]
+    @ List.init 3 (fun _ -> Printf.sprintf "%h" (R.float r 1.0))
+  in
+  Alcotest.(check (list string)) "seed 1"
+    [ "-2450604114301859295"; "-8269493420433231408"; "-1243818904632809775"; "6"; "576924";
+      "955533"; "327638229622539321"; "1757902983245101607"; "0x1.67e55eda1f8e2p-1";
+      "0x1.0a76ab2c8e6c9p-1"; "0x1.25f12eac10548p-1" ]
+    (outputs 1);
+  Alcotest.(check (list string)) "seed 42"
+    [ "5928998142081247042"; "-5328343041887926323"; "-2254796632595466246"; "6"; "726937";
+      "263172"; "1340514569795920473"; "3694072553334223277"; "0x1.5780b2e0c2ecp-4";
+      "0x1.84136619b444ep-2"; "0x1.5c2ea66473c93p-1" ]
+    (outputs 42)
+
 let xrandom_qcheck =
   qcheck
     (QCheck.Test.make ~count:500 ~name:"Xrandom.int in range"
@@ -406,6 +427,7 @@ let suite =
         Alcotest.test_case "exponential" `Quick test_xrandom_exponential_positive;
         Alcotest.test_case "pareto min" `Quick test_xrandom_pareto_min;
         Alcotest.test_case "geometric" `Quick test_xrandom_geometric;
+        Alcotest.test_case "pinned outputs" `Quick test_xrandom_pinned;
         xrandom_qcheck;
       ] );
     ( "util.bitset",
