@@ -234,6 +234,8 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
   if not (capacity_factor > 0.0) then
     usage_error (Printf.sprintf "--capacity-factor must be > 0, got %g" capacity_factor);
   if not (stats_window >= 0.0) then usage_error "--stats-window must be positive";
+  if topo_updates < 0 then
+    usage_error (Printf.sprintf "--topo-updates must be >= 0, got %d" topo_updates);
   (* A flag of a mode that is off would be silently ignored: refuse it,
      as --vnodes is refused without the ring strategy. *)
   let only_with mode on flags =
@@ -266,6 +268,21 @@ let simulate path brokers_path n_sessions capacity_factor seed chaos_on mtbf
   let topo_delay = Option.value topo_delay ~default:5.0 in
   let topo_per_hop = Option.value topo_per_hop ~default:1.0 in
   let topo_at = Option.value topo_at ~default:0.5 in
+  (* The library refuses these too, under its own names; refuse them
+     here under the flag's. A propagation delay or a burst time that is
+     NaN or infinite would stamp deliveries that block the event queue or
+     never come due. *)
+  if not (mtbf > 0.0) then usage_error (Printf.sprintf "--mtbf must be > 0, got %g" mtbf);
+  if not (mttr > 0.0 && mttr < infinity) then
+    usage_error (Printf.sprintf "--mttr must be finite and > 0, got %g" mttr);
+  if retries < 0 then usage_error (Printf.sprintf "--retries must be >= 0, got %d" retries);
+  List.iter
+    (fun (flag, x) ->
+      if not (x >= 0.0 && x < infinity) then
+        usage_error (Printf.sprintf "--%s must be finite and >= 0, got %g" flag x))
+    [ ("topo-delay", topo_delay); ("topo-per-hop", topo_per_hop) ];
+  if Float.is_nan topo_at || Float.abs topo_at = infinity then
+    usage_error (Printf.sprintf "--topo-at must be finite, got %g" topo_at);
   let cache =
     match (cache_strategy, vnodes) with
     | _, Some v when v < 1 -> usage_error "--vnodes must be >= 1"

@@ -1,58 +1,100 @@
 type t = { n : int; off : int array; adj : int array }
 
-(* In-place ascending sort of [a.(lo) .. a.(hi-1)]: insertion sort for the
-   short segments that dominate adjacency lists, sift-down heapsort above
-   the cutoff (O(len log len) worst case, zero heap allocation). Produces
-   the same order as [Array.sort Int.compare] on the slice — integer keys
-   have a unique sorted arrangement — without the per-segment copy. *)
-let sort_range a lo hi =
+(* In-place ascending sorts of [a.(lo) .. a.(hi-1)], with zero heap
+   allocation. Each produces the same order as [Array.sort Int.compare]
+   on the slice — integer keys have a unique sorted arrangement —
+   without the per-segment copy. *)
+let insertion_sort a lo hi =
+  for i = lo + 1 to hi - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= lo && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+(* Sift-down heapsort: O(len log len) on any input, the introsort's
+   fallback. The heap is over positions lo..hi-1; the children of slot k
+   are 2k+1 and 2k+2. *)
+let heap_sort a lo hi =
   let len = hi - lo in
-  if len > 1 then begin
-    if len <= 32 then
-      for i = lo + 1 to hi - 1 do
-        let x = a.(i) in
-        let j = ref (i - 1) in
-        while !j >= lo && a.(!j) > x do
-          a.(!j + 1) <- a.(!j);
-          decr j
-        done;
-        a.(!j + 1) <- x
-      done
-    else begin
-      (* Heap over positions lo..hi-1; child of slot k is 2k+1 / 2k+2. *)
-      let sift root last =
-        let r = ref root in
-        let continue = ref true in
-        while !continue do
-          let child = (2 * !r) + 1 in
-          if child > last then continue := false
-          else begin
-            let child =
-              if child < last && a.(lo + child) < a.(lo + child + 1) then
-                child + 1
-              else child
-            in
-            if a.(lo + !r) < a.(lo + child) then begin
-              let tmp = a.(lo + !r) in
-              a.(lo + !r) <- a.(lo + child);
-              a.(lo + child) <- tmp;
-              r := child
-            end
-            else continue := false
-          end
-        done
-      in
-      for root = (len - 2) / 2 downto 0 do
-        sift root (len - 1)
+  let sift root last =
+    let r = ref root in
+    let continue = ref true in
+    while !continue do
+      let child = (2 * !r) + 1 in
+      if child > last then continue := false
+      else begin
+        let child =
+          if child < last && a.(lo + child) < a.(lo + child + 1) then child + 1 else child
+        in
+        if a.(lo + !r) < a.(lo + child) then begin
+          let tmp = a.(lo + !r) in
+          a.(lo + !r) <- a.(lo + child);
+          a.(lo + child) <- tmp;
+          r := child
+        end
+        else continue := false
+      end
+    done
+  in
+  for root = (len - 2) / 2 downto 0 do
+    sift root (len - 1)
+  done;
+  for last = len - 1 downto 1 do
+    let tmp = a.(lo) in
+    a.(lo) <- a.(lo + last);
+    a.(lo + last) <- tmp;
+    sift 0 (last - 1)
+  done
+
+(* Introsort: median-of-three quicksort down to the insertion-sort
+   cutoff of 32, and heapsort for a range still unsorted after [depth]
+   partitions, so the worst case stays O(len log len). The partition is
+   Hoare's around the pivot value: it stops on keys equal to the pivot
+   from both sides, so runs of equal keys split evenly, and the first
+   swap puts an element >= pivot at or after [i] and one <= pivot at or
+   before [j], which keeps both scans in bounds. *)
+let rec intro_sort a lo hi depth =
+  if hi - lo <= 32 then insertion_sort a lo hi
+  else if depth = 0 then heap_sort a lo hi
+  else begin
+    let x = a.(lo) and y = a.(lo + ((hi - lo) / 2)) and z = a.(hi - 1) in
+    let pivot =
+      if x < y then if y < z then y else if x < z then z else x
+      else if x < z then x
+      else if y < z then z
+      else y
+    in
+    let i = ref lo and j = ref (hi - 1) in
+    while !i <= !j do
+      while a.(!i) < pivot do
+        incr i
       done;
-      for last = len - 1 downto 1 do
-        let tmp = a.(lo) in
-        a.(lo) <- a.(lo + last);
-        a.(lo + last) <- tmp;
-        sift 0 (last - 1)
-      done
-    end
+      while a.(!j) > pivot do
+        decr j
+      done;
+      if !i <= !j then begin
+        let tmp = a.(!i) in
+        a.(!i) <- a.(!j);
+        a.(!j) <- tmp;
+        incr i;
+        decr j
+      end
+    done;
+    intro_sort a lo (!j + 1) (depth - 1);
+    intro_sort a !i hi (depth - 1)
   end
+
+let sort_range a lo hi =
+  let depth = ref 0 and len = ref (hi - lo) in
+  while !len > 1 do
+    incr depth;
+    len := !len / 2
+  done;
+  intro_sort a lo hi (2 * !depth)
 
 (* The one CSR body. Degrees are counted into [off], whose prefix sums
    are segment ends; the fill decrements them, leaving segment starts.

@@ -1,3 +1,7 @@
+(* A binary min-heap over (time, seq) in three parallel arrays. Both
+   sifts move a hole instead of swapping: the element being placed stays
+   in locals, each step writes one parent or child into the hole, and the
+   element is written once, at its final slot. *)
 type 'a t = {
   mutable times : float array;
   mutable seqs : int array;  (* insertion sequence: stable tie-break *)
@@ -10,37 +14,23 @@ type 'a t = {
 let create () =
   { times = [||]; seqs = [||]; data = [||]; size = 0; next_seq = 0; max_size = 0 }
 
-let before t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
+let length t = t.size
+let max_length t = t.max_size
 
-let swap t i j =
-  let tm = t.times.(i) and sq = t.seqs.(i) and d = t.data.(i) in
-  t.times.(i) <- t.times.(j);
-  t.seqs.(i) <- t.seqs.(j);
-  t.data.(i) <- t.data.(j);
-  t.times.(j) <- tm;
-  t.seqs.(j) <- sq;
-  t.data.(j) <- d
+(* Slot [i] is served before an element at [time], [seq]. (time, seq) is
+   a total order: times are never NaN and sequence numbers are unique. *)
+let[@inline] earlier t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (ti = time && t.seqs.(i) < seq)
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let p = (i - 1) / 2 in
-    if before t i p then begin
-      swap t i p;
-      sift_up t p
-    end
-  end
+(* Slot [i] is served before slot [j]. *)
+let[@inline] before t i j = earlier t i t.times.(j) t.seqs.(j)
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let best = ref i in
-  if l < t.size && before t l !best then best := l;
-  if r < t.size && before t r !best then best := r;
-  if !best <> i then begin
-    swap t i !best;
-    sift_down t !best
-  end
+(* Copy slot [src] into the hole at [dst]. *)
+let[@inline] move t ~src ~dst =
+  t.times.(dst) <- t.times.(src);
+  t.seqs.(dst) <- t.seqs.(src);
+  t.data.(dst) <- t.data.(src)
 
 let grow t x =
   let cap = max 16 (2 * Array.length t.times) in
@@ -55,35 +45,65 @@ let grow t x =
   t.data <- data
 
 let add t ~time x =
+  if Float.is_nan time then invalid_arg "Event_queue.add: time is NaN";
   if t.size = Array.length t.times then grow t x;
-  t.times.(t.size) <- time;
-  t.seqs.(t.size) <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  t.data.(t.size) <- x;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  (* The new sequence number is the largest, so a parent at the same
+     time stays above it. *)
+  let hole = ref t.size in
+  let continue = ref true in
+  while !continue && !hole > 0 do
+    let p = (!hole - 1) / 2 in
+    if earlier t p time seq then continue := false
+    else begin
+      move t ~src:p ~dst:!hole;
+      hole := p
+    end
+  done;
+  t.times.(!hole) <- time;
+  t.seqs.(!hole) <- seq;
+  t.data.(!hole) <- x;
   t.size <- t.size + 1;
-  if t.size > t.max_size then t.max_size <- t.size;
-  sift_up t (t.size - 1)
+  if t.size > t.max_size then t.max_size <- t.size
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let res = (t.times.(0), t.data.(0)) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.times.(0) <- t.times.(t.size);
-      t.seqs.(0) <- t.seqs.(t.size);
-      t.data.(0) <- t.data.(t.size);
-      (* Alias the vacated slot to the new root so it never retains the
-         payload that just moved down: a fully drained queue would otherwise
-         keep every popped element reachable through the backing array. *)
-      t.data.(t.size) <- t.data.(0);
-      sift_down t 0
-    end;
-    Some res
-  end
+let[@inline] min_time t =
+  if t.size = 0 then invalid_arg "Event_queue.min_time: empty queue";
+  t.times.(0)
 
-let peek_time t = if t.size = 0 then None else Some t.times.(0)
-let max_length t = t.max_size
+let[@brokercheck.noalloc] take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let top = t.data.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    (* Sift the last element down from the root. *)
+    let time = t.times.(last) and seq = t.seqs.(last) and x = t.data.(last) in
+    let hole = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !hole) + 1 in
+      if l >= last then continue := false
+      else begin
+        let r = l + 1 in
+        let c = if r < last && before t r l then r else l in
+        if earlier t c time seq then begin
+          move t ~src:c ~dst:!hole;
+          hole := c
+        end
+        else continue := false
+      end
+    done;
+    t.times.(!hole) <- time;
+    t.seqs.(!hole) <- seq;
+    t.data.(!hole) <- x;
+    (* Alias the vacated slot to an element still queued so it never
+       retains the payload that just moved: a fully drained queue would
+       otherwise keep every popped element reachable through the
+       backing array. *)
+    t.data.(last) <- x
+  end;
+  top
 
 let clear t =
   t.times <- [||];

@@ -39,8 +39,9 @@ let stats_equal a b =
 
 (* Seeded splitmix64 finalizer — the deterministic stand-in for
    [Hashtbl.hash] (banned in lib code, brokercheck R9): owners must be
-   identical across runs, processes and REPRO_DOMAINS settings. *)
-let mix64 state =
+   identical across runs, processes and REPRO_DOMAINS settings. Inlined,
+   so the [Int64] intermediates stay unboxed. *)
+let[@inline] mix64 state =
   let z = Int64.add state 0x9E3779B97F4A7C15L in
   let z =
     Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
@@ -53,7 +54,7 @@ let mix64 state =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 (* Two ints -> nonnegative 62-bit hash under a seed. *)
-let hash2 ~seed a b =
+let[@inline] hash2 ~seed a b =
   let h = mix64 (Int64.add (Int64.of_int seed) (Int64.of_int a)) in
   let h = mix64 (Int64.logxor h (Int64.of_int b)) in
   Int64.to_int (Int64.logand h 0x3FFF_FFFF_FFFF_FFFFL)
@@ -62,12 +63,118 @@ let hash2 ~seed a b =
    streams even though they share the user seed. *)
 let ring_salt = 0x52696E67 (* "Ring" *)
 
-type key = int * int
+(* One owner slot's entries, keyed by the int [src * n + dst]: open
+   addressing with linear probing over a power-of-two table that is never
+   more than half full, [-1] marking an empty slot. A cached path and its
+   degraded flag (computed under an outage; hits are validated against
+   current liveness instead of trusted blindly) sit at the key's index in
+   the parallel arrays. Deletion shifts the rest of the probe run back
+   over the hole, so there are no tombstones and nothing is rebuilt. *)
+type table = {
+  mutable keys : int array;
+  mutable paths : int array option array;
+  mutable degraded : Bytes.t;
+  mutable count : int;
+}
 
-(* A cached path remembers whether it was computed under an outage;
-   hits are validated against current liveness instead of trusted
-   blindly. *)
-type entry = { path : int array option; degraded : bool }
+let table_create cap =
+  { keys = Array.make cap (-1); paths = Array.make cap None; degraded = Bytes.make cap '\000'; count = 0 }
+
+let[@inline] home mask key =
+  let h = key * 0x2545F4914F6CDD1D in
+  (h lxor (h lsr 29)) land mask
+
+(* The index holding [key], or the empty index where it belongs. *)
+let[@brokercheck.noalloc] probe keys key =
+  let mask = Array.length keys - 1 in
+  let i = ref (home mask key) in
+  while keys.(!i) >= 0 && keys.(!i) <> key do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let[@inline] is_degraded tbl i = Bytes.get tbl.degraded i <> '\000'
+
+let set tbl i key path degraded =
+  tbl.keys.(i) <- key;
+  tbl.paths.(i) <- path;
+  Bytes.set tbl.degraded i (if degraded then '\001' else '\000')
+
+let grow tbl =
+  let keys = tbl.keys and paths = tbl.paths and degraded = tbl.degraded in
+  let cap = 2 * Array.length keys in
+  tbl.keys <- Array.make cap (-1);
+  tbl.paths <- Array.make cap None;
+  tbl.degraded <- Bytes.make cap '\000';
+  Array.iteri
+    (fun i key ->
+      if key >= 0 then
+        set tbl (probe tbl.keys key) key paths.(i) (Bytes.get degraded i <> '\000'))
+    keys
+
+(* Store at [i], the result of [probe] for [key]. *)
+let store tbl i key path degraded =
+  if tbl.keys.(i) >= 0 then set tbl i key path degraded
+  else begin
+    tbl.count <- tbl.count + 1;
+    if 2 * tbl.count <= Array.length tbl.keys then set tbl i key path degraded
+    else begin
+      grow tbl;
+      set tbl (probe tbl.keys key) key path degraded
+    end
+  end
+
+(* Backward-shift deletion of the entry at [i]: walk the probe run after
+   the hole and move back every entry whose home does not lie cyclically
+   in (hole, j], since its probe from home to [j] crossed the hole. *)
+let[@brokercheck.noalloc] remove_at tbl i =
+  let keys = tbl.keys in
+  let mask = Array.length keys - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while keys.(!j) >= 0 do
+    let h = home mask keys.(!j) in
+    let stays = if !hole <= !j then !hole < h && h <= !j else !hole < h || h <= !j in
+    if not stays then begin
+      keys.(!hole) <- keys.(!j);
+      tbl.paths.(!hole) <- tbl.paths.(!j);
+      Bytes.set tbl.degraded !hole (Bytes.get tbl.degraded !j);
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  keys.(!hole) <- -1;
+  tbl.paths.(!hole) <- None;
+  Bytes.set tbl.degraded !hole '\000';
+  tbl.count <- tbl.count - 1
+
+(* Drop the entries [doomed key path degraded] picks, in one pass, and
+   return how many went. After a deletion the same index is examined
+   again, because a later entry may have shifted into it. An entry that
+   shifts past the scan position from the wrapped end was already kept,
+   and [doomed] does not change during the pass, so each entry is
+   counted at most once. *)
+let drop tbl doomed =
+  let count = ref 0 and i = ref 0 in
+  while !i < Array.length tbl.keys do
+    let key = tbl.keys.(!i) in
+    if key >= 0 && doomed key tbl.paths.(!i) (is_degraded tbl !i) then begin
+      remove_at tbl !i;
+      incr count
+    end
+    else incr i
+  done;
+  !count
+
+let clear tbl =
+  if tbl.count > 0 then begin
+    Array.fill tbl.keys 0 (Array.length tbl.keys) (-1);
+    Array.fill tbl.paths 0 (Array.length tbl.paths) None;
+    Bytes.fill tbl.degraded 0 (Bytes.length tbl.degraded) '\000';
+    tbl.count <- 0
+  end
+
+let table_iter tbl f =
+  Array.iteri (fun i key -> if key >= 0 then f key tbl.paths.(i) (is_degraded tbl i)) tbl.keys
 
 (* One body for every strategy: a table per owner slot. [Modulo] and
    [Ring] give each shard its own slot and place keys by static
@@ -78,15 +185,19 @@ type entry = { path : int array option; degraded : bool }
 type t = {
   strategy : strategy;
   n : int;
-  is_shard : bool array;  (* static broker membership *)
-  down : bool array;
+  is_shard : Bytes.t;  (* per vertex: static broker membership *)
+  live : Bytes.t;  (* per vertex: a shard that is up *)
   mutable n_down : int;
   seed : int;
-  tables : (key, entry) Hashtbl.t array;  (* indexed by owner slot *)
+  tables : table array;  (* indexed by owner slot *)
   shard_ids : int array;  (* sorted distinct shard vertex ids *)
-  mutable live : int array;  (* sorted live shard slots *)
+  mutable live_slots : int array;  (* sorted live shard slots *)
   ring_pos : int array;  (* ring point positions, ascending; [Ring] only *)
   ring_slot : int array;  (* shard slot owning ring point i *)
+  (* [ring_first.(k)]: the first ring index whose position, shifted right
+     by [ring_shift], is at least [k]. A successor search starts there. *)
+  ring_first : int array;
+  ring_shift : int;
   mutable s_lookups : int;
   mutable s_hits : int;
   mutable s_served_degraded : int;
@@ -130,6 +241,24 @@ let ring_points ~seed ~vnodes shard_ids =
     points;
   (Array.map (fun (p, _, _) -> p) points, Array.map (fun (_, s, _) -> s) points)
 
+(* Bucket index over the top bits of the 62-bit ring positions: at least
+   as many buckets as points, so a successor search scans about one. *)
+let ring_buckets pos =
+  let len = Array.length pos in
+  let bits = ref 1 in
+  while 1 lsl !bits < len do
+    incr bits
+  done;
+  let shift = 62 - !bits in
+  let first = Array.make ((1 lsl !bits) + 1) len in
+  for i = len - 1 downto 0 do
+    first.(pos.(i) lsr shift) <- i
+  done;
+  for k = (1 lsl !bits) - 1 downto 0 do
+    first.(k) <- min first.(k) first.(k + 1)
+  done;
+  (first, shift)
+
 let create ?(strategy = Flush) ?(seed = 0) ~n ~shards () =
   (match strategy with
   | Ring { vnodes } when vnodes < 1 ->
@@ -143,30 +272,33 @@ let create ?(strategy = Flush) ?(seed = 0) ~n ~shards () =
   let shard_ids = List.sort_uniq Int.compare (Array.to_list shards) in
   let shard_ids = Array.of_list shard_ids in
   let nshards = Array.length shard_ids in
-  let is_shard = Array.make n false in
-  Array.iter (fun b -> is_shard.(b) <- true) shard_ids;
+  let is_shard = Bytes.make n '\000' in
+  Array.iter (fun b -> Bytes.set is_shard b '\001') shard_ids;
   let tables =
     match strategy with
-    | Flush -> [| Hashtbl.create 1024 |]
-    | Modulo | Ring _ -> Array.init nshards (fun _ -> Hashtbl.create 64)
+    | Flush -> [| table_create 1024 |]
+    | Modulo | Ring _ -> Array.init nshards (fun _ -> table_create 64)
   in
   let ring_pos, ring_slot =
     match strategy with
     | Ring { vnodes } -> ring_points ~seed ~vnodes shard_ids
     | Flush | Modulo -> ([||], [||])
   in
+  let ring_first, ring_shift = ring_buckets ring_pos in
   {
     strategy;
     n;
     is_shard;
-    down = Array.make n false;
+    live = Bytes.copy is_shard;
     n_down = 0;
     seed;
     tables;
     shard_ids;
-    live = Array.init nshards Fun.id;
+    live_slots = Array.init nshards Fun.id;
     ring_pos;
     ring_slot;
+    ring_first;
+    ring_shift;
     s_lookups = 0;
     s_hits = 0;
     s_served_degraded = 0;
@@ -176,48 +308,58 @@ let create ?(strategy = Flush) ?(seed = 0) ~n ~shards () =
     s_flushed = 0;
   }
 
-let size t = Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.tables
+let size t = Array.fold_left (fun acc tbl -> acc + tbl.count) 0 t.tables
+
+let[@inline] is_live t v = Bytes.get t.live v <> '\000'
+let[@inline] is_down t v = Bytes.get t.is_shard v <> '\000' && not (is_live t v)
 
 (* Every hop of a dominated path needs a live broker endpoint; a down
    broker keeps forwarding as a plain AS but stops dominating. *)
-let path_valid t p =
-  let live v = t.is_shard.(v) && not t.down.(v) in
-  let ok = ref true in
-  for i = 0 to Array.length p - 2 do
-    if not (live p.(i) || live p.(i + 1)) then ok := false
+let[@brokercheck.noalloc] path_valid t p =
+  let ok = ref true and i = ref 0 in
+  while !ok && !i < Array.length p - 1 do
+    if not (is_live t p.(!i) || is_live t p.(!i + 1)) then ok := false;
+    incr i
   done;
   !ok
 
-let rides_down t p = Array.exists (fun v -> t.is_shard.(v) && t.down.(v)) p
+let[@brokercheck.noalloc] rides_down t p =
+  let rides = ref false and i = ref 0 in
+  while (not !rides) && !i < Array.length p do
+    if is_down t p.(!i) then rides := true;
+    incr i
+  done;
+  !rides
 
-(* Smallest ring index with position >= h, wrapping past the top. *)
-let ring_successor t h =
+(* Smallest ring index with position >= h, wrapping past the top. Every
+   index before [ring_first.(h lsr ring_shift)] holds a position below
+   the bucket's floor, itself at most [h]. *)
+let[@brokercheck.noalloc] ring_successor t h =
   let pos = t.ring_pos in
   let len = Array.length pos in
-  let lo = ref 0 and hi = ref len in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if pos.(mid) >= h then hi := mid else lo := mid + 1
+  let i = ref t.ring_first.(h lsr t.ring_shift) in
+  while !i < len && pos.(!i) < h do
+    incr i
   done;
-  if !lo = len then 0 else !lo
+  if !i = len then 0 else !i
 
 (* The slot whose table holds the pair, -1 when no live shard can. *)
 let owner_slot t src dst =
   match t.strategy with
   | Flush -> 0
   | Modulo ->
-      let len = Array.length t.live in
-      if len = 0 then -1 else t.live.(hash2 ~seed:t.seed src dst mod len)
+      let len = Array.length t.live_slots in
+      if len = 0 then -1 else t.live_slots.(hash2 ~seed:t.seed src dst mod len)
   | Ring _ ->
       let len = Array.length t.ring_pos in
-      if len = 0 || Array.length t.live = 0 then -1
+      if len = 0 || Array.length t.live_slots = 0 then -1
       else begin
         let start = ring_successor t (hash2 ~seed:t.seed src dst) in
         let slot = ref (-1) in
         let i = ref 0 in
         while !slot < 0 && !i < len do
           let cand = t.ring_slot.((start + !i) mod len) in
-          if not t.down.(t.shard_ids.(cand)) then slot := cand;
+          if is_live t t.shard_ids.(cand) then slot := cand;
           incr i
         done;
         !slot
@@ -242,6 +384,14 @@ let recomputed t =
   t.s_recomputed <- t.s_recomputed + 1;
   Obs.Metrics.incr m_recomputed
 
+(* Compute the pair's path and store it at [i], [probe]'s index for
+   [key]: [compute] never touches the cache, so [i] still is. *)
+let recompute t ~compute tbl i key =
+  let p = compute () in
+  recomputed t;
+  store tbl i key p (t.n_down > 0);
+  p
+
 let find t ~compute src dst =
   t.s_lookups <- t.s_lookups + 1;
   let slot = owner_slot t src dst in
@@ -252,56 +402,36 @@ let find t ~compute src dst =
   end
   else begin
     let tbl = t.tables.(slot) in
-    let key = (src, dst) in
-    let store p =
-      Hashtbl.replace tbl key { path = p; degraded = t.n_down > 0 };
-      p
-    in
-    let recompute () =
-      let p = compute () in
-      recomputed t;
-      store p
-    in
-    match Hashtbl.find_opt tbl key with
-    | None -> recompute ()
-    | Some { path = Some p; _ } when not (path_valid t p) ->
-        (* Stale hit: the cached path lost a dominating broker. Lazy
-           repair — recompute under current liveness, which fails over
-           onto a live dominated path when one exists. *)
-        let p' = compute () in
-        (match p' with
-        | Some _ ->
-            t.s_repaired <- t.s_repaired + 1;
-            Obs.Metrics.incr m_repaired
-        | None -> recomputed t);
-        store p'
-    | Some e when e.degraded && t.n_down = 0 ->
-        (* Computed under an outage that has fully cleared: recompute once
-           so the cache converges back to the optimum. *)
-        recompute ()
-    | Some e ->
-        let rides = match e.path with Some p -> rides_down t p | None -> false in
-        if e.degraded || rides then served_degraded t else hit t;
-        e.path
+    let key = (src * t.n) + dst in
+    let i = probe tbl.keys key in
+    if tbl.keys.(i) < 0 then recompute t ~compute tbl i key
+    else
+      match tbl.paths.(i) with
+      | Some p when not (path_valid t p) ->
+          (* Stale hit: the cached path lost a dominating broker. Lazy
+             repair — recompute under current liveness, which fails over
+             onto a live dominated path when one exists. *)
+          let p' = compute () in
+          (match p' with
+          | Some _ ->
+              t.s_repaired <- t.s_repaired + 1;
+              Obs.Metrics.incr m_repaired
+          | None -> recomputed t);
+          set tbl i key p' (t.n_down > 0);
+          p'
+      | _ when is_degraded tbl i && t.n_down = 0 ->
+          (* Computed under an outage that has fully cleared: recompute once
+             so the cache converges back to the optimum. *)
+          recompute t ~compute tbl i key
+      | path ->
+          let rides = match path with Some p -> rides_down t p | None -> false in
+          if is_degraded tbl i || rides then served_degraded t else hit t;
+          path
   end
 
 let evict t count =
   t.s_evicted <- t.s_evicted + count;
   Obs.Metrics.add m_invalidated count
-
-(* Drop the entries of [tbl] that [doomed] picks, in one pass; returns
-   how many went. *)
-let drop tbl doomed =
-  let count = ref 0 in
-  Hashtbl.filter_map_inplace
-    (fun key e ->
-      if doomed key e then begin
-        incr count;
-        None
-      end
-      else Some e)
-    tbl;
-  !count
 
 (* After a membership change each shard sheds the keys it no longer owns
    (they would be unreachable garbage, and under sustained churn they
@@ -317,7 +447,7 @@ let drop tbl doomed =
 let compact t =
   Array.iteri
     (fun slot tbl ->
-      evict t (drop tbl (fun (src, dst) _ -> owner_slot t src dst <> slot)))
+      evict t (drop tbl (fun key _ _ -> owner_slot t (key / t.n) (key mod t.n) <> slot)))
     t.tables
 
 (* A topology change can reroute any pair, so every cached path is
@@ -326,26 +456,28 @@ let invalidate_all t =
   let count = size t in
   if count > 0 then begin
     evict t count;
-    Array.iter Hashtbl.reset t.tables
+    Array.iter clear t.tables
   end
 
-let live_slots t =
+let compute_live_slots t =
   List.filter
-    (fun slot -> not t.down.(t.shard_ids.(slot)))
+    (fun slot -> is_live t t.shard_ids.(slot))
     (List.init (Array.length t.shard_ids) Fun.id)
 
 (* Flip shard [b]'s liveness and rebuild the live view from the flags. *)
 let set_down t b down =
-  t.down.(b) <- down;
+  Bytes.set t.live b (if down then '\000' else '\001');
   t.n_down <- (t.n_down + if down then 1 else -1);
-  t.live <- Array.of_list (live_slots t)
+  t.live_slots <- Array.of_list (compute_live_slots t)
 
 let slot_of t b =
   let rec go slot = if t.shard_ids.(slot) = b then slot else go (slot + 1) in
   go 0
 
+let is_shard t b = b >= 0 && b < t.n && Bytes.get t.is_shard b <> '\000'
+
 let crash t b =
-  if b >= 0 && b < t.n && t.is_shard.(b) && not t.down.(b) then begin
+  if is_shard t b && is_live t b then begin
     set_down t b true;
     match t.strategy with
     | Flush ->
@@ -353,30 +485,30 @@ let crash t b =
            changed only at [b], so every survivor is still valid and
            [find] never repairs one. *)
         evict t
-          (drop t.tables.(0) (fun _ e ->
-               match e.path with
+          (drop t.tables.(0) (fun _ path _ ->
+               match path with
                | Some p -> Array.exists (Int.equal b) p
                | None -> false))
     | Modulo | Ring _ -> (
         (* The shard's own entries died with the broker; everything else
            survives and is validated lazily on hit. *)
         let tbl = t.tables.(slot_of t b) in
-        evict t (Hashtbl.length tbl);
-        Hashtbl.reset tbl;
+        evict t tbl.count;
+        clear tbl;
         match t.strategy with
         | Modulo -> compact t
         | Flush | Ring _ -> ())
   end
 
 let recover t b =
-  if b >= 0 && b < t.n && t.is_shard.(b) && t.down.(b) then begin
+  if is_shard t b && not (is_live t b) then begin
     set_down t b false;
     match t.strategy with
     | Flush ->
         (* Every recovery drops every entry computed under an outage: it
            may be suboptimal or spuriously [None]. So no degraded entry
            outlives the last outage, and [find]'s refresh never fires. *)
-        let count = drop t.tables.(0) (fun _ e -> e.degraded) in
+        let count = drop t.tables.(0) (fun _ _ degraded -> degraded) in
         t.s_flushed <- t.s_flushed + count;
         Obs.Metrics.add m_degraded_flushed count
     | Modulo | Ring _ -> compact t
@@ -386,34 +518,47 @@ let invariant_ok t =
   let slot_down slot =
     match t.strategy with
     | Flush -> false
-    | Modulo | Ring _ -> t.down.(t.shard_ids.(slot))
+    | Modulo | Ring _ -> not (is_live t t.shard_ids.(slot))
   in
   (* Each table holds only keys it currently owns; for [Flush] also the
      two facts that keep its repair and refresh branches dead: every path
-     is valid, and nothing is degraded while nothing is down. *)
-  let entry_ok slot (src, dst) e =
-    owner_slot t src dst = slot
+     is valid, and nothing is degraded while nothing is down. Each table
+     also holds [count] keys, each found by [probe] where it sits. *)
+  let entry_ok slot key path degraded =
+    owner_slot t (key / t.n) (key mod t.n) = slot
     &&
     match t.strategy with
     | Flush ->
-        (t.n_down > 0 || not e.degraded)
-        && Option.fold ~none:true ~some:(path_valid t) e.path
+        (t.n_down > 0 || not degraded)
+        && Option.fold ~none:true ~some:(path_valid t) path
     | Modulo | Ring _ -> true
   in
   let tables_ok = ref true in
   Array.iteri
     (fun slot tbl ->
-      if slot_down slot && Hashtbl.length tbl > 0 then tables_ok := false;
-      Hashtbl.iter
-        (fun key e -> if not (entry_ok slot key e) then tables_ok := false)
-        tbl)
+      if slot_down slot && tbl.count > 0 then tables_ok := false;
+      let seen = ref 0 in
+      Array.iteri
+        (fun i key ->
+          if key >= 0 then begin
+            incr seen;
+            if probe tbl.keys key <> i then tables_ok := false
+          end
+          else if Option.is_some tbl.paths.(i) || is_degraded tbl i then tables_ok := false)
+        tbl.keys;
+      if !seen <> tbl.count || 2 * tbl.count > Array.length tbl.keys then tables_ok := false;
+      table_iter tbl (fun key path degraded ->
+          if not (entry_ok slot key path degraded) then tables_ok := false))
     t.tables;
-  let live = live_slots t in
+  let live = compute_live_slots t in
   let ring_ok = ref true in
   for i = 0 to Array.length t.ring_pos - 2 do
     if t.ring_pos.(i) > t.ring_pos.(i + 1) then ring_ok := false
   done;
+  let n_down = ref 0 in
+  Array.iter (fun b -> if not (is_live t b) then incr n_down) t.shard_ids;
   !tables_ok
+  && t.n_down = !n_down
   && t.n_down = Array.length t.shard_ids - List.length live
-  && List.equal Int.equal (Array.to_list t.live) live
+  && List.equal Int.equal (Array.to_list t.live_slots) live
   && !ring_ok

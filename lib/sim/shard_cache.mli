@@ -35,9 +35,17 @@
     {!stats} (plain ints, always on) and mirrored as brokerscope counters
     ([sim.cache.*], active only when {!Broker_obs.Control.enabled}).
 
+    Each table is keyed by the int [src * n + dst] under open addressing
+    with linear probing, deletes by backward shift and is cleared in
+    place, so a hit allocates nothing and no crash or recovery rebuilds a
+    table. Liveness is one byte per vertex. A ring lookup starts from a
+    bucket index over the top bits of the ring position instead of a
+    binary search over every ring point.
+
     Determinism: key and ring-point placement hash through a seeded
     splitmix64 on the key ints — never [Hashtbl.hash] (brokercheck R9) —
-    so owners are reproducible across runs, processes and domain counts. *)
+    so owners are reproducible across runs, processes and domain counts.
+    No outcome depends on where an entry sits in its table. *)
 
 type strategy =
   | Flush  (** one table: evict riders on crash, degraded on recovery *)
@@ -84,8 +92,10 @@ val find :
 (** [find t ~compute src dst] is the cached dominated path for the pair,
     calling [compute] on a miss (or repair/refresh) and storing the
     result. [compute] must respect current liveness — it is the
-    [find_dominated_path] closure of the caller. [None] results (no
-    dominated path) are cached too. *)
+    [find_dominated_path] closure of the caller — and must not call back
+    into [t]. [None] results (no dominated path) are cached too. A caller
+    that looks up many pairs builds one [compute] that reads the pair
+    from its own state, rather than a closure per lookup. *)
 
 val crash : t -> int -> unit
 (** Shard [b] went down. {!Flush}: evict exactly the entries whose path
@@ -106,9 +116,10 @@ val recover : t -> int -> unit
     second time. No-op for an unknown or already-live shard. *)
 
 val invalidate_all : t -> unit
-(** Drop every cached entry under any strategy, counting them as evicted.
-    Liveness flags are untouched. This is the topology-update hammer: an
-    announce/withdraw can reroute any pair, so no cached path survives. *)
+(** Drop every cached entry under any strategy, counting them as evicted,
+    clearing each table in place (its capacity stays). Liveness flags are
+    untouched. This is the topology-update hammer: an announce/withdraw
+    can reroute any pair, so no cached path survives. *)
 
 val owner : t -> int -> int -> int option
 (** Current owning shard of the pair, [None] for {!Flush} or when no
@@ -123,8 +134,9 @@ val stats : t -> stats
 
 val invariant_ok : t -> bool [@@brokercheck.test_only]
 (** Internal consistency, for tests, over every table: each holds only
-    keys it currently owns, a down shard's table is empty, and the live
-    and ring views match the down flags. For {!Flush} also the two facts
+    keys it currently owns, every key sits where a probe for it lands,
+    the table counts its keys and is at most half full, a down shard's
+    table is empty, and the live and ring views match the down flags. For {!Flush} also the two facts
     that make its hits exact without repair: every cached path is valid
     under current liveness, and no entry is degraded while no broker is
     down. *)

@@ -107,9 +107,9 @@ type stats = {
   cache : Shard_cache.stats;
 }
 
-(* An admitted session's live reservation. [path_brokers] is mutated on
-   failover; [active] flips off at departure or mid-flight drop so a stale
-   departure event is a no-op. *)
+(* An admitted session's live reservation. [path_brokers] (broker
+   indices) is replaced on failover; [active] flips off at departure or
+   mid-flight drop so a stale departure event is a no-op. *)
 type live = {
   s : Workload.session;
   admitted_at : float;  (* admission instant; departs [duration] later *)
@@ -120,11 +120,12 @@ type live = {
 
 type ev =
   | Depart of live
-  | Fault of Faults.kind * int
+  | Fault of Faults.kind * int  (* broker index *)
   | Retry of Workload.session * int  (* next attempt number *)
   | Topo_update of Topo_stream.op  (* delivered announce/withdraw *)
 
 type block_reason = No_path | Capacity | Shed
+type reserved = Reserved | Blocked of block_reason
 
 (* What an absent [?chaos] / [?topo] means, literally: no faults, no
    retries, no breaker, chaos seed 0 (so the cache and jitter seeds are
@@ -139,6 +140,21 @@ let no_churn =
 (* [not (x >= 0.0)] also catches NaN. *)
 let check_nonneg what x =
   if not (x >= 0.0) then invalid_arg ("Simulator.run: " ^ what ^ " must be >= 0")
+
+(* Every event time must be finite: a NaN one compares false with every
+   other and blocks the event queue behind it, and an infinite one
+   stretches the horizon to infinity, where the utilization integral
+   reads NaN. *)
+let check_time what x =
+  if Float.is_nan x then invalid_arg ("Simulator.run: " ^ what ^ " is NaN");
+  if Float.abs x = infinity then invalid_arg ("Simulator.run: " ^ what ^ " is infinite")
+
+(* A propagation delay is added to every update's origin time, so it must
+   be finite too, and a negative one would deliver an update before it
+   happened. *)
+let check_delay what x =
+  if not (x >= 0.0 && x < infinity) then
+    invalid_arg ("Simulator.run: " ^ what ^ " must be finite and >= 0")
 
 let validate ~n ~brokers ~sessions ~chaos ~churn ~stats_window config =
   check_nonneg "price" config.price;
@@ -159,49 +175,82 @@ let validate ~n ~brokers ~sessions ~chaos ~churn ~stats_window config =
   check_nonneg "retry base_delay" r.base_delay;
   check_nonneg "retry multiplier" r.multiplier;
   check_nonneg "retry jitter" r.jitter;
+  (* An infinite one would schedule a retry at t = infinity (see
+     [check_time]). *)
+  List.iter
+    (fun (what, x) ->
+      if x = infinity then invalid_arg ("Simulator.run: retry " ^ what ^ " must be finite"))
+    [ ("base_delay", r.base_delay); ("multiplier", r.multiplier); ("jitter", r.jitter) ];
   Option.iter
     (fun bp ->
       check_nonneg "breaker high_water" bp.high_water;
       check_nonneg "breaker trip_after" bp.trip_after;
       check_nonneg "breaker cooldown" bp.cooldown)
     chaos.breaker;
-  (* A NaN-stamped event would never come due. *)
   Array.iter
     (fun (e : Faults.event) ->
-      if Float.is_nan e.Faults.time then invalid_arg "Simulator.run: fault time is NaN")
+      if e.Faults.broker < 0 || e.Faults.broker >= n then
+        invalid_arg "Simulator.run: fault broker id out of range";
+      check_time "fault time" e.Faults.time)
     chaos.faults;
+  (match churn.propagation with
+  | Topo_stream.Centralized { delay } -> check_delay "Centralized delay" delay
+  | Topo_stream.Bgp_like { base; per_hop } ->
+      check_delay "Bgp_like base" base;
+      check_delay "Bgp_like per_hop" per_hop);
   Array.iter
     (fun (e : Topo_stream.event) ->
       let u, v = Topo_stream.op_endpoints e.Topo_stream.op in
       if u < 0 || u >= n || v < 0 || v >= n then
         invalid_arg "Simulator.run: topo update endpoint out of range";
-      if Float.is_nan e.Topo_stream.time then
-        invalid_arg "Simulator.run: topo update time is NaN")
+      check_time "topo update time" e.Topo_stream.time)
     churn.updates;
-  for i = 1 to Array.length sessions - 1 do
-    if not (sessions.(i).Workload.arrival >= sessions.(i - 1).Workload.arrival) then
-      invalid_arg "Simulator.run: sessions not sorted by arrival"
-  done
+  Array.iteri
+    (fun i (s : Workload.session) ->
+      check_time "session arrival" s.Workload.arrival;
+      check_time "session duration" s.Workload.duration;
+      if i > 0 && not (s.Workload.arrival >= sessions.(i - 1).Workload.arrival) then
+        invalid_arg "Simulator.run: sessions not sorted by arrival")
+    sessions
+
+(* The run's float sums, in a record of floats alone: OCaml stores its
+   fields flat, so writing one allocates nothing. *)
+type sums = {
+  mutable horizon : float;  (* latest arrival or event served, >= 0 *)
+  mutable downtime : float;
+  mutable revenue : float;
+  mutable revenue_lost : float;
+}
 
 (* Everything one run mutates. Handlers below take it explicitly; [run]
-   is validate → build the state → one event loop → finalize. *)
+   is validate → build the state → one event loop → finalize.
+
+   The brokers are numbered 0 .. nb-1 in ascending vertex id ([bids]),
+   and [bidx] maps a vertex to its broker index, -1 for a non-broker. All
+   accounting lives in arrays over that index, so a run allocates per
+   broker, not per vertex, apart from [bidx] and the [live] bytes. *)
 type state = {
   config : config;
   chaos : chaos;
-  is_broker : int -> bool;
   jitter_rng : X.t;
   tl_on : bool;  (* [?stats_window] given: fill the timelines *)
-  (* Broker liveness: a down-counter per vertex (correlated scenarios can
-     crash an already-down broker); a down broker stops being a broker —
-     it neither dominates edges nor carries reservations — but keeps
-     forwarding as a plain AS, mirroring Broker_core.Resilience. *)
+  bids : int array;
+  bidx : int array;
+  (* Per vertex, [\001] for a broker that is up: a down broker stops
+     being a broker — it neither dominates edges nor carries
+     reservations — but keeps forwarding as a plain AS, mirroring
+     Broker_core.Resilience. The path search and the broker filter read
+     it. *)
+  live : Bytes.t;
+  is_live : int -> bool;  (* reads [live]; the search's predicate *)
+  capacity : float array;  (* [config.capacity_of], read once *)
+  (* Outage depth (correlated scenarios can crash an already-down
+     broker) and the start of the current outage. *)
   down : int array;
   down_since : float array;
   mutable total_down : int;
-  mutable downtime : float;
-  (* Per-broker capacity accounting with lazy time-integrated usage,
-     indexed by vertex; [last_change] is [nan] until a broker is first
-     touched. *)
+  (* Capacity accounting with lazy time-integrated usage; [last_change]
+     is [nan] until a broker is first touched. *)
   used : float array;
   area : float array;
   last_change : float array;
@@ -209,17 +258,29 @@ type state = {
      continuously at or above the high-water mark. Empty without one. *)
   above_since : float array;
   tripped_until : float array;
+  (* The sessions riding each broker, newest first. A departure or a
+     failover leaves its entries behind; a list is pruned to its active
+     riders when it doubles, and a crash takes the whole list. *)
+  riders : live list array;
+  rider_count : int array;
+  prune_at : int array;
   (* Hop-shortest dominated path per distinct pair, cached under the
      current liveness; the policy lives in {!Shard_cache}, the simulator
-     only reports liveness transitions to it. *)
+     only reports liveness transitions to it. [compute] is the cache's
+     miss closure, built once: it searches from [q_src] to [q_dst]. *)
   pcache : Shard_cache.t;
+  compute : unit -> int array option;
+  mutable q_src : int;
+  mutable q_dst : int;
   (* The routed topology: a delta overlay over the base CSR, built at the
      first delivered update. Until then [view] is the zero-copy base. *)
   delta : Broker_graph.Delta.t Lazy.t;
   mutable view : Broker_graph.View.t;
   events : ev Event_queue.t;
-  in_flight_tbl : (int, live) Hashtbl.t;
-  mutable horizon : float;  (* latest arrival or event served, >= 0 *)
+  (* What the last successful {!reserve} booked. *)
+  mutable r_path : int array;
+  mutable r_brokers : int array;
+  sums : sums;
   (* Tallies behind {!stats}. *)
   mutable offered : int;
   mutable admitted : int;
@@ -231,13 +292,21 @@ type state = {
   mutable employee_hops_total : int;
   mutable in_flight : int;
   mutable peak_in_flight : int;
-  mutable revenue : float;
-  mutable revenue_lost : float;
   mutable failed_over : int;
   mutable dropped_midflight : int;
   mutable topo_applied : int;
   mutable topo_ignored : int;
 }
+
+let[@inline] is_broker_live st v = Bytes.get st.live v <> '\000'
+
+let search st =
+  match
+    Broker_core.Dominating.find_dominated_path_view st.view ~is_broker:st.is_live st.q_src
+      st.q_dst
+  with
+  | [||] -> None
+  | path -> Some path
 
 let init ~(chaos : chaos) ~churn ~cache ~stats_window g ~brokers config =
   let n = G.n g in
@@ -246,8 +315,13 @@ let init ~(chaos : chaos) ~churn ~cache ~stats_window g ~brokers config =
   Option.iter
     (fun w -> List.iter (Obs.Timeseries.restart ~window:w) timeline_series)
     stats_window;
-  let breaker_n = if Option.is_none chaos.breaker then 0 else n in
-  let is_broker = Broker_core.Connectivity.of_brokers ~n brokers in
+  let bids = Array.of_list (List.sort_uniq Int.compare (Array.to_list brokers)) in
+  let nb = Array.length bids in
+  let bidx = Array.make n (-1) in
+  Array.iteri (fun i b -> bidx.(b) <- i) bids;
+  let live = Bytes.make n '\000' in
+  Array.iter (fun b -> Bytes.set live b '\001') bids;
+  let breaker_n = if Option.is_none chaos.breaker then 0 else nb in
   let pcache =
     Shard_cache.create ~strategy:cache ~seed:(0x5A4D lxor chaos.chaos_seed) ~n
       ~shards:brokers ()
@@ -259,9 +333,8 @@ let init ~(chaos : chaos) ~churn ~cache ~stats_window g ~brokers config =
      for vertices outside the broker set are ignored. *)
   Array.iter
     (fun (e : Faults.event) ->
-      if is_broker e.Faults.broker then
-        Event_queue.add events ~time:e.Faults.time
-          (Fault (e.Faults.kind, e.Faults.broker)))
+      let bi = bidx.(e.Faults.broker) in
+      if bi >= 0 then Event_queue.add events ~time:e.Faults.time (Fault (e.Faults.kind, bi)))
     chaos.faults;
   (* Topology updates enter at their *delivery* time under the selected
      propagation model — centralized feed or hop-by-hop BGP-like crawl
@@ -272,41 +345,52 @@ let init ~(chaos : chaos) ~churn ~cache ~stats_window g ~brokers config =
     (fun (e : Topo_stream.event) ->
       Event_queue.add events ~time:e.Topo_stream.time (Topo_update e.Topo_stream.op))
     (Topo_stream.schedule g ~brokers churn.propagation churn.updates);
-  {
-    config;
-    chaos;
-    is_broker;
-    jitter_rng = X.create (0x5EED lxor chaos.chaos_seed);
-    tl_on = Option.is_some stats_window;
-    down = Array.make n 0;
-    down_since = Array.make n 0.0;
-    total_down = 0;
-    downtime = 0.0;
-    used = Array.make n 0.0;
-    area = Array.make n 0.0;
-    last_change = Array.make n nan;
-    above_since = Array.make breaker_n nan;
-    tripped_until = Array.make breaker_n neg_infinity;
-    pcache;
-    delta = lazy (Broker_graph.Delta.create g);
-    view = Broker_graph.View.of_graph g;
-    events;
-    in_flight_tbl = Hashtbl.create 256;
-    horizon = 0.0;
-    offered = 0; admitted = 0; rejected_no_path = 0; rejected_capacity = 0;
-    rejected_shed = 0; hops_total = 0; employee_hops_total = 0; in_flight = 0;
-    peak_in_flight = 0; revenue = 0.0; failed_over = 0; dropped_midflight = 0;
-    retried_admitted = 0; revenue_lost = 0.0; topo_applied = 0; topo_ignored = 0;
-  }
+  let rec st =
+    {
+      config;
+      chaos;
+      jitter_rng = X.create (0x5EED lxor chaos.chaos_seed);
+      tl_on = Option.is_some stats_window;
+      bids;
+      bidx;
+      live;
+      is_live = (fun v -> Bytes.get live v <> '\000');
+      capacity = Array.map config.capacity_of bids;
+      down = Array.make nb 0;
+      down_since = Array.make nb 0.0;
+      total_down = 0;
+      used = Array.make nb 0.0;
+      area = Array.make nb 0.0;
+      last_change = Array.make nb nan;
+      above_since = Array.make breaker_n nan;
+      tripped_until = Array.make breaker_n neg_infinity;
+      riders = Array.make nb [];
+      rider_count = Array.make nb 0;
+      prune_at = Array.make nb 16;
+      pcache;
+      compute = (fun () -> search st);
+      q_src = 0;
+      q_dst = 0;
+      delta = lazy (Broker_graph.Delta.create g);
+      view = Broker_graph.View.of_graph g;
+      events;
+      r_path = [||];
+      r_brokers = [||];
+      sums = { horizon = 0.0; downtime = 0.0; revenue = 0.0; revenue_lost = 0.0 };
+      offered = 0; admitted = 0; rejected_no_path = 0; rejected_capacity = 0;
+      rejected_shed = 0; hops_total = 0; employee_hops_total = 0; in_flight = 0;
+      peak_in_flight = 0; failed_over = 0; dropped_midflight = 0;
+      retried_admitted = 0; topo_applied = 0; topo_ignored = 0;
+    }
+  in
+  st
 
 (* Timeline probes, gated on [?stats_window]: a window tally, and a
    latency sample of [t - since] in sim-time micro-units. *)
-let tl_add st ts t = if st.tl_on then Obs.Timeseries.add ts ~time:t 1
+let[@inline] tl_add st ts t = if st.tl_on then Obs.Timeseries.add ts ~time:t 1
 
 let tl_latency st ts t ~since =
   if st.tl_on then Obs.Timeseries.observe ts ~time:t (Obs.Timeseries.to_fp (t -. since))
-
-let is_broker_live st v = st.is_broker v && st.down.(v) = 0
 
 (* A never-touched broker has held nothing, so it has no area to add. *)
 let touch st b t =
@@ -318,7 +402,7 @@ let update_water st b t =
   match st.chaos.breaker with
   | None -> ()
   | Some bp ->
-      let cap = st.config.capacity_of b in
+      let cap = st.capacity.(b) in
       if cap > 0.0 then
         if not (st.used.(b) /. cap >= bp.high_water) then st.above_since.(b) <- nan
         else if Float.is_nan st.above_since.(b) then st.above_since.(b) <- t
@@ -347,50 +431,113 @@ let shedding st b t =
 
 let path_for st t src dst =
   tl_add st ts_lookups t;
-  Shard_cache.find st.pcache
-    ~compute:(fun () ->
+  st.q_src <- src;
+  st.q_dst <- dst;
+  let compute =
+    if st.tl_on then (fun () ->
       tl_add st ts_recomputes t;
-      match
-        Broker_core.Dominating.find_dominated_path_view st.view
-          ~is_broker:(is_broker_live st) src dst
-      with
-      | [||] -> None
-      | path -> Some path)
-    src dst
+      st.compute ())
+    else st.compute
+  in
+  Shard_cache.find st.pcache ~compute src dst
 
-(* Single-pass broker filter over a path (no list round-trip). *)
-let filter_live_brokers st path =
-  let out = Array.make (Array.length path) 0 and k = ref 0 in
-  Array.iter
-    (fun v -> if is_broker_live st v then (out.(!k) <- v; incr k))
-    path;
-  Array.sub out 0 !k
+(* The broker indices of the live brokers on [path], in path order, in
+   an array of exact size. *)
+let live_brokers st path =
+  let k = ref 0 in
+  for i = 0 to Array.length path - 1 do
+    if is_broker_live st path.(i) then incr k
+  done;
+  let out = Array.make !k 0 in
+  let j = ref 0 in
+  for i = 0 to Array.length path - 1 do
+    let v = path.(i) in
+    if is_broker_live st v then begin
+      out.(!j) <- st.bidx.(v);
+      incr j
+    end
+  done;
+  out
+
+(* Whether any of [pbs] sheds: stops at the first that does, since
+   tripping a breaker has effects. *)
+let sheds st pbs t =
+  let any = ref false and i = ref 0 in
+  while (not !any) && !i < Array.length pbs do
+    if shedding st pbs.(!i) t then any := true;
+    incr i
+  done;
+  !any
+
+let fits st pbs demand =
+  let all = ref true and i = ref 0 in
+  while !all && !i < Array.length pbs do
+    let b = pbs.(!i) in
+    if not (st.used.(b) +. demand <= st.capacity.(b) +. 1e-9) then all := false;
+    incr i
+  done;
+  !all
 
 (* The one way capacity is taken, for admission and failover alike:
    dominated path under current liveness → its live brokers → breaker
-   (admission only) → capacity → book [demand] on each of them. *)
+   (admission only) → capacity → book [demand] on each of them, leaving
+   the path and its brokers in [r_path] and [r_brokers]. *)
 let reserve st t (s : Workload.session) ~shed =
   match path_for st t s.Workload.src s.Workload.dst with
-  | None -> Error No_path
+  | None -> Blocked No_path
   | Some path ->
-      let pbs = filter_live_brokers st path in
+      let pbs = live_brokers st path in
       let demand = s.Workload.demand in
-      let fits b = st.used.(b) +. demand <= st.config.capacity_of b +. 1e-9 in
-      if shed && Array.exists (fun b -> shedding st b t) pbs then Error Shed
-      else if not (Array.for_all fits pbs) then Error Capacity
+      if shed && sheds st pbs t then Blocked Shed
+      else if not (fits st pbs demand) then Blocked Capacity
       else begin
-        Array.iter (fun b -> adjust st b t demand) pbs;
-        Ok (path, pbs)
+        for i = 0 to Array.length pbs - 1 do
+          adjust st pbs.(i) t demand
+        done;
+        st.r_path <- path;
+        st.r_brokers <- pbs;
+        Reserved
       end
 
 (* The one way capacity is given back. *)
 let release st l t =
-  Array.iter (fun b -> adjust st b t (-.l.s.Workload.demand)) l.path_brokers
+  let pbs = l.path_brokers in
+  for i = 0 to Array.length pbs - 1 do
+    adjust st pbs.(i) t (-.l.s.Workload.demand)
+  done
+
+let rides b l = l.active && Array.exists (Int.equal b) l.path_brokers
+
+(* Put [l] on the rider lists of its brokers, pruning a list that has
+   doubled since its last pruning back to the sessions that ride it. *)
+let board st l =
+  let pbs = l.path_brokers in
+  for i = 0 to Array.length pbs - 1 do
+    let b = pbs.(i) in
+    st.riders.(b) <- l :: st.riders.(b);
+    let count = st.rider_count.(b) + 1 in
+    if count < st.prune_at.(b) then st.rider_count.(b) <- count
+    else begin
+      let kept = List.filter (rides b) st.riders.(b) in
+      let count = List.length kept in
+      st.riders.(b) <- kept;
+      st.rider_count.(b) <- count;
+      st.prune_at.(b) <- max 16 (2 * count)
+    end
+  done
+
+(* The in-flight sessions riding [b], in session-id order, and [b]'s list
+   emptied. A session that failed over away from [b] and back is listed
+   twice. *)
+let take_riders st b =
+  let riders = List.filter (rides b) st.riders.(b) in
+  st.riders.(b) <- [];
+  st.rider_count.(b) <- 0;
+  List.stable_sort (fun a b -> Int.compare a.s.Workload.id b.s.Workload.id) riders
 
 (* Take a session out of flight: its pending departure becomes a no-op. *)
 let retire st l =
   l.active <- false;
-  Hashtbl.remove st.in_flight_tbl l.s.Workload.id;
   st.in_flight <- st.in_flight - 1
 
 let blocked st (s : Workload.session) t ~attempt ~reason =
@@ -423,8 +570,9 @@ let blocked st (s : Workload.session) t ~attempt ~reason =
 
 let admit st (s : Workload.session) t ~attempt =
   match reserve st t s ~shed:true with
-  | Error reason -> blocked st s t ~attempt ~reason
-  | Ok (path, path_brokers) ->
+  | Blocked reason -> blocked st s t ~attempt ~reason
+  | Reserved ->
+      let path = st.r_path in
       st.admitted <- st.admitted + 1;
       if attempt > 0 then st.retried_admitted <- st.retried_admitted + 1;
       st.in_flight <- st.in_flight + 1;
@@ -441,7 +589,7 @@ let admit st (s : Workload.session) t ~attempt =
         (2.0 *. st.config.price *. dt)
         -. (st.config.employee_cost *. float_of_int (2 * !employees) *. dt)
       in
-      st.revenue <- st.revenue +. net;
+      st.sums.revenue <- st.sums.revenue +. net;
       tl_add st ts_admitted t;
       tl_latency st ts_queue_wait t ~since:s.Workload.arrival;
       tl_latency st ts_admission t ~since:s.Workload.arrival;
@@ -452,19 +600,20 @@ let admit st (s : Workload.session) t ~attempt =
           rev_rate =
             (if s.Workload.duration > 0.0 then net /. s.Workload.duration
              else 0.0);
-          path_brokers;
+          path_brokers = st.r_brokers;
           active = true;
         }
       in
-      Hashtbl.replace st.in_flight_tbl s.Workload.id l;
+      board st l;
       Event_queue.add st.events ~time:(t +. s.Workload.duration) (Depart l)
 
 (* One handler per event kind; [drain] dispatches on the kind. *)
 
 let on_arrive st (s : Workload.session) =
-  st.horizon <- Float.max st.horizon s.Workload.arrival;
+  let t = s.Workload.arrival in
+  if t > st.sums.horizon then st.sums.horizon <- t;
   st.offered <- st.offered + 1;
-  admit st s s.Workload.arrival ~attempt:0
+  admit st s t ~attempt:0
 
 let on_retry st s t ~attempt =
   Obs.Metrics.incr m_ev_retry;
@@ -481,55 +630,57 @@ let on_depart st l t =
     tl_latency st ts_e2e t ~since:l.s.Workload.arrival
   end
 
+(* A session riding a broker that just crashed: release the whole old
+   reservation, then try an alternate B-dominated path that avoids every
+   down broker. Either way it stops riding the crashed broker. *)
+let fail_over st l t =
+  release st l t;
+  match
+    if st.chaos.failover then reserve st t l.s ~shed:false
+    else Blocked No_path (* failover off: no alternate is sought *)
+  with
+  | Reserved ->
+      l.path_brokers <- st.r_brokers;
+      board st l;
+      st.failed_over <- st.failed_over + 1;
+      Obs.Metrics.incr m_failovers;
+      (* Time-to-failover: how long the session had been in flight when
+         the crash forced it onto an alternate path. *)
+      tl_latency st ts_failover t ~since:l.admitted_at
+  | Blocked _ ->
+      (* Killed mid-flight: the unserved remainder of its revenue is
+         refunded. *)
+      Obs.Metrics.incr m_drops;
+      retire st l;
+      st.dropped_midflight <- st.dropped_midflight + 1;
+      let depart = l.admitted_at +. l.s.Workload.duration in
+      let lost = l.rev_rate *. (depart -. t) in
+      st.sums.revenue <- st.sums.revenue -. lost;
+      st.sums.revenue_lost <- st.sums.revenue_lost +. lost
+
 let on_crash st b t =
   Obs.Metrics.incr m_ev_fault;
   st.down.(b) <- st.down.(b) + 1;
   if st.down.(b) = 1 then begin
+    let v = st.bids.(b) in
+    Bytes.set st.live v '\000';
     st.total_down <- st.total_down + 1;
     st.down_since.(b) <- t;
-    Shard_cache.crash st.pcache b;
-    (* In-flight sessions riding b, in session-id order (deterministic). *)
-    let rides l = Array.exists (fun pb -> pb = b) l.path_brokers in
-    let affected =
-      Hashtbl.to_seq_values st.in_flight_tbl |> Seq.filter rides |> List.of_seq
-      |> List.sort (fun a b -> Int.compare a.s.Workload.id b.s.Workload.id)
-    in
-    List.iter
-      (fun l ->
-        (* Release the whole old reservation, then try an alternate
-           B-dominated path that avoids every down broker. *)
-        release st l t;
-        match
-          if st.chaos.failover then reserve st t l.s ~shed:false
-          else Error No_path (* failover off: no alternate is sought *)
-        with
-        | Ok (_, pbs) ->
-            l.path_brokers <- pbs;
-            st.failed_over <- st.failed_over + 1;
-            Obs.Metrics.incr m_failovers;
-            (* Time-to-failover: how long the session had been in flight
-               when the crash forced it onto an alternate path. *)
-            tl_latency st ts_failover t ~since:l.admitted_at
-        | Error _ ->
-            (* Killed mid-flight: the unserved remainder of its revenue is
-               refunded. *)
-            Obs.Metrics.incr m_drops;
-            retire st l;
-            st.dropped_midflight <- st.dropped_midflight + 1;
-            let depart = l.admitted_at +. l.s.Workload.duration in
-            let lost = l.rev_rate *. (depart -. t) in
-            st.revenue <- st.revenue -. lost;
-            st.revenue_lost <- st.revenue_lost +. lost)
-      affected
+    Shard_cache.crash st.pcache v;
+    (* In session-id order; a second copy of a session no longer rides
+       [b] once the first was served. *)
+    List.iter (fun l -> if rides b l then fail_over st l t) (take_riders st b)
   end
 
 let on_recover st b t =
   Obs.Metrics.incr m_ev_fault;
   (* Only the last of overlapping outages brings the broker back. *)
   if st.down.(b) = 1 then begin
+    let v = st.bids.(b) in
+    Bytes.set st.live v '\001';
     st.total_down <- st.total_down - 1;
-    st.downtime <- st.downtime +. (t -. st.down_since.(b));
-    Shard_cache.recover st.pcache b
+    st.sums.downtime <- st.sums.downtime +. (t -. st.down_since.(b));
+    Shard_cache.recover st.pcache v
   end;
   st.down.(b) <- max 0 (st.down.(b) - 1)
 
@@ -557,10 +708,12 @@ let on_topo_update st op =
 (* The event loop: serve every queued event due at or before [until] in
    time order (FIFO on ties), stretching the horizon to the last one. *)
 let rec drain st ~until =
-  match Event_queue.peek_time st.events with
-  | Some t when t <= until ->
-      let _, ev = Option.get (Event_queue.pop st.events) in
-      st.horizon <- Float.max st.horizon t;
+  let q = st.events in
+  if Event_queue.length q > 0 then begin
+    let t = Event_queue.min_time q in
+    if t <= until then begin
+      let ev = Event_queue.take q in
+      if t > st.sums.horizon then st.sums.horizon <- t;
       (match ev with
       | Depart l -> on_depart st l t
       | Fault (Faults.Crash, b) -> on_crash st b t
@@ -568,7 +721,8 @@ let rec drain st ~until =
       | Retry (s, attempt) -> on_retry st s t ~attempt
       | Topo_update op -> on_topo_update st op);
       drain st ~until
-  | Some _ | None -> ()
+    end
+  end
 
 (* Close the downtime and utilization integrals at the horizon. *)
 let finalize st ~brokers : stats =
@@ -577,23 +731,25 @@ let finalize st ~brokers : stats =
   (* Close the timelines: the trailing still-open windows become
      Perfetto counter samples when the trace ring is armed. *)
   if st.tl_on then List.iter Obs.Timeseries.flush timeline_series;
-  let horizon = st.horizon in
+  let horizon = st.sums.horizon in
+  (* Downtime adds up in [brokers] order, each broker once. *)
   Array.iter
-    (fun b ->
+    (fun v ->
+      let b = st.bidx.(v) in
       if st.down.(b) > 0 then begin
-        st.downtime <- st.downtime +. (horizon -. st.down_since.(b));
+        st.sums.downtime <- st.sums.downtime +. (horizon -. st.down_since.(b));
         st.down.(b) <- 0
       end)
     brokers;
   (* Mean over the brokers that ever carried a reservation, summed in
-     increasing vertex id. *)
+     increasing vertex id, which is broker index order. *)
   let mean_utilization =
     let sum = ref 0.0 and count = ref 0 in
     Array.iteri
       (fun b lu ->
         if not (Float.is_nan lu) then begin
           touch st b horizon;
-          let cap = st.config.capacity_of b in
+          let cap = st.capacity.(b) in
           if cap > 0.0 && horizon > 0.0 then begin
             sum := !sum +. (st.area.(b) /. (cap *. horizon));
             incr count
@@ -614,16 +770,16 @@ let finalize st ~brokers : stats =
     employee_hop_fraction = ratio st.employee_hops_total st.hops_total;
     peak_in_flight = st.peak_in_flight;
     mean_broker_utilization = mean_utilization;
-    revenue = st.revenue;
+    revenue = st.sums.revenue;
     failed_over = st.failed_over;
     dropped_midflight = st.dropped_midflight;
     retried_admitted = st.retried_admitted;
-    broker_downtime = st.downtime;
-    revenue_lost = st.revenue_lost;
+    broker_downtime = st.sums.downtime;
+    revenue_lost = st.sums.revenue_lost;
     availability =
       (let n_brokers = float_of_int (Array.length brokers) in
        if n_brokers = 0.0 || horizon <= 0.0 then 1.0
-       else Float.max 0.0 (1.0 -. (st.downtime /. (n_brokers *. horizon))));
+       else Float.max 0.0 (1.0 -. (st.sums.downtime /. (n_brokers *. horizon))));
     topo_applied = st.topo_applied;
     topo_ignored = st.topo_ignored;
     cache = Shard_cache.stats st.pcache;

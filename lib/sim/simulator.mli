@@ -16,9 +16,14 @@
     keeps its hits from ever needing repair). Brokers earn
     [2·price·demand·duration] per admitted session (both endpoints pay,
     as in Fig. 6) and pay [employee_cost] per non-broker transit hop
-    used. Per-broker usage, its time integral and the last change time
-    live in float arrays indexed by vertex; the mean utilization sums the
-    brokers that ever carried a reservation in increasing vertex id.
+    used. The brokers are numbered in ascending vertex id, and their
+    outage depth, usage, its time integral, last change time, capacity
+    and breaker state live in arrays under that number, reached through
+    one vertex → broker-index array per run; so a run allocates per
+    broker and per session, plus that index and one liveness byte per
+    vertex. The mean utilization sums the brokers that ever carried a
+    reservation in increasing vertex id; open outages close into the
+    downtime in [brokers] order.
 
     Every run is one event-driven loop — arrivals, departures, failures,
     recoveries, retries and topology updates merged through one
@@ -42,7 +47,9 @@
     a run without [?topo] equals one with an empty stream. *)
 
 type config = {
-  capacity_of : int -> float;  (** per-broker capacity in demand units *)
+  capacity_of : int -> float;
+      (** per-broker capacity in demand units; [run] reads it once per
+          broker *)
   price : float;  (** per unit demand-time charged at each end *)
   employee_cost : float;  (** per employee hop, per unit demand-time *)
 }
@@ -83,7 +90,10 @@ type chaos = {
   failover : bool;
       (** when a broker crashes, try to move its in-flight sessions onto an
           alternate dominated path avoiding every down broker (the X7
-          ablation switch) *)
+          ablation switch). They are served in session-id order, whatever
+          order they were admitted in (retries admit out of id order), so
+          ids should be distinct; each session that cannot move is
+          dropped. *)
   retry : retry_policy;
   breaker : breaker_policy option;
       (** admission-side circuit breaker; failover placement is exempt *)
@@ -202,9 +212,13 @@ val run :
     every golden are byte-identical with or without it; with the
     option absent no series is touched at all.
     @raise Invalid_argument on out-of-order arrivals, negative [price],
-    [employee_cost] or [capacity_of], an out-of-range broker or topology
-    update endpoint, a NaN fault or update time, a negative
-    [max_attempts], a NaN or negative retry [base_delay]/[multiplier]/
-    [jitter] or breaker [high_water]/[trip_after]/[cooldown], an invalid
-    cache strategy ([Ring] with [vnodes < 1]), or a non-positive
-    [stats_window]. *)
+    [employee_cost] or [capacity_of], an out-of-range broker, fault
+    broker or topology update endpoint, a NaN or infinite session
+    arrival or duration, fault time or update time (a NaN time would
+    block the event queue, an infinite one stretch the horizon to
+    infinity), a NaN, negative or infinite propagation [delay], [base] or
+    [per_hop] (each update's delivery time adds it), a negative
+    [max_attempts], a NaN, negative or infinite retry
+    [base_delay]/[multiplier]/[jitter], a NaN or negative breaker
+    [high_water]/[trip_after]/[cooldown], an invalid cache strategy
+    ([Ring] with [vnodes < 1]), or a non-positive [stats_window]. *)

@@ -1,4 +1,8 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3 as four little-endian words of one
+   32-byte buffer. [Bytes.get_int64_le]/[set_int64_le] read and write
+   them unboxed, so a draw that [bits64] is inlined into allocates
+   nothing; [int64] record fields would box on every write. *)
+type t = Bytes.t
 
 let splitmix64_next state =
   let open Int64 in
@@ -10,24 +14,30 @@ let splitmix64_next state =
 
 let create seed =
   let st = ref (Int64.of_int seed) in
-  let s0 = splitmix64_next st in
-  let s1 = splitmix64_next st in
-  let s2 = splitmix64_next st in
-  let s3 = splitmix64_next st in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    Bytes.set_int64_le t (8 * i) (splitmix64_next st)
+  done;
+  t
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_le t 0 and s1 = Bytes.get_int64_le t 8 in
+  let s2 = Bytes.get_int64_le t 16 and s3 = Bytes.get_int64_le t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  let s2 = logxor s2 tmp in
+  let s3 = rotl s3 45 in
+  Bytes.set_int64_le t 0 s0;
+  Bytes.set_int64_le t 8 s1;
+  Bytes.set_int64_le t 16 s2;
+  Bytes.set_int64_le t 24 s3;
   result
 
 let split t =
@@ -35,22 +45,20 @@ let split t =
   create (seed lxor 0x5851F42D)
 
 (* Non-negative 62-bit int from the top bits, avoiding sign issues. *)
-let bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+let[@inline] bits t = Int64.to_int (Int64.shift_right_logical (bits64 t) 2)
+
+(* Rejection sampling to avoid modulo bias: draws below [lim], a
+   multiple of [bound], are uniform modulo [bound]. *)
+let rec below t bound lim =
+  let v = bits t in
+  if v < lim then v mod bound else below t bound lim
 
 let int t bound =
   if bound <= 0 then invalid_arg "Xrandom.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
   let mask = bound - 1 in
-  if bound land mask = 0 then bits t land mask
-  else
-    let lim = (max_int / bound) * bound in
-    let rec loop () =
-      let v = bits t in
-      if v < lim then v mod bound else loop ()
-    in
-    loop ()
+  if bound land mask = 0 then bits t land mask else below t bound ((max_int / bound) * bound)
 
-let float t x =
+let[@inline] float t x =
   (* 53 uniform mantissa bits. *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   x *. (float_of_int v /. 9007199254740992.0)

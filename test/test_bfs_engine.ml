@@ -215,13 +215,39 @@ let of_edges_matches_naive =
 
 let of_edges_hub_segment () =
   (* A hub of degree > the insertion-sort cutoff, fed in descending order
-     with duplicates: exercises the heapsort path of the range sort. *)
+     with duplicates: exercises the partitioning path of the range sort. *)
   let spokes = Array.init 100 (fun i -> (0, 100 - i)) in
   let dups = Array.init 50 (fun i -> ((2 * i) + 1, 0)) in
   let g = G.of_edges ~n:101 (Array.append spokes dups) in
   check_int "hub degree" 100 (G.degree g 0);
   Alcotest.(check (list int)) "hub adjacency sorted" (List.init 100 succ)
     (neighbor_list g 0)
+
+(* Segments far past the insertion-sort cutoff: a few hubs take most
+   endpoints, with long runs of duplicate keys, so the introsort
+   partitions around repeated pivots on every level. *)
+let of_edges_hubs_match_naive =
+  q ~count:60 "of_edges: hub segments match naive construction"
+    QCheck.(pair seed_arb (pair (int_range 40 300) (int_range 0 2000)))
+    (fun (seed, (n, m)) ->
+      let rng = Broker_util.Xrandom.create seed in
+      let hubs = 1 + Broker_util.Xrandom.int rng 4 in
+      let draw () =
+        if Broker_util.Xrandom.int rng 3 = 0 then Broker_util.Xrandom.int rng hubs
+        else Broker_util.Xrandom.int rng (1 + Broker_util.Xrandom.int rng n)
+      in
+      let edges = Array.init m (fun _ -> (draw (), draw ())) in
+      let g = G.of_edges ~n edges in
+      let adj = Array.make n [] in
+      Array.iter
+        (fun (a, b) ->
+          if a <> b then begin
+            adj.(a) <- b :: adj.(a);
+            adj.(b) <- a :: adj.(b)
+          end)
+        edges;
+      Array.for_all Fun.id
+        (Array.init n (fun u -> neighbor_list g u = List.sort_uniq Int.compare adj.(u))))
 
 (* The flat builder reads only the first [len] pairs: raw pairs with
    self-loops and duplicates in both orientations, shuffled, then junk
@@ -296,6 +322,7 @@ let suite =
       [
         of_edges_matches_naive;
         Alcotest.test_case "hub segment heapsort" `Quick of_edges_hub_segment;
+        of_edges_hubs_match_naive;
         of_edge_arrays_matches_of_edges;
         Alcotest.test_case "of_edge_arrays: invalid arguments" `Quick of_edge_arrays_invalid;
       ] );
