@@ -1,7 +1,6 @@
 module G = Broker_graph.Graph
 module View = Broker_graph.View
 module Delta = Broker_graph.Delta
-module Bfs = Broker_graph.Bfs
 module Msbfs = Broker_graph.Msbfs
 module Obs = Broker_obs
 
@@ -51,8 +50,8 @@ type t = {
   nbatch : int;  (* MS-BFS batches of a full sweep *)
   pdelta : Delta.t;  (* overlay over the projected base *)
   mutable cur_view : View.t;  (* snapshot of pdelta's current state *)
-  bfs : Bfs.workspace;  (* endpoint distances for the exact test *)
-  mutable pool : Msbfs.workspace array;  (* one per re-sweep worker *)
+  mutable pool : Msbfs.workspace array;
+      (* one per re-sweep worker; the exact test sweeps on pool.(0) *)
   hist : int array array;
       (* per source: first arrivals by hop, 1..l_max; rows are replaced,
          never written in place *)
@@ -138,7 +137,6 @@ let create g ~is_broker ~sources =
       nbatch = (nsrc + lanes - 1) / lanes;
       pdelta = Delta.create pg;
       cur_view = View.of_graph pg;
-      bfs = Bfs.workspace ();
       pool = [||];
       hist = Array.make nsrc (Array.make (l_max + 1) 0);
       reached = Array.make nsrc 0;
@@ -158,8 +156,9 @@ let create g ~is_broker ~sources =
    far apart under d_G'. d_G = d_G' forces both to equal d_U, because
    every edge of A lies in G' and so is not far apart under d_G'. So
    announcements are tested on the old view and withdrawals on the new
-   one, each by one BFS per distinct endpoint read back at the sources
-   (distances are symmetric). *)
+   one. Distances are symmetric, so each side's distinct endpoints go
+   [lanes] to an MS-BFS sweep that watches the sources, and lane [b]'s
+   watched distances are the row of endpoint [b] at every source. *)
 let far_apart du dv =
   if du < 0 || dv < 0 then du >= 0 || dv >= 0 else abs (du - dv) >= 2
 
@@ -167,14 +166,23 @@ let endpoints es =
   Array.of_list
     (List.sort_uniq Int.compare (List.concat_map (fun (u, v) -> [ u; v ]) es))
 
+(* The sweeps run on the first re-sweep workspace, which [create] has
+   already sized: the test adds no workspace, and the re-sweep that
+   follows overwrites what it leaves. *)
 let flag_far_apart t vw eps es flagged =
-  let rows =
-    Array.map
-      (fun x ->
-        Bfs.run_view t.bfs vw x;
-        Array.map (Bfs.distance t.bfs) t.sources)
-      eps
-  in
+  let ws = t.pool.(0) in
+  let neps = Array.length eps in
+  let rows = Array.make neps [||] in
+  let lo = ref 0 in
+  while !lo < neps do
+    let len = min lanes (neps - !lo) in
+    Msbfs.run_view ws vw ~watch:t.sources eps ~lo:!lo ~len;
+    for b = 0 to len - 1 do
+      rows.(!lo + b) <-
+        Array.init (Array.length t.sources) (fun i -> Msbfs.watch_distance ws i b)
+    done;
+    lo := !lo + len
+  done;
   let row x =
     let k = ref 0 in
     while eps.(!k) <> x do
@@ -188,11 +196,14 @@ let flag_far_apart t vw eps es flagged =
       Array.iteri (fun i d -> if far_apart d dv.(i) then flagged.(i) <- true) du)
     es
 
-(* A scalar BFS costs about a sixth of a 63-lane MS-BFS batch (measured
-   at scales 0.02 to 1), so [3 * nbatch] endpoint runs spend half a full
-   re-sweep on the test and leave the other half for the flagged
-   sources' own batches; a burst needing more runs re-sweeps every
-   source untested. *)
+(* A burst with more distinct endpoints than [3 * nbatch] re-sweeps
+   every source untested. The ratio dates from the scalar test, when
+   each endpoint cost a BFS of about a sixth of a 63-lane batch, so
+   [3 * nbatch] runs spent half a full re-sweep on the test. Endpoints
+   now ride the sweep as lanes, 63 to a sweep, so the rule falls back
+   earlier than it needs to; it is kept because moving it changes which
+   bursts are tested, and with them X9's affected-source and re-sweep
+   columns. *)
 let fallback_ratio = 3
 
 let apply t ops =

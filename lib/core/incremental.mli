@@ -17,12 +17,13 @@
     burst is both the old graph plus the net announcements and the new
     graph plus the net withdrawals, so a source is affected iff a net
     announcement is far apart on the old graph or a net withdrawal on
-    the new one. One scalar BFS per distinct endpoint gives the
-    distances of every source at once, by symmetry. A scalar BFS costs
-    about a sixth of a batch, so when a burst would need more of those
-    runs than 3 × the MS-BFS batches of a full sweep (half of a
-    re-sweep), the tracker skips the test and re-sweeps every source instead ([fallback]).
-    The rule depends on the burst alone.
+    the new one. Distances are symmetric, so each side's distinct
+    endpoints go {!Broker_graph.Msbfs.lanes} at a time to an MS-BFS
+    sweep that watches the sources ({!Broker_graph.Msbfs.watch_distance}),
+    and that gives the distances of every source at once. When a burst
+    has more distinct endpoints than 3 × the MS-BFS batches of a full
+    sweep, the tracker skips the test and re-sweeps every source instead
+    ([fallback]). The rule depends on the burst alone.
 
     Equivalence guarantee: {!curve} is bitwise identical to running
     {!Connectivity.eval_sources} from scratch on the compacted updated
@@ -51,7 +52,7 @@ type stats = {
       (** MS-BFS batches of a full sweep
           ([ceil (sources / Msbfs.lanes)]) *)
   fallback : bool;
-      (** the burst needed more endpoint BFS runs than 3 × [batches_total],
+      (** the burst had more distinct endpoints than 3 × [batches_total],
           so every source was re-swept untested *)
 }
 

@@ -67,9 +67,9 @@ val csr_off : t -> int array
 (** The CSR offset array (length [n+1]): vertex [u]'s neighbors occupy
     [csr_adj] indices [csr_off.(u) .. csr_off.(u+1) - 1]. Read-only view of
     the graph's own storage — callers must not mutate it. This is the
-    zero-overhead access path for tight traversal kernels
-    ({!Bfs.run} and {!Projected.project}); everything else should go
-    through {!iter_neighbors}. *)
+    zero-overhead access path for tight traversal kernels ({!View.of_graph},
+    which {!Msbfs.run} reads, and {!Projected.project}); everything else
+    should go through {!iter_neighbors}. *)
 
 val csr_adj : t -> int array
 (** The CSR adjacency array paired with {!csr_off}. Read-only. *)

@@ -42,6 +42,10 @@ type workspace = {
       (* bit-sliced level counter: bit [b] of [planes.(j)] is bit [j] of
          lane [b]'s count on the level being tallied *)
   mutable lane_lv : int array;  (* lane_lv.(d * lanes + b), d >= 1 *)
+  mutable watch : int array;  (* watched vertices of the last run *)
+  mutable wdist : int array;
+      (* wdist.(i * lanes + b): depth at which lane [b] first settled
+         [watch.(i)], -1 when it did not *)
 }
 
 let workspace ?(per_lane = false) () =
@@ -67,6 +71,8 @@ let workspace ?(per_lane = false) () =
     per_lane;
     planes = (if per_lane then Array.make lanes 0 else [||]);
     lane_lv = [||];
+    watch = [||];
+    wdist = [||];
   }
 
 let ensure ws n =
@@ -89,18 +95,17 @@ let ensure ws n =
     ws.front_tick <- 0
   end
 
-(* Same Beamer-style switching thresholds as the scalar engine (Bfs):
-   expand bottom-up once the frontier's out-arcs exceed 1/alpha of the
-   arcs still incident to untouched vertices, fall back top-down when the
-   frontier shrinks below n/beta vertices. Both directions settle the
-   same bits at the same depths, so every count below is independent of
-   the heuristic. *)
+(* Beamer-style switching thresholds: expand bottom-up once the
+   frontier's out-arcs exceed 1/alpha of the arcs still incident to
+   untouched vertices, fall back top-down when the frontier shrinks
+   below n/beta vertices. Both directions settle the same bits at the
+   same depths, so every count below is independent of the heuristic. *)
 let alpha = 14
 let beta = 24
 
 (* Observability (Broker_obs): all counters are commutative int sums over
    deterministically composed batches, so totals are REPRO_DOMAINS-
-   independent and diffable, exactly like the bfs.* family. *)
+   independent and diffable. *)
 let m_batches = Obs.Metrics.counter "msbfs.batches"
 let m_lanes = Obs.Metrics.counter "msbfs.lanes"
 let m_sweeps = Obs.Metrics.counter "msbfs.sweeps"
@@ -198,29 +203,57 @@ let[@brokercheck.noalloc] tally_lanes ws nx nq next_n d =
     Array.unsafe_set planes k 0
   done
 
+(* Depth [d] for every lane whose bit is in [w.(v)] at a watched vertex
+   [v] whose stamp reads [tick]: the bits a level newly settled (or, at
+   [d = 0], the seeded lanes). Called once per level, never per arc; it
+   reads the watch list from the workspace. *)
+let[@brokercheck.noalloc] record_watch ws w stamp tick d =
+  let watch = ws.watch and wdist = ws.wdist in
+  let bits = ref 0 in
+  for i = 0 to Array.length watch - 1 do
+    let v = Array.unsafe_get watch i in
+    if Array.unsafe_get stamp v = tick then begin
+      bits := Array.unsafe_get w v;
+      while !bits <> 0 do
+        let low = !bits land - !bits in
+        Array.unsafe_set wdist ((i * lanes) + Bitset.popcount (low - 1)) d;
+        bits := !bits land (!bits - 1)
+      done
+    end
+  done
+
 (* The sweep is the whole point of the module: one pass over the frontier
    advances up to [lanes] BFS traversals with three word ops per arc
    (AND-NOT against [seen], OR into [seen] and [nxt]); per-level pair
    counts come from one popcount per frontier word instead of any
    per-bit loop. Checked [@brokercheck.noalloc]: all loop scratch is
    hoisted refs, and per-arc work is pure int ops. *)
-let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
-    ~len =
+let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int)
+    ?(watch = [||]) sources ~lo ~len =
   let n = vw.View.n in
   if len < 1 || len > lanes then invalid_arg "Msbfs: batch size out of range";
   if lo < 0 || len > Array.length sources - lo then
     invalid_arg "Msbfs: source range out of bounds";
-  (* Validate the whole batch before touching any workspace state. *)
+  (* Validate the whole batch and watch list before touching any
+     workspace state. *)
   for b = 0 to len - 1 do
     let s = Array.unsafe_get sources (lo + b) in
     if s < 0 || s >= n then invalid_arg "Msbfs: source out of range"
   done;
+  for i = 0 to Array.length watch - 1 do
+    let v = Array.unsafe_get watch i in
+    if v < 0 || v >= n then invalid_arg "Msbfs: watched vertex out of range"
+  done;
   ensure ws n;
+  let nw = Array.length watch * lanes in
+  if Array.length ws.wdist < nw then ws.wdist <- Array.make nw (-1)
+  else Array.fill ws.wdist 0 nw (-1);
+  ws.watch <- watch;
   ws.epoch <- ws.epoch + 1;
   ws.tick <- ws.tick + 1;
   let epoch = ws.epoch in
-  (* Base-or-overlay segment select, exactly as in {!Bfs.run_view}: for
-     base views [ov] is false and the loops read the bare CSR. *)
+  (* Base-or-overlay segment select: for base views [ov] is false and
+     the loops read the bare CSR. *)
   let off = vw.View.off and adj = vw.View.adj in
   let ov = vw.View.overlaid in
   let dirty = vw.View.dirty and xoff = vw.View.xoff and xadj = vw.View.xadj in
@@ -268,6 +301,7 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
     else Array.unsafe_set !front s (Array.unsafe_get !front s lor bit)
   done;
   ws.front_tick <- !tick;
+  record_watch ws !front !front_stamp !tick 0;
   let bottom_up = ref false in
   let d = ref 0 in
   let tr0 = Obs.Trace.enter () in
@@ -300,9 +334,9 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
     if !bottom_up then
       (* Bottom-up: every vertex still missing bits ORs its neighbors'
          frontier words until the missing bits are covered. With many
-         lanes the early exit fires less often than in the scalar
-         engine, but on exploding levels the frontier holds almost every
-         vertex and one sequential pass still beats expanding it. *)
+         lanes the early exit fires less often than for one source,
+         but on exploding levels the frontier holds almost every vertex
+         and one sequential pass still beats expanding it. *)
       for v = 0 to n - 1 do
         let sv =
           if Array.unsafe_get seen_stamp v = epoch then Array.unsafe_get seen v
@@ -404,7 +438,8 @@ let[@brokercheck.noalloc] run_view ws vw ?(max_depth = max_int) sources ~lo
       ws.max_level <- dn;
       levels.(dn) <- !pc;
       ws.pairs <- ws.pairs + !pc;
-      if ws.per_lane then tally_lanes ws nx nq !next_n dn
+      if ws.per_lane then tally_lanes ws nx nq !next_n dn;
+      record_watch ws nx nx_stamp !tick dn
     end;
     (* Swap frontier and next (words, stamps, queues) for the next level. *)
     let tmpw = !front in
@@ -460,6 +495,13 @@ let lane_level ws b d =
   if d < 0 || d > ws.max_level then
     invalid_arg "Msbfs.lane_level: level out of range";
   if d = 0 then 1 else ws.lane_lv.((d * lanes) + b)
+
+let[@brokercheck.noalloc] watch_distance ws i b =
+  if i < 0 || i >= Array.length ws.watch then
+    invalid_arg "Msbfs.watch_distance: watch index out of range";
+  if b < 0 || b >= ws.len then
+    invalid_arg "Msbfs.watch_distance: lane out of range";
+  Array.unsafe_get ws.wdist ((i * lanes) + b)
 
 let settled_bits ws v =
   if v < 0 || v >= ws.cap then

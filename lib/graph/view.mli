@@ -1,8 +1,8 @@
 (** Read-only adjacency views: one API over a bare CSR or a CSR with a
     sparse delta overlay.
 
-    Every traversal kernel ({!Bfs.run_view}, {!Msbfs.run_view},
-    {!Projected.project}, [Dominating.find_dominated_path_view])
+    Every traversal kernel ({!Msbfs.run_view}, {!Projected.project},
+    [Dominating.find_dominated_path_view])
     consumes a view, so dynamic-topology callers pay for the overlay
     only on the vertices it actually touched. {!of_graph} is O(1) and
     allocation is a single record, which keeps the [Graph.t] wrappers of

@@ -209,6 +209,9 @@ let validate ~n ~brokers ~sessions ~chaos ~churn ~stats_window config =
     (fun i (s : Workload.session) ->
       check_time "session arrival" s.Workload.arrival;
       check_time "session duration" s.Workload.duration;
+      (* A negative duration departs before it arrives, running the
+         utilization integral and the revenue backwards. *)
+      check_delay "session duration" s.Workload.duration;
       if i > 0 && not (s.Workload.arrival >= sessions.(i - 1).Workload.arrival) then
         invalid_arg "Simulator.run: sessions not sorted by arrival")
     sessions

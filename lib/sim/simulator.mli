@@ -213,7 +213,8 @@ val run :
     option absent no series is touched at all.
     @raise Invalid_argument on out-of-order arrivals, negative [price],
     [employee_cost] or [capacity_of], an out-of-range broker, fault
-    broker or topology update endpoint, a NaN or infinite session
+    broker or topology update endpoint, a negative session duration
+    (zero is legal), a NaN or infinite session
     arrival or duration, fault time or update time (a NaN time would
     block the event queue, an infinite one stretch the horizon to
     infinity), a NaN, negative or infinite propagation [delay], [base] or

@@ -1,11 +1,13 @@
 (* The dominated-path BFS engine: projection correctness, equivalence of
-   the direction-optimizing workspace BFS with the generic filtered BFS,
-   bitwise equality of the engine and reference connectivity curves, and
-   determinism across REPRO_DOMAINS settings. *)
+   the MS-BFS workspace's watched distances with the generic filtered
+   BFS, bitwise equality of the engine and reference connectivity
+   curves, and determinism across REPRO_DOMAINS settings. *)
 
 open Helpers
 module G = Broker_graph.Graph
 module Bfs = Broker_graph.Bfs
+module Msbfs = Broker_graph.Msbfs
+module View = Broker_graph.View
 module Projected = Broker_graph.Projected
 module Conn = Broker_core.Connectivity
 
@@ -70,58 +72,71 @@ let projection_matches_predicate =
       G.iter_edges pg (fun u v -> if not (G.mem_edge g u v) then ok := false);
       !ok)
 
-(* --- workspace BFS vs the generic filtered oracle -------------------- *)
+(* --- MS-BFS watched distances vs the generic filtered oracle -------- *)
 
-let engine_matches_filtered =
-  (* One workspace reused across every qcheck case and every source: also
-     stresses the epoch/regrow invariants the zero-alloc design rests on. *)
-  let ws = Bfs.workspace () in
-  q "workspace BFS distances = distances_filtered" graph_brokers_arb
+(* Every (lane, watched vertex) distance of a sweep over the projection
+   equals the filtered BFS from the lane's source, within [max_depth].
+   Sources and watched vertices are drawn with replacement, so lanes and
+   watch entries repeat; the watch list also holds the lanes' own
+   sources (distance 0), and on sparse draws unreachable vertices (-1).
+   One workspace is reused across every case, so watch lists of
+   different lengths grow and refill the same distance table. *)
+let watched_distances_match_filtered =
+  let ws = Msbfs.workspace () in
+  q "watched distances = distances_filtered" graph_brokers_arb
     (fun (g, brokers) ->
       let n = G.n g in
       let is_broker = Conn.of_brokers ~n brokers in
       let edge_ok = Conn.edge_ok ~is_broker in
       let pg = Projected.graph (Projected.project g ~is_broker) in
-      let got = Array.make n 0 in
+      let rng = Broker_util.Xrandom.create (G.m g + (31 * n)) in
+      let len = 1 + Broker_util.Xrandom.int rng Msbfs.lanes in
+      let sources = Array.init len (fun _ -> Broker_util.Xrandom.int rng n) in
+      let watch =
+        Array.append
+          (Array.init (Broker_util.Xrandom.int rng (2 * n)) (fun _ ->
+               Broker_util.Xrandom.int rng n))
+          (Array.sub sources 0 (min len 3))
+      in
+      let max_depth =
+        if Broker_util.Xrandom.int rng 3 = 0 then Broker_util.Xrandom.int rng 3
+        else max_int
+      in
+      Msbfs.run_view ws (View.of_graph pg) ~max_depth ~watch sources ~lo:0 ~len;
       let ok = ref true in
-      for src = 0 to min 7 (n - 1) do
-        let expect = Bfs.distances_filtered g ~edge_ok src in
-        Bfs.run ws pg src;
-        Bfs.distances_into ws got;
-        if got <> expect then ok := false;
-        (* level counts and reached must agree with the distance array *)
-        let settled = Array.fold_left (fun a d -> if d >= 0 then a + 1 else a) 0 expect in
-        if Bfs.reached ws <> settled then ok := false;
-        for d = 0 to Bfs.max_level ws do
-          let c =
-            Array.fold_left (fun a x -> if x = d then a + 1 else a) 0 expect
-          in
-          if Bfs.level_count ws d <> c then ok := false
-        done
+      for b = 0 to len - 1 do
+        let expect = Bfs.distances_filtered g ~edge_ok sources.(b) in
+        Array.iteri
+          (fun i v ->
+            let d = if expect.(v) > max_depth then -1 else expect.(v) in
+            if Msbfs.watch_distance ws i b <> d then ok := false)
+          watch
       done;
       !ok)
 
-let engine_unrestricted_matches_plain =
-  let ws = Bfs.workspace () in
-  q "workspace BFS on raw graph = distances" graph_arbitrary (fun g ->
-      let n = G.n g in
-      let got = Array.make n 0 in
-      let ok = ref true in
-      for src = 0 to min 5 (n - 1) do
-        Bfs.run ws g src;
-        Bfs.distances_into ws got;
-        if got <> Broker_graph.Bfs.distances g src then ok := false
-      done;
-      !ok)
-
-let engine_source_out_of_range () =
-  let ws = Bfs.workspace () in
-  let g = path_graph 4 in
-  Alcotest.check_raises "negative source"
-    (Invalid_argument "Bfs: source out of range") (fun () ->
-      Bfs.run ws g (-1));
-  Alcotest.check_raises "source too large"
-    (Invalid_argument "Bfs: source out of range") (fun () -> Bfs.run ws g 4)
+(* A hand-built scene with every case named: path 0-1-2-3, vertex 4
+   isolated. Lanes 0 and 2 both start at 0 (a duplicate source), lane 1
+   at 3; vertex 2 is watched twice, the source 0 once, and 4 is never
+   reached. A second run with a shorter watch list and a depth cut reuses
+   the workspace. *)
+let watched_distances_scene () =
+  let g = G.of_edges ~n:5 [| (0, 1); (1, 2); (2, 3) |] in
+  let ws = Msbfs.workspace () in
+  let watch = [| 2; 0; 4; 2; 3 |] in
+  Msbfs.run_view ws (View.of_graph g) ~watch [| 0; 3; 0 |] ~lo:0 ~len:3;
+  let row b = Array.init (Array.length watch) (fun i -> Msbfs.watch_distance ws i b) in
+  Alcotest.(check (array int)) "lane 0 from 0" [| 2; 0; -1; 2; 3 |] (row 0);
+  Alcotest.(check (array int)) "lane 1 from 3" [| 1; 3; -1; 1; 0 |] (row 1);
+  Alcotest.(check (array int)) "lane 2 = lane 0" (row 0) (row 2);
+  Msbfs.run_view ws (View.of_graph g) ~max_depth:1 ~watch:[| 1; 3 |] [| 0; 2 |]
+    ~lo:0 ~len:2;
+  Alcotest.(check (array int)) "depth cut, lane 0" [| 1; -1 |]
+    [| Msbfs.watch_distance ws 0 0; Msbfs.watch_distance ws 1 0 |];
+  Alcotest.(check (array int)) "depth cut, lane 1" [| 1; 1 |]
+    [| Msbfs.watch_distance ws 0 1; Msbfs.watch_distance ws 1 1 |];
+  Alcotest.check_raises "watch index past the shorter list"
+    (Invalid_argument "Msbfs.watch_distance: watch index out of range") (fun () ->
+      ignore (Msbfs.watch_distance ws 2 0))
 
 (* --- Bfs.generic validates all sources before mutating --------------- *)
 
@@ -304,9 +319,9 @@ let suite =
       ] );
     ( "bfs_engine.workspace",
       [
-        engine_matches_filtered;
-        engine_unrestricted_matches_plain;
-        Alcotest.test_case "source validation" `Quick engine_source_out_of_range;
+        watched_distances_match_filtered;
+        Alcotest.test_case "watched distances: named cases" `Quick
+          watched_distances_scene;
         Alcotest.test_case "generic validates sources upfront" `Quick
           generic_validates_sources_upfront;
       ] );

@@ -166,6 +166,16 @@ let r10_scope () =
     "r10_good.mli uses [@@brokercheck.test_only]" true
     (contains contents "[@@brokercheck.test_only]")
 
+(* A test hook another scanned unit references is stale: r10_user.ml
+   uses r10_stale's [hook], so the attribute must go. Without the user
+   in the scan the hook is an ordinary test hook and checks clean. *)
+let r10_stale () =
+  let r = run_check [ "--lib"; fixture "r10_stale"; fixture "r10_user" ] in
+  check_bad ~rule:"export-has-user" ~file:"r10_stale.mli" ~lines:[ 3 ] r;
+  check_contains r.output "R10_stale.hook";
+  check_contains r.output "drop the attribute";
+  check_clean ~file:"r10_stale.mli" (run_check [ "--lib"; fixture "r10_stale" ])
+
 let c1 () =
   (* One diagnostic per shared-state class: global ref (both in the
      worker closure and in the reachable [bump]), global array, global
@@ -222,6 +232,7 @@ let whole_directory () =
     [ "r1_bad"; "r2_bad"; "r3_bad"; "r4_bad"; "r5_bad"; "r6_bad"; "r8_bad";
       "r9_bad"; "c1_bad"; "c2_bad" ];
   check_contains r.output "r10_bad.mli:";
+  check_contains r.output "r10_stale.mli:";
   List.iter
     (fun f -> check_absent r.output (f ^ ".ml"))
     [ "r1_good"; "r2_good"; "r3_good"; "r4_good"; "r5_good"; "r6_good";
@@ -311,6 +322,7 @@ let () =
           Alcotest.test_case "R9 scope" `Quick r9_scope;
           Alcotest.test_case "R10 export-has-user" `Quick r10;
           Alcotest.test_case "R10 scope" `Quick r10_scope;
+          Alcotest.test_case "R10 stale test hook" `Quick r10_stale;
           Alcotest.test_case "C1 domain-safety" `Quick c1;
           Alcotest.test_case "C1 owned escape hatch" `Quick c1_owned;
           Alcotest.test_case "C2 noalloc" `Quick c2;

@@ -9,6 +9,7 @@ module G = Broker_graph.Graph
 module View = Broker_graph.View
 module Delta = Broker_graph.Delta
 module Bfs = Broker_graph.Bfs
+module Msbfs = Broker_graph.Msbfs
 module X = Broker_util.Xrandom
 module Conn = Broker_core.Connectivity
 module Incr = Broker_core.Incremental
@@ -112,19 +113,30 @@ let view_is_snapshot =
       done;
       !still)
 
-let bfs_view_matches_rebuild =
-  let ws = Bfs.workspace () in
-  let ws' = Bfs.workspace () in
-  q "Bfs.run_view on overlay = Bfs.run on rebuild" script_arb
+(* MS-BFS over the overlay equals MS-BFS over the compacted rebuild:
+   every vertex's settled word, every level's pair count and every
+   watched distance. Lanes start at random vertices (with repeats) and
+   the whole vertex set is watched. *)
+let msbfs_view_matches_rebuild =
+  let ws = Msbfs.workspace () in
+  let ws' = Msbfs.workspace () in
+  q "Msbfs.run_view on overlay = Msbfs.run on rebuild" script_arb
     (fun ((n, _, _, seed) as script) ->
       let _, d, rebuilt, _ = replay script in
-      let src = X.int (X.create (seed + 2)) n in
-      Bfs.run_view ws (Delta.view d) src;
-      Bfs.run ws' rebuilt src;
-      let a = Array.make n 0 and b = Array.make n 0 in
-      Bfs.distances_into ws a;
-      Bfs.distances_into ws' b;
-      a = b)
+      let rng = X.create (seed + 2) in
+      let len = 1 + X.int rng Msbfs.lanes in
+      let srcs = Array.init len (fun _ -> X.int rng n) in
+      let watch = Array.init n Fun.id in
+      Msbfs.run_view ws (Delta.view d) ~watch srcs ~lo:0 ~len;
+      Msbfs.run_view ws' (View.of_graph rebuilt) ~watch srcs ~lo:0 ~len;
+      let same f = List.for_all (fun i -> f ws i = f ws' i) in
+      let vertices = List.init n Fun.id in
+      Msbfs.max_level ws = Msbfs.max_level ws'
+      && same Msbfs.settled_bits vertices
+      && same Msbfs.level_pairs (List.init (Msbfs.max_level ws + 1) Fun.id)
+      && List.for_all
+           (fun b -> same (fun w i -> Msbfs.watch_distance w i b) vertices)
+           (List.init len Fun.id))
 
 (* ---------- incremental tracker vs from-scratch oracle ---------- *)
 
@@ -274,6 +286,57 @@ let affected_is_exact () =
   check_int "mismatches" 0 (List.length failures);
   check_bool "most bursts ran the test" true (exact > fallback);
   check_bool "many tested bursts moved a source" true (3 * moving > exact)
+
+(* A burst whose announcements have 80 distinct endpoints, and then its
+   undo: each side's endpoints take two 63-lane sweeps. 2,000 sources
+   make 32 batches, so the fallback waits for 97 endpoints and both
+   bursts are tested. [sources_affected] must equal the number of
+   sources whose filtered-BFS vector moved, and the curve the oracle's. *)
+let incr_two_batch_endpoints () =
+  let n = 400 in
+  let rng = X.create 2026 in
+  let g = random_graph rng ~n ~m:300 in
+  let is_broker v = v < 40 in
+  let edge_ok = Conn.edge_ok ~is_broker in
+  let sources = Array.init 2000 (fun _ -> X.int rng n) in
+  let t = Incr.create g ~is_broker ~sources in
+  let d = Delta.create g in
+  (* Broker i gains an edge to a distinct non-broker far along the chain. *)
+  let adds =
+    Array.init 40 (fun i ->
+        let x = ref (40 + (9 * i)) in
+        while G.mem_edge g i !x do
+          incr x
+        done;
+        Incr.Add (i, !x))
+  in
+  let removes =
+    Array.map
+      (function Incr.Add (u, v) -> Incr.Remove (v, u) | op -> op)
+      adds
+  in
+  let burst ops =
+    let before = Delta.compact g d in
+    let s = Incr.apply t ops in
+    mirror_ops d ops;
+    let after = Delta.compact g d in
+    let moved =
+      Array.init n (fun v ->
+          Bfs.distances_filtered before ~edge_ok v
+          <> Bfs.distances_filtered after ~edge_ok v)
+    in
+    check_int "applied" 40 s.Incr.applied;
+    check_bool "tested" false s.Incr.fallback;
+    check_int "batches total" 32 s.Incr.batches_total;
+    check_int "affected = moved"
+      (Array.fold_left (fun a v -> if moved.(v) then a + 1 else a) 0 sources)
+      s.Incr.sources_affected;
+    check_bool "some source moved" true (s.Incr.sources_affected > 0);
+    check_bool "curve = oracle" true
+      (curves_equal (Incr.curve t) (Conn.eval_sources after ~is_broker sources))
+  in
+  burst adds;
+  burst removes
 
 let incr_stats_accounting () =
   (* Hand-built scene: broker 0 in a 4-chain 0-1-2-3. *)
@@ -523,7 +586,7 @@ let suite =
         overlay_reads_match_rebuild;
         compact_equals_rebuild;
         view_is_snapshot;
-        bfs_view_matches_rebuild;
+        msbfs_view_matches_rebuild;
       ] );
     ( "delta.incremental",
       [
@@ -537,6 +600,8 @@ let suite =
         Alcotest.test_case "tracker unchanged after a rejected burst" `Quick
           incr_unchanged_after_rejection;
         Alcotest.test_case "fallback rule" `Quick incr_fallback_rule;
+        Alcotest.test_case "endpoints in two sweeps" `Quick
+          incr_two_batch_endpoints;
         Alcotest.test_case "offsetting withdraw and announce" `Quick
           incr_offsetting_burst;
       ] );

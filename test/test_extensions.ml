@@ -173,6 +173,39 @@ let test_traffic_weighting_favors_hubs () =
   in
   check_bool "traffic share exceeds pair share" true (weighted > unweighted)
 
+(* The per-source estimator the batched one must reproduce bit for bit:
+   the same draws in the same order, each row summing the masses at
+   positive filtered-BFS distance in increasing vertex order. Source
+   counts straddle the 63-lane batches: 1, 62, 63, 64 and 127. *)
+let traffic_reference ~rng ~sources g (m : Traffic.model) ~is_broker =
+  let draw = Broker_util.Sampling.weighted_alias m.Traffic.masses in
+  let edge_ok = Conn.edge_ok ~is_broker in
+  let mass_total = Array.fold_left ( +. ) 0.0 m.Traffic.masses in
+  let served = ref 0.0 and possible = ref 0.0 in
+  for _ = 1 to sources do
+    let s = draw rng in
+    let dist = Broker_graph.Bfs.distances_filtered g ~edge_ok s in
+    let row = ref 0.0 in
+    Array.iteri (fun v d -> if d > 0 then row := !row +. m.Traffic.masses.(v)) dist;
+    served := !served +. !row;
+    possible := !possible +. (mass_total -. m.Traffic.masses.(s))
+  done;
+  if !possible = 0.0 then 0.0 else !served /. !possible
+
+let test_traffic_matches_reference () =
+  let t = small_internet ~seed:21 ~scale:0.01 () in
+  let g = t.Broker_topo.Topology.graph in
+  let m = Traffic.gravity ~rng:(rng ()) g in
+  let is_broker = Conn.of_brokers ~n:(G.n g) (Broker_core.Maxsg.run g ~k:8) in
+  List.iter
+    (fun sources ->
+      let got = Traffic.weighted_saturated ~rng:(rng ()) ~sources g m ~is_broker in
+      let want = traffic_reference ~rng:(rng ()) ~sources g m ~is_broker in
+      Alcotest.(check string)
+        (Printf.sprintf "%d sources, bitwise" sources)
+        (Printf.sprintf "%h" want) (Printf.sprintf "%h" got))
+    [ 1; 62; 63; 64; 127 ]
+
 (* ---------- Bounded_coverage ---------- *)
 
 let test_bounded_radius1_matches_maxsg_objective () =
@@ -323,6 +356,8 @@ let suite =
         Alcotest.test_case "masses normalized" `Quick test_traffic_masses_normalized;
         Alcotest.test_case "full broker set" `Quick test_traffic_full_broker_serves_all;
         Alcotest.test_case "favors hubs" `Quick test_traffic_weighting_favors_hubs;
+        Alcotest.test_case "batched = per-source reference" `Quick
+          test_traffic_matches_reference;
       ] );
     ( "core.bounded_coverage",
       [

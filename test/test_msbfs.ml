@@ -1,5 +1,5 @@
 (* The bit-parallel multi-source BFS kernel: per-lane equivalence with
-   the scalar workspace engine, batched connectivity curves bitwise equal
+   the Bfs.distances oracle, batched connectivity curves bitwise equal
    to the frozen reference oracle across batch-boundary source counts,
    batched gain probes equal to scalar Coverage.gain, determinism across
    REPRO_DOMAINS, and argument validation. *)
@@ -39,13 +39,19 @@ let lanes_is_word_width () =
     Msbfs.lanes;
   check_int "63-bit native ints" 63 Msbfs.lanes
 
-(* --- per-lane semantics vs the scalar engine -------------------------- *)
+(* --- per-lane semantics vs the Bfs.distances oracle -------------------- *)
+
+(* Entries equal to each depth in a distance array: a lane's per-level
+   counts. *)
+let level_counts dist =
+  let c = Array.make (Array.length dist + 1) 0 in
+  Array.iter (fun d -> if d >= 0 then c.(d) <- c.(d) + 1) dist;
+  c
 
 let lanes_match_scalar =
   (* One workspace reused across cases: stresses the epoch/tick-stamp
-     reuse invariants exactly like the scalar engine's suite does. *)
+     reuse invariants. *)
   let ws = Msbfs.workspace () in
-  let sws = Bfs.workspace () in
   q "each lane settles the scalar BFS levels" graph_brokers_arb
     (fun (g, _, seed) ->
       let n = G.n g in
@@ -53,15 +59,13 @@ let lanes_match_scalar =
       let len = 1 + Broker_util.Xrandom.int rng (min Msbfs.lanes (4 * n)) in
       let sources = draw_sources rng ~n ~count:len in
       Msbfs.run ws g sources ~lo:0 ~len;
-      let dist = Array.make n 0 in
       let ok = ref (Msbfs.batch_lanes ws = len) in
       let max_level = ref 0 in
       let reached = ref 0 in
       let level = Array.make (n + 1) 0 in
       for b = 0 to len - 1 do
-        Bfs.run sws g sources.(b);
-        Bfs.distances_into sws dist;
-        if Bfs.max_level sws > !max_level then max_level := Bfs.max_level sws;
+        let dist = Bfs.distances g sources.(b) in
+        Array.iter (fun d -> if d > !max_level then max_level := d) dist;
         for v = 0 to n - 1 do
           (* bit b of v's settled word <-> lane b's scalar BFS reaches v *)
           let bit = Msbfs.settled_bits ws v land (1 lsl b) <> 0 in
@@ -96,8 +100,7 @@ let lane_levels_arb =
 
 let lane_levels_match_scalar =
   let ws = Msbfs.workspace ~per_lane:true () in
-  let sws = Bfs.workspace () in
-  q ~count:80 "per-lane level counts = per-source Bfs.level_count"
+  q ~count:80 "per-lane level counts = per-source Bfs.distances histogram"
     lane_levels_arb (fun (n, m, seed) ->
       let rng = Broker_util.Xrandom.create seed in
       let g = random_graph rng ~n ~m in
@@ -109,16 +112,13 @@ let lane_levels_match_scalar =
         else max_int
       in
       Msbfs.run ws g ~max_depth sources ~lo:0 ~len;
-      (* The scalar runs unbounded: its levels up to [max_depth] are the
+      (* The oracle runs unbounded: its levels up to [max_depth] are the
          bounded run's. *)
       let ok = ref (Msbfs.max_level ws <= max_depth) in
       for b = 0 to len - 1 do
-        Bfs.run sws g sources.(b);
+        let scalar = level_counts (Bfs.distances g sources.(b)) in
         for d = 0 to Msbfs.max_level ws do
-          let scalar =
-            if d <= Bfs.max_level sws then Bfs.level_count sws d else 0
-          in
-          if Msbfs.lane_level ws b d <> scalar then ok := false
+          if Msbfs.lane_level ws b d <> scalar.(d) then ok := false
         done
       done;
       !ok)
@@ -251,7 +251,27 @@ let run_validates_arguments () =
       Msbfs.run ws g [| 0; 99 |] ~lo:0 ~len:2);
   (* Validation happens before any mutation: the workspace still answers
      for the last good run. *)
+  let vw = Broker_graph.View.of_graph g in
+  Msbfs.run_view ws vw ~watch:[| 3; 1 |] srcs ~lo:0 ~len:1;
+  List.iter
+    (fun watch ->
+      Alcotest.check_raises "watched vertex out of range"
+        (Invalid_argument "Msbfs: watched vertex out of range") (fun () ->
+          Msbfs.run_view ws vw ~watch srcs ~lo:1 ~len:2))
+    [ [| 0; 4 |]; [| -1 |] ];
+  check_int "batch kept" 1 (Msbfs.batch_lanes ws);
+  check_int "watched distance kept" 3 (Msbfs.watch_distance ws 0 0);
+  check_int "second watch entry kept" 1 (Msbfs.watch_distance ws 1 0);
+  Alcotest.check_raises "watch lane out of range"
+    (Invalid_argument "Msbfs.watch_distance: lane out of range") (fun () ->
+      ignore (Msbfs.watch_distance ws 0 1));
+  Alcotest.check_raises "watch index out of range"
+    (Invalid_argument "Msbfs.watch_distance: watch index out of range")
+    (fun () -> ignore (Msbfs.watch_distance ws 2 0));
   Msbfs.run ws g srcs ~lo:0 ~len:2;
+  Alcotest.check_raises "a run without a watch list watches nothing"
+    (Invalid_argument "Msbfs.watch_distance: watch index out of range")
+    (fun () -> ignore (Msbfs.watch_distance ws 0 0));
   Alcotest.check_raises "level out of range"
     (Invalid_argument "Msbfs.level_pairs: level out of range") (fun () ->
       ignore (Msbfs.level_pairs ws (Msbfs.max_level ws + 1)));

@@ -176,7 +176,35 @@ let test_counter_determinism () =
   let s4 = run_snap "4" in
   Alcotest.(check (list string)) "identical across REPRO_DOMAINS" s1 s4;
   check_bool "snapshot is non-trivial" true
-    (List.exists (fun line -> contains ~needle:"bfs.runs=" line) s1)
+    (List.exists
+       (fun line ->
+         String.starts_with ~prefix:"msbfs.sweeps=" line
+         && not (String.equal line "msbfs.sweeps=0"))
+       s1)
+
+(* The closure traversals count one run per call and the vertices it
+   reached: a 5-vertex path with one isolated vertex reaches 4 of 5 from
+   vertex 0. *)
+let test_bfs_counters () =
+  with_obs_state @@ fun () ->
+  Control.set_enabled true;
+  Metrics.reset ();
+  let g = G.of_edges ~n:5 [| (0, 1); (1, 2); (2, 3) |] in
+  let counter name =
+    match Metrics.find (Metrics.snapshot ()) name with
+    | Some { Metrics.value = Metrics.Counter v; _ } -> v
+    | _ -> Alcotest.fail (name ^ " not registered")
+  in
+  let runs = counter "bfs.runs" and settled = counter "bfs.settled" in
+  let reached =
+    Array.fold_left
+      (fun a d -> if d >= 0 then a + 1 else a)
+      0
+      (Broker_graph.Bfs.distances g 0)
+  in
+  check_int "reached" 4 reached;
+  check_int "bfs.runs + 1" (runs + 1) (counter "bfs.runs");
+  check_int "bfs.settled + reached" (settled + reached) (counter "bfs.settled")
 
 (* ---------- quantile sketch ---------- *)
 
@@ -388,6 +416,8 @@ let suite =
         Alcotest.test_case "Chrome trace JSON" `Quick test_chrome_trace_json;
         Alcotest.test_case "counter determinism" `Quick
           test_counter_determinism;
+        Alcotest.test_case "bfs counters count closure runs" `Quick
+          test_bfs_counters;
       ] );
     ( "obs.sketch",
       [

@@ -533,6 +533,27 @@ let test_sim_validates_config () =
   expect_sessions "session duration is infinite"
     [| session ~id:0 ~src:1 ~dst:2 ~arrival:0.0 ~duration:infinity |]
 
+(* A session of duration -5 departed before it arrived and ran the run's
+   utilization to -1 and its revenue to -6 with no error: 6-vertex star,
+   broker 0 at capacity 1, sessions (0, 1 -> 2, d) and (1, 1 -> 2, 2).
+   A zero duration stays legal. *)
+let test_sim_refuses_negative_duration () =
+  let topo = star_topo 6 in
+  let sessions d =
+    [|
+      session ~id:0 ~src:1 ~dst:2 ~arrival:0.0 ~duration:d;
+      session ~id:1 ~src:1 ~dst:2 ~arrival:1.0 ~duration:2.0;
+    |]
+  in
+  let run d = Sim.run topo ~brokers:[| 0 |] ~sessions:(sessions d) (Sim.uniform_capacity 1.0) in
+  Alcotest.check_raises "duration -5"
+    (Invalid_argument "Simulator.run: session duration must be finite and >= 0") (fun () ->
+      ignore (run (-5.0)));
+  let s = run 0.0 in
+  check_int "zero duration: both admitted" 2 s.Sim.admitted;
+  check_bool "utilization >= 0" true (s.Sim.mean_broker_utilization >= 0.0);
+  check_bool "revenue >= 0" true (s.Sim.revenue >= 0.0)
+
 (* 4-cycle 0-1-2-3-0 with brokers 1 and 3: both leaf pairs are bridged by
    either broker, so a session 0->2 can fail over from one to the other.
    The path picked at admission is an implementation detail, so crash each
@@ -1619,6 +1640,8 @@ let suite =
     ( "sim.chaos",
       [
         Alcotest.test_case "validates config" `Quick test_sim_validates_config;
+        Alcotest.test_case "refuses negative durations" `Quick
+          test_sim_refuses_negative_duration;
         Alcotest.test_case "failover reroutes" `Quick test_sim_failover_reroutes;
         Alcotest.test_case "drop without alternate" `Quick test_sim_drop_without_alternate;
         Alcotest.test_case "downtime in brokers order" `Quick test_sim_downtime_order;

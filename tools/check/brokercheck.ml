@@ -44,7 +44,9 @@
      bench/, e2ebench/ and examples/). A hook only tests reach — an
      oracle or an inspection function over code the library does run —
      carries [[@@brokercheck.test_only]] on its [val] instead; tests are
-     not scanned, so they count as no user.
+     not scanned, so they count as no user. A [test_only] val that
+     another scanned unit does reference is reported too, so the
+     attribute goes once the hook gains a real caller.
 
    Whole-program rules:
 
@@ -81,7 +83,7 @@
      O(1) setup allocation before the loops (a handful of refs, a
      result record) is deliberately tolerated: the discipline protects
      the per-iteration path, which is what the zero-alloc workspaces in
-     lib/graph/bfs.ml exist for.
+     lib/graph/msbfs.ml exist for.
 
    Findings are reported as [file:line:col: [rule] message]; a finding
    is suppressible with a comment containing
@@ -177,9 +179,9 @@ let suppressed (v : violation) =
 (* Path normalization                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Dune wraps libraries: the unit implementing [Bfs] is compiled as
-   [Broker_graph__Bfs] and cross-library references resolve through the
-   wrapper ([Broker_graph.Bfs.run]). Normalize both spellings to the
+(* Dune wraps libraries: the unit implementing [Msbfs] is compiled as
+   [Broker_graph__Msbfs] and cross-library references resolve through
+   the wrapper ([Broker_graph.Msbfs.run]). Normalize both spellings to the
    same dotted name by rewriting every component to its segment after
    the last ["__"] (dropping pure-prefix components like
    [Broker_graph__]), then matching definitions against reference
@@ -251,7 +253,7 @@ let scope_of file =
   }
 
 type unit_info = {
-  u_mod : string;  (** normalized unit module name, e.g. ["Bfs"] *)
+  u_mod : string;  (** normalized unit module name, e.g. ["Msbfs"] *)
   u_scope : scope;
   u_globals : Sset.t ref;
       (** unique keys of structure-level value idents (any module depth) *)
@@ -259,7 +261,7 @@ type unit_info = {
 }
 
 type def = {
-  d_name : string;  (** full dotted name, e.g. ["Bfs.run"] *)
+  d_name : string;  (** full dotted name, e.g. ["Msbfs.run"] *)
   d_unit : unit_info;
   d_body : Typedtree.expression;
 }
@@ -493,10 +495,13 @@ let loc_key (loc : Location.t) =
   Printf.sprintf "%s:%d" loc.loc_start.pos_fname loc.loc_start.pos_cnum
 
 let exports : (string * Typedtree.value_description) list ref = ref []
+let test_hooks : (string * Typedtree.value_description) list ref = ref []
 let referenced : (string, unit) Hashtbl.t = Hashtbl.create 4096
 
 (* The [val]s of a library unit's interface, read from the [.cmti]
-   beside its [.cmt]; a unit without one is R3's finding, not R10's. *)
+   beside its [.cmt]; a unit without one is R3's finding, not R10's.
+   Those marked [[@@brokercheck.test_only]] are kept apart: they need
+   no user, and must not have one. *)
 let collect_exports ~cmt ~modname =
   let cmti = Filename.remove_extension cmt ^ ".cmti" in
   if Sys.file_exists cmti then
@@ -505,24 +510,40 @@ let collect_exports ~cmt ~modname =
         List.iter
           (fun (item : Typedtree.signature_item) ->
             match item.sig_desc with
-            | Tsig_value vd
-              when not (has_attr "brokercheck.test_only" vd.val_attributes) ->
-                exports := (modname ^ "." ^ vd.val_name.txt, vd) :: !exports
+            | Tsig_value vd ->
+                let into =
+                  if has_attr "brokercheck.test_only" vd.val_attributes then
+                    test_hooks
+                  else exports
+                in
+                into := (modname ^ "." ^ vd.val_name.txt, vd) :: !into
             | _ -> ())
           sg.sig_items
     | _ -> ()
 
 let check_exports () =
+  let used (vd : Typedtree.value_description) =
+    Hashtbl.mem referenced (loc_key vd.val_val.val_loc)
+  in
   List.iter
     (fun (name, (vd : Typedtree.value_description)) ->
-      if not (Hashtbl.mem referenced (loc_key vd.val_val.val_loc)) then
+      if not (used vd) then
         report_loc vd.val_loc Export_has_user
           (Printf.sprintf
              "%s is exported but no other scanned unit uses it; delete it, \
               drop it from the .mli, or mark a test hook \
               [@@brokercheck.test_only]"
              name))
-    !exports
+    !exports;
+  List.iter
+    (fun (name, (vd : Typedtree.value_description)) ->
+      if used vd then
+        report_loc vd.val_loc Export_has_user
+          (Printf.sprintf
+             "%s is marked [@@brokercheck.test_only] but another scanned \
+              unit uses it; drop the attribute"
+             name))
+    !test_hooks
 
 let rules_walk u =
   let it =
